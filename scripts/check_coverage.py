@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Coverage gate for the chaos subsystem (CI ``coverage`` job).
 
-The failpoint registry and the readers-writer lock are the two pieces
-whose untested branches bite hardest — a silent hole in either shows up
-as a flaky production incident, not a failing assertion.  This gate
-reads a ``coverage.json`` report (``pytest --cov=repro
---cov-report=json:coverage.json``) and fails unless every measured file
-under ``src/repro/chaos/`` and ``src/repro/core/locking.py`` has line
+The failpoint registry, the readers-writer lock and the LRU behind every
+generation-keyed cache are the pieces whose untested branches bite
+hardest — a silent hole in any shows up as a flaky production incident,
+not a failing assertion.  This gate reads a ``coverage.json`` report
+(``pytest --cov=repro --cov-report=json:coverage.json``) and fails
+unless every measured file under ``src/repro/chaos/``,
+``src/repro/core/locking.py`` and ``src/repro/core/lru.py`` has line
 coverage of at least 90%.
 
 Usage:
@@ -29,7 +30,7 @@ THRESHOLD = 90.0
 #: Kept prefix-free of ``src/`` — the keys vary with how pytest was
 #: invoked (``src/repro/…`` vs ``repro/…``).
 GATED_PREFIXES = ("repro/chaos/",)
-GATED_FILES = ("repro/core/locking.py",)
+GATED_FILES = ("repro/core/locking.py", "repro/core/lru.py")
 
 
 def normalize(path: str) -> str:
@@ -56,13 +57,13 @@ def main(argv: list) -> int:
 
     rows = []
     seen_chaos = False
-    seen_lock = False
+    seen_files = set()
     for path, data in sorted(files.items()):
         if not is_gated(path):
             continue
         norm = normalize(path)
         seen_chaos = seen_chaos or any(p in norm for p in GATED_PREFIXES)
-        seen_lock = seen_lock or norm.endswith(GATED_FILES)
+        seen_files.update(f for f in GATED_FILES if norm.endswith(f))
         percent = float(data["summary"]["percent_covered"])
         rows.append((path, percent))
 
@@ -76,9 +77,10 @@ def main(argv: list) -> int:
     if not seen_chaos:
         print("FAIL  src/repro/chaos/ is absent from the coverage report")
         failed = True
-    if not seen_lock:
-        print("FAIL  src/repro/core/locking.py is absent from the coverage report")
-        failed = True
+    for gated in GATED_FILES:
+        if gated not in seen_files:
+            print(f"FAIL  src/{gated} is absent from the coverage report")
+            failed = True
 
     if failed:
         print(f"\ncoverage gate: at least one gated file below {THRESHOLD:.0f}%")

@@ -25,11 +25,11 @@ from __future__ import annotations
 import contextvars
 import copy
 import os
-import threading
 import time
 import uuid
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..docstore.store import DocumentStore
@@ -59,6 +59,7 @@ from .errors import (
 from .global_graph import GlobalGraph, UmlModel
 from .lav import LavMappingStore, MappingView
 from .locking import ReadWriteLock
+from .lru import GenerationLRU
 from .releases import (
     KIND_EVOLUTION,
     KIND_NEW_SOURCE,
@@ -66,6 +67,7 @@ from .releases import (
     MappingSuggestion,
     suggest_mapping,
 )
+from .rewrite_cache import walk_cache_key
 from .rewriting import Rewriter, RewriteResult
 from .source_graph import SourceGraph, WrapperRegistration
 from .vocabulary import G, M, mdm_namespace_manager
@@ -392,6 +394,53 @@ def _merge_optimization_stats(
     return merged
 
 
+def _count_optimizer_failure() -> None:
+    """Count a best-effort optimizer pass that fell back to its input."""
+    get_metrics().counter(
+        "mdm_optimizer_failures_total",
+        "Logical optimizations that failed and fell back to the naive plan.",
+    ).inc()
+
+
+@dataclass(frozen=True)
+class QueryContext:
+    """Everything one query reads from its MDM, captured once at entry.
+
+    The metadata generation and the execution flags are taken together
+    under the read lock; every stage of the query (result-cache key,
+    stage A, stage B, validation, the pushdown summary, the cache fill)
+    reads them from here, so a concurrent :meth:`MDM.configure_execution`
+    cannot split one query across two configurations.
+    """
+
+    walk: Walk
+    generation: int
+    optimize: bool
+    pushdown: bool
+    validate_plans: bool
+    analyze: bool
+    use_cache: bool
+    on_wrapper_error: str
+
+
+@dataclass
+class _QueryRun:
+    """What one query has produced so far; its query-log record is
+    written from this on every exit, whether or not it was answered."""
+
+    started_wall: float = field(default_factory=time.time)
+    result: Optional[RewriteResult] = None
+    rewrite_cache: str = "bypass"
+    result_cache: str = "off"
+    relations: Dict[str, Relation] = field(default_factory=dict)
+    attempts: Dict[str, int] = field(default_factory=dict)
+    fetch_meta: Dict[str, Dict[str, object]] = field(default_factory=dict)
+    failed: List[str] = field(default_factory=list)
+    rows_returned: int = 0
+    subplan_hits: int = 0
+    subplan_misses: int = 0
+
+
 class MDM:
     """The Metadata Management System."""
 
@@ -502,11 +551,9 @@ class MDM:
         #: Memoized stage-A pushdown extractions keyed by
         #: (canonical walk, generation) — the extraction is a pure
         #: function of the rewritten plan and the wrapper capabilities,
-        #: both frozen within a generation, so repeated queries skip it.
-        self._pushdown_plan_cache: "OrderedDict[Tuple[str, int], Tuple[object, Optional[OptimizationStats]]]" = (
-            OrderedDict()
-        )
-        self._pushdown_plan_lock = threading.Lock()
+        #: both frozen within a generation (any metadata mutation bumps
+        #: it under the write lock), so repeated queries skip it.
+        self._pushdown_plans = GenerationLRU(256, "pushdown_plan_cache")
         from .registry import QueryRegistry
 
         #: Saved analytical processes (named walks) with revalidation.
@@ -1088,332 +1135,254 @@ class MDM:
         Holding the read lock end-to-end means the whole query — rewrite,
         fetch, optimize, execute — sees one metadata generation; the
         captured ``generation`` is therefore exact, which is what makes
-        the result cache's generation keying sound.
+        the result cache's generation keying sound.  The execution flags
+        are captured with it, once, in a :class:`QueryContext`.  Every
+        exit — result-cache hit, error or answer — writes its one query
+        log record in the ``finally`` below.
         """
-        tracer = get_tracer()
-        root = tracer.span("execute")
+        root = get_tracer().span("execute")
+        ctx = QueryContext(
+            walk=walk,
+            generation=self._generation,
+            optimize=self.optimize,
+            pushdown=self.pushdown,
+            validate_plans=self.validate_plans,
+            analyze=analyze or root.is_recording,
+            use_cache=use_cache,
+            on_wrapper_error=on_wrapper_error,
+        )
+        run = _QueryRun()
         timer = PhaseTimer()
         memory = MemoryWatch()
-        started_wall = time.time()
-        generation = self._generation
-        relations: Dict[str, Relation] = {}
-        attempts: Dict[str, int] = {}
-        fetch_meta: Dict[str, Dict[str, object]] = {}
-        failed: List[str] = []
-        result: Optional[RewriteResult] = None
-        cache_status = "bypass"
-        rc_status = "off"
-        stats: Optional[OperatorStats] = None
-        subplan_hits = 0
-        subplan_misses = 0
+        error: Optional[BaseException] = None
         try:
             with memory, root:
-                analyze = analyze or root.is_recording
-                if self.result_cache.enabled:
-                    rc_status = "bypass"
-                    if use_cache:
-                        with tracer.span("result-cache") as rc_span:
-                            cached = self.result_cache.get(
-                                walk,
-                                generation,
-                                self.optimize,
-                                require_analyzed=analyze,
-                                pushdown=self.pushdown,
-                            )
-                            rc_status = "hit" if cached is not None else "miss"
-                            rc_span.set_tag("cache", rc_status)
-                        if cached is not None:
-                            served = copy.copy(cached)
-                            served.result_cache = "hit"
-                            root.set_tag("cache", "result-hit")
-                            root.set_tag("rows", len(served.relation))
-                            root.set_tag("generation", generation)
-                            phase_ms = timer.finish()
-                            self._log_query(
-                                root=root,
-                                walk=walk,
-                                result=served.rewrite,
-                                started_wall=started_wall,
-                                duration_ms=timer.total_s * 1000.0,
-                                phase_ms=phase_ms,
-                                cache_status="hit",
-                                relations={},
-                                attempts={},
-                                failed=[],
-                                rows_returned=len(served.relation),
-                                subplan_hits=0,
-                                subplan_misses=0,
-                                status="ok",
-                                result_cache="hit",
-                            )
-                            metrics = get_metrics()
-                            metrics.counter(
-                                "mdm_queries_total",
-                                "OMQs executed end-to-end.",
-                            ).inc()
-                            metrics.histogram(
-                                "mdm_execute_seconds",
-                                "End-to-end OMQ execution latency.",
-                            ).observe(timer.total_s)
-                            return served
-                with timer.phase("rewrite"):
-                    result, cache_status = self._rewrite_with_status(
-                        walk, use_cache
-                    )
-                root.set_tag("cache", cache_status)
-                executor = Executor()
-                needed = {
-                    name for q in result.queries for name in q.wrapper_names
-                }
-                # Stage A (pre-fetch): fold eligible predicates and
-                # projections into the Scans so the fetch requests below
-                # carry them across the wrapper boundary.  Runs over a
-                # type-blind signature catalog — real types exist only
-                # after fetching, which is exactly what pushdown avoids.
-                pushed_plan = result.plan
-                pushdown_stats: Optional[OptimizationStats] = None
-                if self.pushdown:
-                    with timer.phase("optimize"):
-                        pushed_plan, pushdown_stats = (
-                            self._extract_pushdown_cached(
-                                walk, result.plan, needed, generation
-                            )
-                        )
-                requests, register_as, derived = self._scan_requests(
-                    pushed_plan, needed
-                )
-                with timer.phase("fetch"):
-                    relations, attempts, errors, fetch_meta = (
-                        self._fetch_requests(requests, generation)
-                    )
-                if errors and on_wrapper_error == "raise":
-                    raise errors[min(errors)]
-                failed = sorted(errors)
-                registered: Dict[str, Relation] = {}
-                for name in sorted(relations):
-                    registered[register_as[name]] = relations[name]
-                    # A wrapper fetched in full but scanned pushed
-                    # elsewhere in the plan: derive those bindings
-                    # mediator-side (executor semantics, so exact).
-                    for scan in derived.get(name, ()):
-                        registered[scan.binding_name()] = apply_fetch_request(
-                            relations[name],
-                            FetchRequest(
-                                filters=scan.filters,
-                                columns=scan.columns,
-                                limit=scan.limit,
-                            ),
-                        )
-                for name in sorted(registered):
-                    executor.register(name, registered[name])
-                if self.pushdown:
-                    executor.base_resolver = self._base_resolver(generation)
-                if failed:
-                    get_metrics().counter(
-                        "mdm_query_partial_total",
-                        "OMQs answered partially after wrapper failures.",
-                    ).inc()
-                    surviving = [
-                        q
-                        for q in result.queries
-                        if not (set(q.wrapper_names) & set(failed))
-                    ]
-                    if not surviving:
-                        raise MdmError(
-                            f"every CQ depends on a failed wrapper: "
-                            f"{sorted(failed)}"
-                        )
-                    from ..relational.algebra import (
-                        Distinct,
-                        Project,
-                        union_all,
-                    )
-
-                    naive_plan = Distinct(
-                        union_all(
-                            [
-                                Project(q.plan, result.projection)
-                                for q in surviving
-                            ]
-                        )
-                    )
-                    if pushed_plan is result.plan:
-                        plan = naive_plan
-                    else:
-                        plan = self._drop_failed_branches(
-                            pushed_plan, set(failed)
-                        )
-                else:
-                    plan = pushed_plan
-                    naive_plan = result.plan
-                optimization: Optional[OptimizationStats] = pushdown_stats
-                if self.optimize:
-                    with timer.phase("optimize"):
-                        plan, stage_b = self._optimize_plan(
-                            plan,
-                            executor,
-                            {
-                                name: len(rel)
-                                for name, rel in registered.items()
-                            },
-                        )
-                        optimization = _merge_optimization_stats(
-                            pushdown_stats, stage_b
-                        )
-                plan_findings: Tuple = ()
-                if self.validate_plans:
-                    with timer.phase("validate"):
-                        plan_findings = self._validate_plan(plan, executor)
-                hits_before = executor.subplan_hits
-                misses_before = executor.subplan_misses
-                with timer.phase("execute"):
-                    if analyze:
-                        relation, stats = executor.execute_analyzed(plan)
-                    else:
-                        relation = executor.execute(plan)
-                subplan_hits = executor.subplan_hits - hits_before
-                subplan_misses = executor.subplan_misses - misses_before
-                with timer.phase("finalize"):
-                    if walk.optional_features:
-                        optional_columns = [
-                            result.column_names[f]
-                            for f in walk.optional_features
-                            if result.column_names.get(f) in relation.schema
-                        ]
-                        relation = relation.without_subsumed(optional_columns)
-                    relation = relation.sorted()
-                root.set_tag("ucq_size", result.ucq_size)
-                root.set_tag("rows", len(relation))
-                root.set_tag("fetch_attempts", sum(attempts.values()))
-                if failed:
-                    root.set_tag("skipped_wrappers", sorted(failed))
-        except Exception as exc:
-            phase_ms = timer.finish()
-            self._log_query(
-                root=root,
-                walk=walk,
-                result=result,
-                started_wall=started_wall,
-                duration_ms=timer.total_s * 1000.0,
-                phase_ms=phase_ms,
-                cache_status=cache_status,
-                relations=relations,
-                attempts=attempts,
-                failed=failed,
-                rows_returned=0,
-                subplan_hits=subplan_hits,
-                subplan_misses=subplan_misses,
-                status="error",
-                error=exc,
-                result_cache=rc_status,
-            )
+                outcome = self._cached_outcome(ctx, root, run)
+                if outcome is None:
+                    outcome = self._answer(ctx, root, timer, run)
+        except BaseException as exc:
+            error = exc
             raise
-        phase_ms = timer.finish()
-        rows_fetched = sum(len(rel) for rel in relations.values())
-        rows_transferred = sum(
-            int(m["rows_transferred"]) for m in fetch_meta.values()
-        )
+        finally:
+            phase_ms = timer.finish()
+            self._log_query(root, ctx, run, phase_ms, timer.total_s, error)
+            if error is None:  # failed queries are logged, not counted
+                metrics = get_metrics()
+                metrics.counter(
+                    "mdm_queries_total", "OMQs executed end-to-end."
+                ).inc()
+                metrics.histogram(
+                    "mdm_execute_seconds", "End-to-end OMQ execution latency."
+                ).observe(timer.total_s)
+        if outcome.result_cache == "hit":
+            return outcome
+        fetch_meta = run.fetch_meta.values()
+        rows_fetched = sum(len(rel) for rel in run.relations.values())
+        rows_transferred = sum(int(m["rows_transferred"]) for m in fetch_meta)
         rows_pushed_down = sum(
             int(m["rows_source"]) - int(m["rows_transferred"])
-            for m in fetch_meta.values()
+            for m in fetch_meta
             if m.get("rows_source") is not None
             and int(m["rows_source"]) > int(m["rows_transferred"])
         )
-        profile = ResourceProfile(
+        outcome.profile = ResourceProfile(
             total_ms=timer.total_s * 1000.0,
             phase_ms=phase_ms,
             rows_fetched=rows_fetched,
-            rows_scanned=self._rows_scanned(stats, rows_fetched),
-            rows_returned=len(relation),
+            rows_scanned=self._rows_scanned(outcome.operator_stats, rows_fetched),
+            rows_returned=len(outcome.relation),
             peak_memory_bytes=memory.peak_bytes,
-            operator_ms=rollup_operators(stats),
+            operator_ms=rollup_operators(outcome.operator_stats),
             rows_transferred=rows_transferred,
             rows_pushed_down=rows_pushed_down,
         )
-        pushdown_summary: Optional[Dict[str, object]] = None
-        if self.pushdown:
-            pushed_count = sum(
-                1 for m in fetch_meta.values() if m["kind"] == "pushed"
-            )
-            pushdown_summary = {
+        if ctx.pushdown:
+            pushed_count = sum(1 for m in fetch_meta if m["kind"] == "pushed")
+            outcome.pushdown = {
                 "enabled": True,
                 "pushed": pushed_count,
-                "full": len(fetch_meta) - pushed_count,
-                "requests": fetch_meta,
+                "full": len(run.fetch_meta) - pushed_count,
+                "requests": run.fetch_meta,
                 "rows_transferred": rows_transferred,
                 "rows_pushed_down": rows_pushed_down,
                 "wrapper_cache": {
                     "enabled": self.wrapper_cache.enabled,
-                    "hits": sum(
-                        1
-                        for m in fetch_meta.values()
-                        if m["cache"] == "hit"
-                    ),
-                    "misses": sum(
-                        1
-                        for m in fetch_meta.values()
-                        if m["cache"] == "miss"
-                    ),
+                    "hits": sum(1 for m in fetch_meta if m["cache"] == "hit"),
+                    "misses": sum(1 for m in fetch_meta if m["cache"] == "miss"),
                 },
             }
-        self._log_query(
-            root=root,
-            walk=walk,
-            result=result,
-            started_wall=started_wall,
-            duration_ms=profile.total_ms,
-            phase_ms=phase_ms,
-            cache_status=cache_status,
-            relations=relations,
-            attempts=attempts,
-            failed=failed,
-            rows_returned=len(relation),
-            subplan_hits=subplan_hits,
-            subplan_misses=subplan_misses,
-            status="partial" if failed else "ok",
-            result_cache=rc_status,
-        )
-        metrics = get_metrics()
-        metrics.counter("mdm_queries_total", "OMQs executed end-to-end.").inc()
-        metrics.histogram(
-            "mdm_execute_seconds", "End-to-end OMQ execution latency."
-        ).observe(timer.total_s)
-        if subplan_hits or subplan_misses:
-            subplan_counter = metrics.counter(
+        if run.subplan_hits or run.subplan_misses:
+            subplan_counter = get_metrics().counter(
                 "mdm_subplan_cache_total",
                 "Shared-subplan memo lookups during UCQ execution.",
                 labelnames=("result",),
             )
-            if subplan_hits:
-                subplan_counter.inc(subplan_hits, result="hit")
-            if subplan_misses:
-                subplan_counter.inc(subplan_misses, result="miss")
-        outcome = QueryOutcome(
-            result,
-            relation,
-            tuple(sorted(failed)),
-            executor=executor,
-            operator_stats=stats,
-            fetch_attempts=attempts,
-            naive_plan=naive_plan,
-            executed_plan=plan,
-            optimization=optimization,
-            subplan_hits=subplan_hits,
-            subplan_misses=subplan_misses,
-            plan_findings=plan_findings,
-            plan_validated=self.validate_plans,
-            profile=profile,
-            generation=generation,
-            result_cache=rc_status,
-            pushdown=pushdown_summary,
-        )
-        if rc_status == "miss":
+            if run.subplan_hits:
+                subplan_counter.inc(run.subplan_hits, result="hit")
+            if run.subplan_misses:
+                subplan_counter.inc(run.subplan_misses, result="miss")
+        if run.result_cache == "miss":
             # put() refuses partial outcomes; everything else computed at
             # this generation is safe to serve until the next mutation.
             self.result_cache.put(
-                walk, generation, self.optimize, outcome, pushdown=self.pushdown
+                walk, ctx.generation, ctx.optimize, outcome, pushdown=ctx.pushdown
             )
         return outcome
+
+    def _cached_outcome(
+        self, ctx: QueryContext, root, run: _QueryRun
+    ) -> Optional[QueryOutcome]:
+        """A copy of the result-cache entry for this query, or None."""
+        if not self.result_cache.enabled:
+            return None
+        run.result_cache = "bypass"
+        if not ctx.use_cache:
+            return None
+        with get_tracer().span("result-cache") as span:
+            cached = self.result_cache.get(
+                ctx.walk,
+                ctx.generation,
+                ctx.optimize,
+                require_analyzed=ctx.analyze,
+                pushdown=ctx.pushdown,
+            )
+            run.result_cache = "hit" if cached is not None else "miss"
+            span.set_tag("cache", run.result_cache)
+        if cached is None:
+            return None
+        served = copy.copy(cached)
+        served.result_cache = "hit"
+        root.set_tag("cache", "result-hit")
+        root.set_tag("rows", len(served.relation))
+        root.set_tag("generation", ctx.generation)
+        run.result = served.rewrite
+        run.rewrite_cache = "hit"
+        run.rows_returned = len(served.relation)
+        return served
+
+    def _answer(
+        self, ctx: QueryContext, root, timer: PhaseTimer, run: _QueryRun
+    ) -> QueryOutcome:
+        """Rewrite, fetch, optimize, validate and execute one query.
+
+        Returns the outcome without its profile and pushdown summary,
+        which need the finished timer and memory watch.
+        """
+        with timer.phase("rewrite"):
+            result, run.rewrite_cache = self._rewrite_with_status(
+                ctx.walk, ctx.use_cache
+            )
+        run.result = result
+        root.set_tag("cache", run.rewrite_cache)
+        executor = Executor()
+        needed = {name for q in result.queries for name in q.wrapper_names}
+        # Stage A (pre-fetch): fold eligible predicates and projections
+        # into the Scans so the fetch requests below carry them across
+        # the wrapper boundary.  Runs over a type-blind signature catalog
+        # — real types exist only after fetching, which is exactly what
+        # pushdown avoids — and is memoized per (walk, generation).
+        pushed_plan = result.plan
+        pushdown_stats: Optional[OptimizationStats] = None
+        if ctx.pushdown:
+            with timer.phase("optimize"):
+                key = (walk_cache_key(ctx.walk), ctx.generation)
+                extracted = self._pushdown_plans.probe(key)
+                if extracted is None:
+                    extracted = self._extract_pushdown(result.plan, needed)
+                    self._pushdown_plans.store(key, extracted)
+                pushed_plan, pushdown_stats = extracted
+        requests, register_as, derived = self._scan_requests(pushed_plan, needed)
+        with timer.phase("fetch"):
+            run.relations, run.attempts, errors, run.fetch_meta = (
+                self._fetch_requests(requests, ctx.generation)
+            )
+        if errors and ctx.on_wrapper_error == "raise":
+            raise errors[min(errors)]
+        run.failed = sorted(errors)
+        registered: Dict[str, Relation] = {}
+        for name in sorted(run.relations):
+            registered[register_as[name]] = run.relations[name]
+            # A wrapper fetched in full but scanned pushed elsewhere in
+            # the plan: derive those bindings mediator-side (executor
+            # semantics, so exact).
+            for scan in derived.get(name, ()):
+                registered[scan.binding_name()] = apply_fetch_request(
+                    run.relations[name],
+                    FetchRequest(
+                        filters=scan.filters, columns=scan.columns, limit=scan.limit
+                    ),
+                )
+        for name in sorted(registered):
+            executor.register(name, registered[name])
+        if ctx.pushdown:
+            executor.base_resolver = self._base_resolver(ctx.generation)
+        naive_plan, plan = result.plan, pushed_plan
+        if run.failed:
+            get_metrics().counter(
+                "mdm_query_partial_total",
+                "OMQs answered partially after wrapper failures.",
+            ).inc()
+            failed = set(run.failed)
+            naive_plan = self._drop_failed_branches(result.plan, failed)
+            plan = (
+                naive_plan
+                if pushed_plan is result.plan
+                else self._drop_failed_branches(pushed_plan, failed)
+            )
+        optimization = pushdown_stats
+        if ctx.optimize:
+            with timer.phase("optimize"):
+                plan, stage_b = self._optimize_plan(
+                    plan,
+                    executor,
+                    {name: len(rel) for name, rel in registered.items()},
+                )
+                optimization = _merge_optimization_stats(pushdown_stats, stage_b)
+        plan_findings: Tuple = ()
+        if ctx.validate_plans:
+            with timer.phase("validate"):
+                plan_findings = self._validate_plan(plan, executor)
+        stats: Optional[OperatorStats] = None
+        with timer.phase("execute"):
+            if ctx.analyze:
+                relation, stats = executor.execute_analyzed(plan)
+            else:
+                relation = executor.execute(plan)
+        # A fresh executor: its memo counts are this query's.
+        run.subplan_hits = executor.subplan_hits
+        run.subplan_misses = executor.subplan_misses
+        with timer.phase("finalize"):
+            if ctx.walk.optional_features:
+                optional_columns = [
+                    result.column_names[f]
+                    for f in ctx.walk.optional_features
+                    if result.column_names.get(f) in relation.schema
+                ]
+                relation = relation.without_subsumed(optional_columns)
+            relation = relation.sorted()
+        run.rows_returned = len(relation)
+        root.set_tag("ucq_size", result.ucq_size)
+        root.set_tag("rows", len(relation))
+        root.set_tag("fetch_attempts", sum(run.attempts.values()))
+        if run.failed:
+            root.set_tag("skipped_wrappers", run.failed)
+        return QueryOutcome(
+            result,
+            relation,
+            tuple(run.failed),
+            executor=executor,
+            operator_stats=stats,
+            fetch_attempts=run.attempts,
+            naive_plan=naive_plan,
+            executed_plan=plan,
+            optimization=optimization,
+            subplan_hits=run.subplan_hits,
+            subplan_misses=run.subplan_misses,
+            plan_findings=plan_findings,
+            plan_validated=ctx.validate_plans,
+            generation=ctx.generation,
+            result_cache=run.result_cache,
+        )
 
     @staticmethod
     def _rows_scanned(stats: Optional[OperatorStats], fallback: int) -> int:
@@ -1432,23 +1401,12 @@ class MDM:
 
     def _log_query(
         self,
-        *,
         root,
-        walk: Walk,
-        result: Optional[RewriteResult],
-        started_wall: float,
-        duration_ms: float,
+        ctx: QueryContext,
+        run: _QueryRun,
         phase_ms: Mapping[str, float],
-        cache_status: str,
-        relations: Mapping[str, Relation],
-        attempts: Mapping[str, int],
-        failed: Sequence[str],
-        rows_returned: int,
-        subplan_hits: int,
-        subplan_misses: int,
-        status: str,
-        error: Optional[Exception] = None,
-        result_cache: str = "off",
+        total_s: float,
+        error: Optional[BaseException],
     ) -> QueryLogRecord:
         """Append this query's record to the process query log.
 
@@ -1472,27 +1430,31 @@ class MDM:
             else:
                 decision = "dropped"
         try:
-            walk_text = walk.describe(self.global_graph)
+            walk_text = ctx.walk.describe(self.global_graph)
         except Exception:  # noqa: BLE001 — logging must not mask errors
-            walk_text = repr(walk)
+            walk_text = repr(ctx.walk)
+        if error is not None:
+            status = "error"
+        else:
+            status = "partial" if run.failed else "ok"
         record = QueryLogRecord(
             correlation_id=trace_id or uuid.uuid4().hex,
-            started_at=started_wall,
-            duration_ms=duration_ms,
+            started_at=run.started_wall,
+            duration_ms=total_s * 1000.0,
             status=status,
             walk=walk_text,
-            ucq_size=result.ucq_size if result is not None else 0,
-            rows_fetched=sum(len(rel) for rel in relations.values()),
-            rows_returned=rows_returned,
-            rewrite_cache=cache_status,
-            subplan_hits=subplan_hits,
-            subplan_misses=subplan_misses,
+            ucq_size=run.result.ucq_size if run.result is not None else 0,
+            rows_fetched=sum(len(rel) for rel in run.relations.values()),
+            rows_returned=run.rows_returned,
+            rewrite_cache=run.rewrite_cache,
+            subplan_hits=run.subplan_hits,
+            subplan_misses=run.subplan_misses,
             phase_ms=dict(phase_ms),
-            fetch_attempts=dict(attempts),
-            skipped_wrappers=tuple(failed),
+            fetch_attempts=dict(run.attempts),
+            skipped_wrappers=tuple(run.failed),
             trace_decision=decision,
-            error=f"{type(error).__name__}: {error}" if error else None,
-            result_cache=result_cache,
+            error=f"{type(error).__name__}: {error}" if error is not None else None,
+            result_cache=run.result_cache,
         )
         return get_query_log().record(record)
 
@@ -1539,26 +1501,8 @@ class MDM:
             optimizer = PlanOptimizer(executor.catalog, row_counts)
             return optimizer.optimize(plan)
         except Exception:  # noqa: BLE001 — optimization is best-effort
-            get_metrics().counter(
-                "mdm_optimizer_failures_total",
-                "Logical optimizations that failed and fell back to the "
-                "naive plan.",
-            ).inc()
+            _count_optimizer_failure()
             return plan, None
-
-    def _fetch_wrappers(
-        self, names: Sequence[str]
-    ) -> Tuple[Dict[str, Relation], Dict[str, int], Dict[str, Exception]]:
-        """Full-fetch the (deduplicated) wrappers ``names`` (legacy shape).
-
-        Kept for embedders; :meth:`execute` now goes through
-        :meth:`_fetch_requests`, which this delegates to with one full
-        :class:`~repro.sources.fetch.FetchRequest` per wrapper.
-        """
-        relations, attempts, errors, _ = self._fetch_requests(
-            {name: FULL_FETCH for name in names}, self._generation
-        )
-        return relations, attempts, errors
 
     def _fetch_requests(
         self,
@@ -1629,21 +1573,24 @@ class MDM:
         def fetch_one(name: str):
             return self.wrappers[name].fetch_request(requests[name], policy)
 
-        def record(name: str, fetched) -> None:
-            relations[name] = fetched.relation
-            meta[name]["rows_transferred"] = fetched.rows_transferred
-            meta[name]["rows_source"] = fetched.rows_source
-            cache.put(name, requests[name], generation, fetched.relation)
-
-        workers = min(self.max_fetch_workers, len(to_fetch))
-        if workers <= 1:
+        def collect(result_of) -> None:
+            """Record each fetch in name order; ``result_of(name)`` runs
+            or awaits it."""
             for name in to_fetch:
                 try:
-                    fetched, attempts[name] = fetch_one(name)
-                    record(name, fetched)
+                    fetched, attempts[name] = result_of(name)
                 except Exception as exc:  # noqa: BLE001 — mode decides
                     errors[name] = exc
                     attempts[name] = getattr(exc, "attempts", 1)
+                    continue
+                relations[name] = fetched.relation
+                meta[name]["rows_transferred"] = fetched.rows_transferred
+                meta[name]["rows_source"] = fetched.rows_source
+                cache.put(name, requests[name], generation, fetched.relation)
+
+        workers = min(self.max_fetch_workers, len(to_fetch))
+        if workers <= 1:
+            collect(fetch_one)
         else:
             with ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="mdm-fetch"
@@ -1654,13 +1601,7 @@ class MDM:
                     )
                     for name in to_fetch
                 }
-                for name in to_fetch:
-                    try:
-                        fetched, attempts[name] = futures[name].result()
-                        record(name, fetched)
-                    except Exception as exc:  # noqa: BLE001 — mode decides
-                        errors[name] = exc
-                        attempts[name] = getattr(exc, "attempts", 1)
+                collect(lambda name: futures[name].result())
         metrics = get_metrics()
         request_counter = metrics.counter(
             "mdm_pushdown_requests_total",
@@ -1685,33 +1626,6 @@ class MDM:
                     "Rows filtered out source-side before transfer.",
                 ).inc(int(source_rows) - int(entry["rows_transferred"]))
         return relations, attempts, errors, meta
-
-    #: How many (walk, generation) stage-A extractions to keep memoized.
-    _PUSHDOWN_PLAN_CACHE_SIZE = 256
-
-    def _extract_pushdown_cached(self, walk, plan, needed, generation: int):
-        """Stage A with a per-(walk, generation) memo.
-
-        The extraction is deterministic given the rewritten plan and the
-        wrapper capability sets, and both are frozen for the duration of
-        a generation (any metadata mutation bumps it under the write
-        lock) — so a repeated query pays the optimizer pass once.
-        """
-        from .rewrite_cache import walk_cache_key
-
-        key = (walk_cache_key(walk), generation)
-        with self._pushdown_plan_lock:
-            hit = self._pushdown_plan_cache.get(key)
-            if hit is not None:
-                self._pushdown_plan_cache.move_to_end(key)
-                return hit
-        extracted = self._extract_pushdown(plan, needed)
-        with self._pushdown_plan_lock:
-            self._pushdown_plan_cache[key] = extracted
-            self._pushdown_plan_cache.move_to_end(key)
-            while len(self._pushdown_plan_cache) > self._PUSHDOWN_PLAN_CACHE_SIZE:
-                self._pushdown_plan_cache.popitem(last=False)
-        return extracted
 
     def _extract_pushdown(self, plan, needed: Iterable[str]):
         """Stage-A optimization: fold pushable work into the Scans.
@@ -1743,11 +1657,7 @@ class MDM:
             )
             return optimizer.extract_pushdown(plan)
         except Exception:  # noqa: BLE001 — pushdown is best-effort
-            get_metrics().counter(
-                "mdm_optimizer_failures_total",
-                "Logical optimizations that failed and fell back to the "
-                "naive plan.",
-            ).inc()
+            _count_optimizer_failure()
             return plan, None
 
     @staticmethod
@@ -1821,20 +1731,21 @@ class MDM:
             cached = self.wrapper_cache.lookup(name, FULL_FETCH, generation)
             if cached is not None:
                 return cached
-            relation, _ = wrapper.fetch_relation_retrying(self.retry_policy)
-            self.wrapper_cache.put(name, FULL_FETCH, generation, relation)
-            return relation
+            fetched, _ = wrapper.fetch_request(FULL_FETCH, self.retry_policy)
+            self.wrapper_cache.put(name, FULL_FETCH, generation, fetched.relation)
+            return fetched.relation
 
         return resolve
 
     @staticmethod
     def _drop_failed_branches(plan, failed: set):
-        """Remove UCQ branches of a pushed plan that scan a failed wrapper.
+        """Remove UCQ branches of a plan that scan a failed wrapper.
 
-        Mirrors the naive partial-failure rebuild, but operating on the
-        already-pushed plan so surviving branches keep their pushed
-        Scans.  Pushed Scans report their *base* wrapper name from
-        ``scans()``, so membership checks work unchanged.
+        Serves both the rewritten plan (``Distinct`` over a union of one
+        ``Project`` per CQ) and the pushed plan, whose surviving branches
+        keep their pushed Scans.  Pushed Scans report their *base*
+        wrapper name from ``scans()``, so membership checks work
+        unchanged.
         """
         from ..relational.algebra import Distinct, Union, union_all
 

@@ -27,7 +27,8 @@ Two deliberate exclusions:
   (``repro-mdm serve`` enables it) but not for a library caller pointed
   at moving data.
 
-Hit/miss/eviction counts flow into the process metrics registry
+The LRU is the shared :class:`~repro.core.lru.GenerationLRU`:
+hit/miss/eviction counts flow into the process metrics registry
 (``mdm_result_cache_*``); hits are visible per-query as a
 ``result-cache`` span tagged ``cache=hit`` and as a ``Result cache:``
 line in ``EXPLAIN ANALYZE``.
@@ -35,19 +36,21 @@ line in ``EXPLAIN ANALYZE``.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from ..chaos.failpoints import fire as _failpoint
-from ..obs import get_metrics
+from .lru import GenerationLRU
 from .rewrite_cache import walk_cache_key
 from .walks import Walk
 
 __all__ = ["ResultCache"]
 
 
-class ResultCache:
+def _analyzed(outcome: Any) -> bool:
+    return getattr(outcome, "operator_stats", None) is not None
+
+
+class ResultCache(GenerationLRU):
     """Bounded LRU of ``(walk, generation, optimize, pushdown) -> QueryOutcome``.
 
     Thread-safe; capacity 0 disables the cache entirely (every probe is
@@ -55,23 +58,7 @@ class ResultCache:
     """
 
     def __init__(self, capacity: int = 0):
-        if capacity < 0:
-            raise ValueError("result cache capacity must be >= 0")
-        self.capacity = capacity
-        self._entries: "OrderedDict[Tuple[str, int, bool, bool], Any]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def enabled(self) -> bool:
-        """Whether the cache stores anything at all."""
-        return self.capacity > 0
-
-    # ------------------------------------------------------------------ #
-    # lookup / fill
-    # ------------------------------------------------------------------ #
+        super().__init__(capacity, "result_cache")
 
     @staticmethod
     def key_for(
@@ -104,27 +91,10 @@ class ResultCache:
         if not self.enabled:
             return None
         _failpoint("cache.result")
-        key = self.key_for(walk, generation, optimize, pushdown)
-        metrics = get_metrics()
-        with self._lock:
-            outcome = self._entries.get(key)
-            if outcome is not None and require_analyzed:
-                if getattr(outcome, "operator_stats", None) is None:
-                    outcome = None
-            if outcome is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                metrics.counter(
-                    "mdm_result_cache_hits_total",
-                    "Query outcomes served from the result cache.",
-                ).inc()
-                return outcome
-            self.misses += 1
-            metrics.counter(
-                "mdm_result_cache_misses_total",
-                "Result-cache probes that fell through to execution.",
-            ).inc()
-            return None
+        return self.probe(
+            self.key_for(walk, generation, optimize, pushdown),
+            accept=_analyzed if require_analyzed else None,
+        )
 
     def put(
         self,
@@ -135,79 +105,6 @@ class ResultCache:
         pushdown: bool = False,
     ) -> None:
         """Cache ``outcome`` (LRU-evicting); partial outcomes are refused."""
-        if not self.enabled:
-            return
         if getattr(outcome, "partial", False):
             return  # degraded by wrapper failures — never cacheable
-        key = self.key_for(walk, generation, optimize, pushdown)
-        with self._lock:
-            self._entries[key] = outcome
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                get_metrics().counter(
-                    "mdm_result_cache_evictions_total",
-                    "Result-cache LRU evictions.",
-                ).inc()
-            get_metrics().gauge(
-                "mdm_result_cache_size",
-                "Entries currently held by the result cache.",
-            ).set(len(self._entries))
-
-    def resize(self, capacity: int) -> None:
-        """Change the capacity in place (trimming LRU-first; 0 clears)."""
-        if capacity < 0:
-            raise ValueError("result cache capacity must be >= 0")
-        with self._lock:
-            self.capacity = capacity
-            while len(self._entries) > capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-            get_metrics().gauge(
-                "mdm_result_cache_size",
-                "Entries currently held by the result cache.",
-            ).set(len(self._entries))
-
-    def clear(self) -> None:
-        """Drop every entry (stats are kept — they are cumulative)."""
-        with self._lock:
-            self._entries.clear()
-            get_metrics().gauge(
-                "mdm_result_cache_size",
-                "Entries currently held by the result cache.",
-            ).set(0)
-
-    # ------------------------------------------------------------------ #
-    # introspection
-    # ------------------------------------------------------------------ #
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        """hits / (hits + misses), 0.0 before any lookup."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, Any]:
-        """JSON-shaped cumulative statistics (reports, benchmarks)."""
-        with self._lock:
-            size = len(self._entries)
-        return {
-            "capacity": self.capacity,
-            "enabled": self.enabled,
-            "size": size,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": round(self.hit_rate, 6),
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"<ResultCache {len(self)}/{self.capacity} entries, "
-            f"{self.hits} hits / {self.misses} misses>"
-        )
+        self.store(self.key_for(walk, generation, optimize, pushdown), outcome)

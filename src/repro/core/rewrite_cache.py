@@ -10,22 +10,19 @@ while the metadata that produced it is still current, so evolution can
 never serve a stale UCQ (the governance guarantee this repo exists to
 demonstrate).
 
-Entries for superseded generations are not eagerly purged — they age out
-of the LRU naturally, which keeps mutation O(1) and the memory bound the
-capacity.  Hit/miss/eviction counts flow into the process metrics
-registry (``mdm_rewrite_cache_*``) so ``report --metrics`` and the
+The LRU itself is the shared :class:`~repro.core.lru.GenerationLRU`:
+hit/miss/eviction counts flow into the process metrics registry
+(``mdm_rewrite_cache_*``) so ``report --metrics`` and the
 ``GET /metrics`` endpoint expose the hit ratio.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from collections import OrderedDict
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from ..chaos.failpoints import fire as _failpoint
-from ..obs import get_metrics
+from .lru import GenerationLRU
 from .walks import Walk
 
 __all__ = ["RewriteCache"]
@@ -43,105 +40,23 @@ def walk_cache_key(walk: Walk) -> str:
     )
 
 
-class RewriteCache:
+class RewriteCache(GenerationLRU):
     """Bounded LRU of ``(walk, generation) -> RewriteResult``.
 
     Thread-safe: concurrent queries through the service layer may probe
-    and fill the cache from multiple threads.
+    and fill the cache from multiple threads.  Always enabled.
     """
 
-    def __init__(self, capacity: int = 128):
-        if capacity < 1:
-            raise ValueError("rewrite cache capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: "OrderedDict[Tuple[str, int], Any]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+    min_capacity = 1
 
-    # ------------------------------------------------------------------ #
-    # lookup / fill
-    # ------------------------------------------------------------------ #
+    def __init__(self, capacity: int = 128):
+        super().__init__(capacity, "rewrite_cache")
 
     def get(self, walk: Walk, generation: int) -> Optional[Any]:
         """The cached rewrite for ``walk`` at ``generation``, or None."""
         _failpoint("cache.rewrite")
-        key = (walk_cache_key(walk), generation)
-        metrics = get_metrics()
-        with self._lock:
-            result = self._entries.get(key)
-            if result is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                metrics.counter(
-                    "mdm_rewrite_cache_hits_total",
-                    "Rewrite-plan cache hits.",
-                ).inc()
-                return result
-            self.misses += 1
-            metrics.counter(
-                "mdm_rewrite_cache_misses_total",
-                "Rewrite-plan cache misses.",
-            ).inc()
-            return None
+        return self.probe((walk_cache_key(walk), generation))
 
     def put(self, walk: Walk, generation: int, result: Any) -> None:
         """Cache ``result`` for ``walk`` at ``generation`` (LRU-evicting)."""
-        key = (walk_cache_key(walk), generation)
-        with self._lock:
-            self._entries[key] = result
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                get_metrics().counter(
-                    "mdm_rewrite_cache_evictions_total",
-                    "Rewrite-plan cache LRU evictions.",
-                ).inc()
-            get_metrics().gauge(
-                "mdm_rewrite_cache_size",
-                "Entries currently held by the rewrite-plan cache.",
-            ).set(len(self._entries))
-
-    def clear(self) -> None:
-        """Drop every entry (stats are kept — they are cumulative)."""
-        with self._lock:
-            self._entries.clear()
-            get_metrics().gauge(
-                "mdm_rewrite_cache_size",
-                "Entries currently held by the rewrite-plan cache.",
-            ).set(0)
-
-    # ------------------------------------------------------------------ #
-    # introspection
-    # ------------------------------------------------------------------ #
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        """hits / (hits + misses), 0.0 before any lookup."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, Any]:
-        """JSON-shaped cumulative statistics (reports, benchmarks)."""
-        with self._lock:
-            size = len(self._entries)
-        return {
-            "capacity": self.capacity,
-            "size": size,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": round(self.hit_rate, 6),
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"<RewriteCache {len(self)}/{self.capacity} entries, "
-            f"{self.hits} hits / {self.misses} misses>"
-        )
+        self.store((walk_cache_key(walk), generation), result)

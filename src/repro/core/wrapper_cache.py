@@ -22,7 +22,8 @@ relation is byte-identical to what the source would have returned.
 Relations are immutable (tuple-backed rows), so entries are shared
 without copying.
 
-Hits, misses and evictions flow into the process metrics registry
+The LRU is the shared :class:`~repro.core.lru.GenerationLRU`: hits,
+misses and evictions flow into the process metrics registry
 (``mdm_wrapper_cache_*``); per-query hits surface as ``wrapper-cache``
 spans tagged ``cache=hit`` and in the ``EXPLAIN ANALYZE`` pushdown
 section.
@@ -30,40 +31,26 @@ section.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..chaos.failpoints import fire as _failpoint
-from ..obs import get_metrics
 from ..relational.relation import Relation
 from ..sources.fetch import FULL_FETCH, FetchRequest, apply_fetch_request
+from .lru import GenerationLRU
 
 __all__ = ["WrapperCache"]
 
 _Key = Tuple[str, str, int]
 
 
-class WrapperCache:
+class WrapperCache(GenerationLRU):
     """Bounded LRU of ``(wrapper, request, generation) -> Relation``.
 
     Thread-safe; capacity 0 disables the cache entirely.
     """
 
     def __init__(self, capacity: int = 0):
-        if capacity < 0:
-            raise ValueError("wrapper cache capacity must be >= 0")
-        self.capacity = capacity
-        self._entries: "OrderedDict[_Key, Relation]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def enabled(self) -> bool:
-        """Whether the cache stores anything at all."""
-        return self.capacity > 0
+        super().__init__(capacity, "wrapper_cache")
 
     @staticmethod
     def key_for(wrapper: str, request: FetchRequest, generation: int) -> _Key:
@@ -83,103 +70,18 @@ class WrapperCache:
         if not self.enabled:
             return None
         _failpoint("cache.wrapper", key=wrapper)
-        key = self.key_for(wrapper, request, generation)
-        metrics = get_metrics()
-        with self._lock:
-            relation = self._entries.get(key)
-            if relation is None and not request.is_full:
-                full = self._entries.get((wrapper, FULL_FETCH.canonical(), generation))
-                if full is not None:
-                    relation = apply_fetch_request(full, request)
-                    self._store_locked(key, relation)
-            if relation is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                metrics.counter(
-                    "mdm_wrapper_cache_hits_total",
-                    "Wrapper fetches served from the wrapper data cache.",
-                ).inc()
-                return relation
-            self.misses += 1
-            metrics.counter(
-                "mdm_wrapper_cache_misses_total",
-                "Wrapper-cache probes that fell through to a source fetch.",
-            ).inc()
-            return None
+
+        def derive() -> Optional[Relation]:
+            full = self._entries.get(self.key_for(wrapper, FULL_FETCH, generation))
+            return None if full is None else apply_fetch_request(full, request)
+
+        return self.probe(
+            self.key_for(wrapper, request, generation),
+            derive=None if request.is_full else derive,
+        )
 
     def put(
         self, wrapper: str, request: FetchRequest, generation: int, relation: Relation
     ) -> None:
         """Cache one fetched relation (LRU-evicting)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._store_locked(self.key_for(wrapper, request, generation), relation)
-
-    def _store_locked(self, key: _Key, relation: Relation) -> None:
-        self._entries[key] = relation
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-            get_metrics().counter(
-                "mdm_wrapper_cache_evictions_total",
-                "Wrapper-cache LRU evictions.",
-            ).inc()
-        get_metrics().gauge(
-            "mdm_wrapper_cache_size",
-            "Entries currently held by the wrapper data cache.",
-        ).set(len(self._entries))
-
-    def resize(self, capacity: int) -> None:
-        """Change the capacity in place (trimming LRU-first; 0 clears)."""
-        if capacity < 0:
-            raise ValueError("wrapper cache capacity must be >= 0")
-        with self._lock:
-            self.capacity = capacity
-            while len(self._entries) > capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-            get_metrics().gauge(
-                "mdm_wrapper_cache_size",
-                "Entries currently held by the wrapper data cache.",
-            ).set(len(self._entries))
-
-    def clear(self) -> None:
-        """Drop every entry (stats are kept — they are cumulative)."""
-        with self._lock:
-            self._entries.clear()
-            get_metrics().gauge(
-                "mdm_wrapper_cache_size",
-                "Entries currently held by the wrapper data cache.",
-            ).set(0)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        """hits / (hits + misses), 0.0 before any lookup."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, Any]:
-        """JSON-shaped cumulative statistics (reports, benchmarks)."""
-        with self._lock:
-            size = len(self._entries)
-        return {
-            "capacity": self.capacity,
-            "enabled": self.enabled,
-            "size": size,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": round(self.hit_rate, 6),
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"<WrapperCache {len(self)}/{self.capacity} entries, "
-            f"{self.hits} hits / {self.misses} misses>"
-        )
+        self.store(self.key_for(wrapper, request, generation), relation)

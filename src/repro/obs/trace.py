@@ -10,7 +10,7 @@ JSONL file) when their root completes.
 
 The current span is tracked through a :mod:`contextvars` variable, not a
 mutable stack, so the tracer is safe under the federated fetch pool:
-:meth:`~repro.core.mdm.MDM._fetch_wrappers` copies the caller's context
+:meth:`~repro.core.mdm.MDM._fetch_requests` copies the caller's context
 into each worker (``contextvars.copy_context().run``), and the wrapper
 fetch spans opened inside the workers parent correctly to the ``execute``
 root even when eight fetches overlap.  Every span carries an explicit

@@ -32,6 +32,7 @@ from .fetch import (
     CAP_FILTERS,
     CAP_LIMIT,
     CAP_PROJECTION,
+    FULL_FETCH,
     FetchRequest,
     FetchResult,
     apply_fetch_request,
@@ -259,17 +260,6 @@ class Wrapper:
         """
         policy = policy or RetryPolicy()
         metrics = get_metrics()
-        if policy.attempts == 1 and policy.timeout_s is None:
-            try:
-                _failpoint("wrapper.fetch", key=self.name)
-                return (call() if call is not None else self.fetch()), 1
-            except Exception:
-                metrics.counter(
-                    "mdm_wrapper_failure_total",
-                    "Wrapper fetches that failed terminally after retries.",
-                    labelnames=("wrapper",),
-                ).inc(wrapper=self.name)
-                raise
         last_error: Optional[BaseException] = None
         for attempt in range(1, policy.attempts + 1):
             try:
@@ -291,7 +281,8 @@ class Wrapper:
             labelnames=("wrapper",),
         ).inc(wrapper=self.name)
         assert last_error is not None
-        if isinstance(last_error, WrapperTimeoutError):
+        strict = policy.attempts == 1 and policy.timeout_s is None
+        if strict or isinstance(last_error, WrapperTimeoutError):
             raise last_error
         raise WrapperFetchError(
             self.name, policy.attempts, last_error
@@ -300,52 +291,43 @@ class Wrapper:
     def fetch_relation(self, retry: Optional["RetryPolicy"] = None) -> Relation:
         """The current rows as a typed :class:`Relation` named after the wrapper.
 
-        This is the pipeline's access path, so it is the instrumentation
-        point: fetch latency and row counts flow into the
-        ``mdm_wrapper_fetch_seconds`` / ``mdm_wrapper_rows_total`` series,
-        failures into ``mdm_wrapper_errors_total``, and a ``fetch:<name>``
-        span is emitted when the process tracer is enabled.  ``retry``
-        applies a :class:`RetryPolicy` around the raw ``fetch()``; the
-        span is tagged with the attempt count.
+        A full :meth:`fetch_request`: same ``retry`` policy, span and
+        metrics.
         """
-        relation, _ = self.fetch_relation_retrying(retry)
-        return relation
-
-    def fetch_relation_retrying(
-        self, retry: Optional["RetryPolicy"] = None
-    ) -> Tuple[Relation, int]:
-        """:meth:`fetch_relation` returning ``(relation, attempts_used)``."""
-        result, attempts = self.fetch_request(None, retry)
-        return result.relation, attempts
+        return self.fetch_request(None, retry)[0].relation
 
     def fetch_request(
         self,
         request: Optional[FetchRequest] = None,
         retry: Optional["RetryPolicy"] = None,
     ) -> Tuple[FetchResult, int]:
-        """Instrumented fetch honoring an optional pushed request.
+        """The one instrumented fetch, honoring an optional pushed request.
 
-        ``request=None`` (or a full request) is the legacy path: the
-        whole payload crosses the boundary and ``rows_transferred``
-        equals the relation's cardinality.  A pushed request routes
-        through :meth:`_fetch_push` under the same retry policy, span
-        (``fetch:<name>``, tagged with the canonical request), and
-        metrics — ``mdm_wrapper_rows_total`` counts rows that actually
-        crossed the boundary.
+        Every wrapper fetch goes through here, so it is the
+        instrumentation point: fetch latency and row counts flow into the
+        ``mdm_wrapper_fetch_seconds`` / ``mdm_wrapper_rows_total`` series,
+        failures into ``mdm_wrapper_errors_total``, and a ``fetch:<name>``
+        span (tagged with the attempt count) is emitted when the process
+        tracer is enabled.  ``retry`` applies a :class:`RetryPolicy`
+        around the raw fetch.
+
+        ``request=None`` or a full request fetches the whole payload and
+        ``rows_transferred`` equals the relation's cardinality.  A pushed
+        request routes through :meth:`_fetch_push`, its span is tagged
+        with the canonical request, and ``mdm_wrapper_rows_total`` counts
+        the rows that actually crossed the boundary.
         """
         metrics = get_metrics()
         started = time.perf_counter()
-        pushed = request is not None and not request.is_full
+        wanted = FULL_FETCH if request is None else request
+        pushed = not wanted.is_full
         with get_tracer().span(f"fetch:{self.name}", wrapper=self.name) as span:
             if pushed:
-                assert request is not None
-                span.set_tag("request", request.canonical())
+                span.set_tag("request", wanted.canonical())
             try:
                 if pushed:
-                    assert request is not None
-                    bound_request = request
                     result, attempts = self.fetch_retrying(
-                        retry, call=lambda: self._fetch_push(bound_request)
+                        retry, call=lambda: self._fetch_push(wanted)
                     )
                 else:
                     rows, attempts = self.fetch_retrying(retry)

@@ -109,6 +109,10 @@ class TestResultCacheUnit:
         assert len(cache) == 1
         cache.resize(0)
         assert len(cache) == 0 and not cache.enabled
+        # Shrinking evicts too, and /metrics agrees with stats().
+        assert cache.stats()["evictions"] == 3
+        evictions = fresh_metrics.get("mdm_result_cache_evictions_total")
+        assert evictions.value() == 3
         with pytest.raises(ValueError):
             cache.resize(-5)
 
@@ -217,6 +221,36 @@ class TestResultCacheInMdm:
         assert recovered.result_cache == "miss"
         assert not recovered.partial
         assert len(recovered.relation.rows) == 2
+
+    def test_config_is_read_once_per_query(self, fresh_metrics):
+        """A reconfiguration racing a query does not split its config:
+        the plan, outcome and cache key all use the flags at entry."""
+
+        class ReconfiguringWrapper(StaticWrapper):
+            def fetch(self):
+                mdm.configure_execution(optimize=False, pushdown=False)
+                return super().fetch()
+
+        mdm = MDM(result_cache_size=8, optimize=True, pushdown=True)
+        mdm.add_concept(NS.C)
+        mdm.add_identifier(NS.id, NS.C)
+        mdm.add_feature(NS.val, NS.C)
+        mdm.register_source("s0")
+        mdm.register_wrapper(
+            "s0",
+            ReconfiguringWrapper("w0", ["id", "val"], [{"id": 1, "val": "a"}]),
+        )
+        mdm.define_mapping("w0", {"id": NS.id, "val": NS.val})
+        walk = the_walk(mdm)
+        outcome = mdm.execute(walk)
+        assert not mdm.optimize and not mdm.pushdown
+        # Stage B ran: only the typed pass estimates rows.
+        assert outcome.optimization is not None
+        assert outcome.optimization.estimated_rows_before > 0
+        assert outcome.pushdown is not None
+        cache = mdm.result_cache
+        assert cache.get(walk, outcome.generation, True, pushdown=True) is outcome
+        assert cache.get(walk, outcome.generation, False, pushdown=False) is None
 
     def test_configure_execution_resizes_and_reports(self, fresh_metrics):
         mdm = tiny_mdm()

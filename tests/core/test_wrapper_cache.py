@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.wrapper_cache import WrapperCache
+from repro.obs import get_metrics, reset_metrics, set_metrics
 from repro.relational.relation import Relation
 from repro.sources.fetch import FULL_FETCH, FetchRequest
 
@@ -60,7 +61,15 @@ def test_pushed_entry_does_not_answer_full_fetch():
     assert cache.lookup("w", FULL_FETCH, 1) is None
 
 
-def test_lru_eviction_and_resize():
+@pytest.fixture()
+def fresh_metrics():
+    previous = get_metrics()
+    registry = reset_metrics()
+    yield registry
+    set_metrics(previous)
+
+
+def test_lru_eviction_and_resize(fresh_metrics):
     cache = WrapperCache(2)
     cache.put("a", FULL_FETCH, 1, make_relation(1))
     cache.put("b", FULL_FETCH, 1, make_relation(1))
@@ -73,6 +82,10 @@ def test_lru_eviction_and_resize():
     assert len(cache) == 1
     cache.resize(0)
     assert len(cache) == 0 and not cache.enabled
+    # Shrinking evicts too, and /metrics agrees with stats().
+    assert cache.stats()["evictions"] == 3
+    evictions = fresh_metrics.get("mdm_wrapper_cache_evictions_total")
+    assert evictions.value() == 3
 
 
 def test_clear_keeps_cumulative_stats():

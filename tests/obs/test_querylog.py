@@ -9,7 +9,10 @@ from repro.obs import (
     QueryLog,
     QueryLogRecord,
     capture,
+    get_metrics,
     get_query_log,
+    reset_metrics,
+    set_metrics,
     set_query_log,
 )
 from repro.rdf.namespaces import EX
@@ -104,6 +107,69 @@ class TestOneRecordPerExecute:
         record = fresh_log.recent()[0]
         assert record.status == "partial"
         assert record.skipped_wrappers == ("bad",)
+
+    def test_every_exit_logs_once_and_counts_only_answers(self, fresh_log):
+        """The partial, error, ok and result-cache-hit exits each write
+        one record; all but the error count a query and a latency."""
+
+        class FlakyWrapper(StaticWrapper):
+            broken = True
+
+            def fetch(self):
+                if self.broken:
+                    raise RuntimeError("wrapper down")
+                return super().fetch()
+
+        flaky = FlakyWrapper("bad", ["id", "name"], rows_for("bad"))
+        mdm = build_mdm(
+            [StaticWrapper("good", ["id", "name"], rows_for("good")), flaky],
+            result_cache_size=8,
+        )
+        walk = name_walk(mdm)
+        previous = get_metrics()
+        registry = reset_metrics()
+
+        def counts():
+            queries = registry.get("mdm_queries_total")
+            seconds = registry.get("mdm_execute_seconds")
+            return (
+                queries.value() if queries is not None else 0,
+                seconds.count() if seconds is not None else 0,
+                len(fresh_log),
+            )
+
+        def deltas(before):
+            return tuple(b - a for a, b in zip(before, counts()))
+
+        try:
+            before = counts()
+            mdm.execute(walk, on_wrapper_error="skip")
+            partial = deltas(before)
+            before = counts()
+            with pytest.raises(Exception):
+                mdm.execute(walk)
+            error = deltas(before)
+            flaky.broken = False
+            before = counts()
+            mdm.execute(walk)
+            ok = deltas(before)
+            before = counts()
+            mdm.execute(walk)
+            hit = deltas(before)
+        finally:
+            set_metrics(previous)
+        assert [(r.status, r.result_cache) for r in fresh_log.recent()] == [
+            ("partial", "miss"),
+            ("error", "miss"),
+            ("ok", "miss"),
+            ("ok", "hit"),
+        ]
+        assert (hit, ok, partial, error) == (
+            (1, 1, 1),
+            (1, 1, 1),
+            (1, 1, 1),
+            (0, 0, 1),
+        )
 
     def test_phase_ms_covers_the_whole_duration(self, fresh_log):
         mdm = healthy_mdm()
