@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Coverage gate for the chaos subsystem (CI ``coverage`` job).
 
-The failpoint registry, the readers-writer lock and the LRU behind every
-generation-keyed cache are the pieces whose untested branches bite
-hardest — a silent hole in any shows up as a flaky production incident,
-not a failing assertion.  This gate reads a ``coverage.json`` report
+The failpoint registry, the readers-writer lock, the LRU behind every
+generation-keyed cache and the execution configuration are the pieces
+whose untested branches bite hardest — a silent hole in any shows up as
+a flaky production incident, not a failing assertion.  This gate reads
+a ``coverage.json`` report
 (``pytest --cov=repro --cov-report=json:coverage.json``) and fails
-unless every measured file under ``src/repro/chaos/``,
-``src/repro/core/locking.py`` and ``src/repro/core/lru.py`` has line
-coverage of at least 90%.
+unless every measured file under ``src/repro/chaos/`` and each of
+``src/repro/core/config.py``, ``src/repro/core/locking.py`` and
+``src/repro/core/lru.py`` has line coverage of at least 90%.
 
 Usage:
     python scripts/check_coverage.py coverage.json
@@ -30,7 +31,11 @@ THRESHOLD = 90.0
 #: Kept prefix-free of ``src/`` — the keys vary with how pytest was
 #: invoked (``src/repro/…`` vs ``repro/…``).
 GATED_PREFIXES = ("repro/chaos/",)
-GATED_FILES = ("repro/core/locking.py", "repro/core/lru.py")
+GATED_FILES = (
+    "repro/core/config.py",
+    "repro/core/locking.py",
+    "repro/core/lru.py",
+)
 
 
 def normalize(path: str) -> str:

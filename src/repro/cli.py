@@ -111,27 +111,20 @@ def cmd_demo(args) -> int:
     return 0
 
 
-def _apply_execution_flags(mdm, args) -> None:
-    """Fold --fetch-workers/--retry-*/--no-optimize flags into the MDM."""
-    policy = None
-    attempts = getattr(args, "retry_attempts", None)
-    timeout = getattr(args, "retry_timeout", None)
-    if attempts is not None or timeout is not None:
+def _apply_execution_flags(mdm, args, **sizes) -> None:
+    """Fold the flags of :func:`_add_execution_flags` (and any cache
+    ``sizes``) into the MDM in one reconfiguration."""
+    changes = {"max_fetch_workers": args.fetch_workers}
+    if args.retry_attempts is not None or args.retry_timeout is not None:
         from .sources.wrappers import RetryPolicy
 
-        policy = RetryPolicy(attempts=attempts or 1, timeout_s=timeout)
-    validate = None
-    if getattr(args, "no_validate_plans", False):
-        validate = False
-    elif getattr(args, "validate_plans", False):
-        validate = True
-    mdm.configure_execution(
-        max_fetch_workers=getattr(args, "fetch_workers", None),
-        retry_policy=policy,
-        optimize=False if getattr(args, "no_optimize", False) else None,
-        validate_plans=validate,
-        pushdown=False if getattr(args, "no_pushdown", False) else None,
-    )
+        changes["retry_policy"] = RetryPolicy(
+            attempts=args.retry_attempts or 1, timeout_s=args.retry_timeout
+        )
+    for flag in ("optimize", "pushdown", "validate_plans"):
+        if getattr(args, f"no_{flag}"):
+            changes[flag] = False
+    mdm.configure_execution(**changes, **sizes)
 
 
 def cmd_query(args) -> int:
@@ -470,12 +463,13 @@ def cmd_serve(args) -> int:
     from .service.server import MdmHttpServer
 
     mdm = MDM() if args.empty else _mdm_for(args)
-    _apply_execution_flags(mdm, args)
     # Behind a server the metadata only changes through the write-locked
     # mutators, so generation-keyed result and wrapper-data caching are
     # safe — enable them by default (unlike the library, where wrappers
     # may be live feeds).
-    mdm.configure_execution(
+    _apply_execution_flags(
+        mdm,
+        args,
         result_cache_size=args.result_cache,
         wrapper_cache_size=args.wrapper_cache,
     )
@@ -537,15 +531,10 @@ def _add_execution_flags(parser) -> None:
         "optimizer (default: optimize, or $MDM_OPTIMIZE)",
     )
     parser.add_argument(
-        "--validate-plans",
-        action="store_true",
-        help="force the static plan schema check before execution "
-        "(default: on, or $MDM_VALIDATE_PLANS)",
-    )
-    parser.add_argument(
         "--no-validate-plans",
         action="store_true",
-        help="skip the static plan schema check before execution",
+        help="skip the static plan schema check before execution "
+        "(default: check, or $MDM_VALIDATE_PLANS)",
     )
     parser.add_argument(
         "--no-pushdown",

@@ -32,7 +32,7 @@ class GenerationLRU:
     def __init__(self, capacity: int, metric_prefix: str):
         self.metric_prefix = metric_prefix
         self._label = metric_prefix.replace("_", " ")
-        self._check_capacity(capacity)
+        self.check_capacity(capacity)
         self.capacity = capacity
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
@@ -45,10 +45,12 @@ class GenerationLRU:
         """Whether the cache stores anything at all."""
         return self.capacity > 0
 
-    def _check_capacity(self, capacity: int) -> None:
-        if capacity < self.min_capacity:
+    def check_capacity(self, capacity: int) -> None:
+        """Raise :class:`ValueError` unless ``capacity`` is a valid size."""
+        if type(capacity) is not int or capacity < self.min_capacity:
             raise ValueError(
-                f"{self._label} capacity must be >= {self.min_capacity}"
+                f"{self._label} capacity must be an integer >= "
+                f"{self.min_capacity}, not {capacity!r}"
             )
 
     def _count(self, event: str, n: int = 1) -> None:
@@ -114,7 +116,7 @@ class GenerationLRU:
 
     def resize(self, capacity: int) -> None:
         """Change the capacity in place (trimming LRU-first; 0 clears)."""
-        self._check_capacity(capacity)
+        self.check_capacity(capacity)
         with self._lock:
             self.capacity = capacity
             self._trim_locked()

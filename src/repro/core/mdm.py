@@ -25,11 +25,12 @@ from __future__ import annotations
 import contextvars
 import copy
 import os
+import threading
 import time
 import uuid
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..docstore.store import DocumentStore
@@ -49,6 +50,7 @@ from ..relational.relation import Relation
 from ..sources.fetch import FULL_FETCH, FetchRequest, apply_fetch_request
 from ..sources.wrappers import RetryPolicy, Wrapper
 from ..sparql.evaluator import evaluate_text
+from .config import ExecutionConfig, env_capacity
 from .errors import (
     ImpactGateError,
     MappingError,
@@ -314,59 +316,9 @@ class QueryOutcome:
         )
 
 
-#: Default size of the federated fetch thread pool (env-overridable).
-DEFAULT_FETCH_WORKERS = int(os.environ.get("MDM_FETCH_WORKERS", "4"))
-
-#: Default for the logical plan optimizer (``MDM_OPTIMIZE=0`` disables).
-DEFAULT_OPTIMIZE = os.environ.get("MDM_OPTIMIZE", "1").strip().lower() not in (
-    "0",
-    "false",
-    "no",
-    "off",
-)
-
-#: Default for the post-optimizer plan schema check
-#: (``MDM_VALIDATE_PLANS=0`` disables).
-DEFAULT_VALIDATE_PLANS = os.environ.get(
-    "MDM_VALIDATE_PLANS", "1"
-).strip().lower() not in ("0", "false", "no", "off")
-
-#: Default capacity of the query-outcome result cache (0 = disabled;
-#: ``repro-mdm serve`` opts in explicitly for the multi-client workload).
-DEFAULT_RESULT_CACHE_SIZE = int(os.environ.get("MDM_RESULT_CACHE", "0"))
-
-#: Default for federated pushdown — folding eligible predicates and
-#: projections into the wrapper fetch itself (``MDM_PUSHDOWN=0``
-#: disables, restoring full-payload fetches with mediator-side
-#: evaluation).
-DEFAULT_PUSHDOWN = os.environ.get("MDM_PUSHDOWN", "1").strip().lower() not in (
-    "0",
-    "false",
-    "no",
-    "off",
-)
-
-#: Default capacity of the generation-keyed wrapper data cache
-#: (0 = disabled; same opt-in freshness trade as the result cache).
-DEFAULT_WRAPPER_CACHE_SIZE = int(os.environ.get("MDM_WRAPPER_CACHE", "0"))
-
-#: Valid postures of the evolution-impact gate.
-IMPACT_GATES = ("off", "advisory", "blocking")
-
-#: Default posture of the evolution-impact gate on wrapper releases:
-#: ``off`` (no pre-release analysis), ``advisory`` (analyze and record
-#: the verdict on the release document) or ``blocking`` (additionally
-#: refuse BROKEN releases before any metadata mutates).
-DEFAULT_IMPACT_GATE = os.environ.get("MDM_IMPACT_GATE", "off").strip().lower()
-
-
-def _validated_impact_gate(value: str) -> str:
-    gate = str(value).strip().lower()
-    if gate not in IMPACT_GATES:
-        raise ValueError(
-            f"impact_gate must be one of {IMPACT_GATES}, not {value!r}"
-        )
-    return gate
+def _given(**values: object) -> Dict[str, object]:
+    """The keyword arguments that were passed (None means "keep")."""
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _merge_optimization_stats(
@@ -406,18 +358,17 @@ def _count_optimizer_failure() -> None:
 class QueryContext:
     """Everything one query reads from its MDM, captured once at entry.
 
-    The metadata generation and the execution flags are taken together
-    under the read lock; every stage of the query (result-cache key,
-    stage A, stage B, validation, the pushdown summary, the cache fill)
-    reads them from here, so a concurrent :meth:`MDM.configure_execution`
-    cannot split one query across two configurations.
+    The metadata generation and the execution configuration are taken
+    together under the read lock; every stage of the query (result-cache
+    key, stage A, fetch, stage B, validation, the pushdown summary, the
+    cache fill) reads them from here, so a concurrent
+    :meth:`MDM.configure_execution` cannot split one query across two
+    configurations.
     """
 
     walk: Walk
     generation: int
-    optimize: bool
-    pushdown: bool
-    validate_plans: bool
+    config: ExecutionConfig
     analyze: bool
     use_cache: bool
     on_wrapper_error: str
@@ -490,30 +441,21 @@ class MDM:
         #: Runtime wrapper objects by name (the executable side of S:Wrapper).
         self.wrappers: Dict[str, Wrapper] = {}
         self._sources_by_name: Dict[str, IRI] = {}
-        #: Upper bound on concurrent wrapper fetches per query (1 = serial).
-        self.max_fetch_workers = (
-            max_fetch_workers if max_fetch_workers is not None else DEFAULT_FETCH_WORKERS
+        #: The live execution configuration (the ``MDM_*`` environment
+        #: overridden by the arguments); replaced whole, never mutated.
+        self.config = replace(
+            ExecutionConfig.from_env(),
+            **_given(
+                max_fetch_workers=max_fetch_workers,
+                retry_policy=retry_policy,
+                optimize=optimize,
+                validate_plans=validate_plans,
+                pushdown=pushdown,
+                impact_gate=impact_gate,
+            ),
         )
-        if self.max_fetch_workers < 1:
-            raise ValueError("max_fetch_workers must be >= 1")
-        #: Retry policy applied to every wrapper fetch during execution.
-        self.retry_policy = retry_policy or RetryPolicy()
-        #: Run the logical plan optimizer on every UCQ before execution.
-        self.optimize = DEFAULT_OPTIMIZE if optimize is None else bool(optimize)
-        #: Statically schema-check every post-optimizer plan before
-        #: execution (reject optimizer bugs with a diagnostic instead of
-        #: executing a corrupt plan).
-        self.validate_plans = (
-            DEFAULT_VALIDATE_PLANS if validate_plans is None else bool(validate_plans)
-        )
-        #: Fold eligible predicates/projections into the wrapper fetch
-        #: (capability-gated; uncapable wrappers keep full fetches).
-        self.pushdown = DEFAULT_PUSHDOWN if pushdown is None else bool(pushdown)
-        #: Evolution-impact gate posture for wrapper releases
-        #: (off/advisory/blocking — see :meth:`analyze_impact`).
-        self.impact_gate = _validated_impact_gate(
-            DEFAULT_IMPACT_GATE if impact_gate is None else impact_gate
-        )
+        #: Serializes reconfigurations (each is a read-modify-write).
+        self._config_lock = threading.Lock()
         #: Ring of the most recent :class:`ImpactReport` objects, newest
         #: last (served by ``GET /impact/recent``).
         self.impact_log: "deque" = deque(maxlen=50)
@@ -532,10 +474,10 @@ class MDM:
         self.rewrite_cache = RewriteCache(rewrite_cache_size)
         from .result_cache import ResultCache
 
-        #: LRU cache of full query outcomes keyed by
-        #: (canonical walk, generation, optimize flag); 0 disables.
+        #: LRU cache of full query outcomes keyed by (canonical walk,
+        #: generation, outcome-shaping config flags); 0 disables.
         self.result_cache = ResultCache(
-            DEFAULT_RESULT_CACHE_SIZE
+            env_capacity("MDM_RESULT_CACHE")
             if result_cache_size is None
             else result_cache_size
         )
@@ -544,7 +486,7 @@ class MDM:
         #: LRU cache of fetched wrapper relations keyed by
         #: (wrapper, canonical fetch request, generation); 0 disables.
         self.wrapper_cache = WrapperCache(
-            DEFAULT_WRAPPER_CACHE_SIZE
+            env_capacity("MDM_WRAPPER_CACHE")
             if wrapper_cache_size is None
             else wrapper_cache_size
         )
@@ -582,45 +524,37 @@ class MDM:
 
     def configure_execution(
         self,
-        max_fetch_workers: Optional[int] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        optimize: Optional[bool] = None,
-        validate_plans: Optional[bool] = None,
         result_cache_size: Optional[int] = None,
-        pushdown: Optional[bool] = None,
         wrapper_cache_size: Optional[int] = None,
-        impact_gate: Optional[str] = None,
+        **changes: object,
     ) -> Dict[str, object]:
-        """Adjust the fetch pool / retry / optimizer; returns the live config."""
-        if max_fetch_workers is not None:
-            if max_fetch_workers < 1:
-                raise ValueError("max_fetch_workers must be >= 1")
-            self.max_fetch_workers = max_fetch_workers
-        if retry_policy is not None:
-            self.retry_policy = retry_policy
-        if optimize is not None:
-            self.optimize = bool(optimize)
-        if validate_plans is not None:
-            self.validate_plans = bool(validate_plans)
-        if result_cache_size is not None:
-            self.result_cache.resize(result_cache_size)
-        if pushdown is not None:
-            self.pushdown = bool(pushdown)
-        if wrapper_cache_size is not None:
-            self.wrapper_cache.resize(wrapper_cache_size)
-        if impact_gate is not None:
-            self.impact_gate = _validated_impact_gate(impact_gate)
+        """Reconfigure execution, all or nothing; returns the live config.
+
+        ``changes`` are :class:`~repro.core.config.ExecutionConfig`
+        fields (None keeps a value).  A call that raises changes nothing;
+        otherwise the caches are resized and the new config is swapped in
+        by one assignment (a running query keeps the one it captured).
+        """
+        with self._config_lock:
+            config = replace(self.config, **_given(**changes))
+            sizes = _given(result_cache=result_cache_size, wrapper_cache=wrapper_cache_size)
+            for name, size in sizes.items():
+                getattr(self, name).check_capacity(size)
+            for name, size in sizes.items():
+                getattr(self, name).resize(size)
+            self.config = config
         return self.execution_config()
 
     def execution_config(self) -> Dict[str, object]:
         """The live execution configuration (JSON-shaped)."""
+        config = self.config
         return {
-            "max_fetch_workers": self.max_fetch_workers,
-            "retry": self.retry_policy.describe(),
-            "optimize": self.optimize,
-            "validate_plans": self.validate_plans,
-            "pushdown": self.pushdown,
-            "impact_gate": self.impact_gate,
+            "max_fetch_workers": config.max_fetch_workers,
+            "retry": config.retry_policy.describe(),
+            "optimize": config.optimize,
+            "validate_plans": config.validate_plans,
+            "pushdown": config.pushdown,
+            "impact_gate": config.impact_gate,
             "generation": self._generation,
             "rewrite_cache": self.rewrite_cache.stats(),
             "result_cache": self.result_cache.stats(),
@@ -718,12 +652,13 @@ class MDM:
         ``new-source`` for the source's first wrapper and ``evolution``
         afterwards.
 
-        When :attr:`impact_gate` is not ``"off"`` the release is first
+        When ``config.impact_gate`` is not ``"off"`` the release is first
         run through :meth:`analyze_impact` against the *unmodified*
         metadata; ``blocking`` raises :class:`ImpactGateError` for a
         BROKEN verdict before a single triple mutates, ``advisory`` just
         records the verdict on the release document.
         """
+        gate = self.config.impact_gate
         with self.metadata_lock.write_locked():
             source = self.source_iri(source_name)
             previous = self.source_graph.wrappers_of(source)
@@ -731,7 +666,7 @@ class MDM:
                 KIND_EVOLUTION if previous else KIND_NEW_SOURCE
             )
             impact_report = None
-            if self.impact_gate != "off":
+            if gate != "off":
                 from ..analysis.impact import WrapperRelease
 
                 impact_report = self.analyze_impact(
@@ -743,7 +678,7 @@ class MDM:
                         kind=resolved_kind,
                     )
                 )
-                if self.impact_gate == "blocking" and not impact_report.ok:
+                if gate == "blocking" and not impact_report.ok:
                     raise ImpactGateError(
                         f"impact gate: release of wrapper {wrapper.name!r} "
                         f"under {source_name!r} is classified "
@@ -761,7 +696,7 @@ class MDM:
                 resolved_kind,
                 changes,
                 impact=impact_report,
-                gate=self.impact_gate,
+                gate=gate,
             )
             self.bump_generation()
             return registration
@@ -1100,8 +1035,8 @@ class MDM:
 
         Leaf wrappers of the UCQ are deduplicated (a wrapper shared by
         several CQs is fetched once per query) and fetched concurrently
-        through a bounded thread pool of :attr:`max_fetch_workers`
-        threads, each fetch governed by :attr:`retry_policy`.  The pool
+        through a bounded thread pool of ``config.max_fetch_workers``
+        threads, each fetch governed by ``config.retry_policy``.  The pool
         is used whether or not the process tracer is enabled: workers
         run under a copy of the caller's context, so their fetch spans
         parent correctly to this query's ``execute`` root.
@@ -1135,8 +1070,9 @@ class MDM:
         Holding the read lock end-to-end means the whole query — rewrite,
         fetch, optimize, execute — sees one metadata generation; the
         captured ``generation`` is therefore exact, which is what makes
-        the result cache's generation keying sound.  The execution flags
-        are captured with it, once, in a :class:`QueryContext`.  Every
+        the result cache's generation keying sound.  The execution
+        configuration is captured with it, once, in a
+        :class:`QueryContext`.  Every
         exit — result-cache hit, error or answer — writes its one query
         log record in the ``finally`` below.
         """
@@ -1144,9 +1080,7 @@ class MDM:
         ctx = QueryContext(
             walk=walk,
             generation=self._generation,
-            optimize=self.optimize,
-            pushdown=self.pushdown,
-            validate_plans=self.validate_plans,
+            config=self.config,
             analyze=analyze or root.is_recording,
             use_cache=use_cache,
             on_wrapper_error=on_wrapper_error,
@@ -1196,7 +1130,7 @@ class MDM:
             rows_transferred=rows_transferred,
             rows_pushed_down=rows_pushed_down,
         )
-        if ctx.pushdown:
+        if ctx.config.pushdown:
             pushed_count = sum(1 for m in fetch_meta if m["kind"] == "pushed")
             outcome.pushdown = {
                 "enabled": True,
@@ -1224,9 +1158,7 @@ class MDM:
         if run.result_cache == "miss":
             # put() refuses partial outcomes; everything else computed at
             # this generation is safe to serve until the next mutation.
-            self.result_cache.put(
-                walk, ctx.generation, ctx.optimize, outcome, pushdown=ctx.pushdown
-            )
+            self.result_cache.put(walk, ctx.generation, ctx.config, outcome)
         return outcome
 
     def _cached_outcome(
@@ -1240,11 +1172,7 @@ class MDM:
             return None
         with get_tracer().span("result-cache") as span:
             cached = self.result_cache.get(
-                ctx.walk,
-                ctx.generation,
-                ctx.optimize,
-                require_analyzed=ctx.analyze,
-                pushdown=ctx.pushdown,
+                ctx.walk, ctx.generation, ctx.config, require_analyzed=ctx.analyze
             )
             run.result_cache = "hit" if cached is not None else "miss"
             span.set_tag("cache", run.result_cache)
@@ -1283,7 +1211,7 @@ class MDM:
         # pushdown avoids — and is memoized per (walk, generation).
         pushed_plan = result.plan
         pushdown_stats: Optional[OptimizationStats] = None
-        if ctx.pushdown:
+        if ctx.config.pushdown:
             with timer.phase("optimize"):
                 key = (walk_cache_key(ctx.walk), ctx.generation)
                 extracted = self._pushdown_plans.probe(key)
@@ -1294,7 +1222,7 @@ class MDM:
         requests, register_as, derived = self._scan_requests(pushed_plan, needed)
         with timer.phase("fetch"):
             run.relations, run.attempts, errors, run.fetch_meta = (
-                self._fetch_requests(requests, ctx.generation)
+                self._fetch_requests(requests, ctx)
             )
         if errors and ctx.on_wrapper_error == "raise":
             raise errors[min(errors)]
@@ -1314,8 +1242,8 @@ class MDM:
                 )
         for name in sorted(registered):
             executor.register(name, registered[name])
-        if ctx.pushdown:
-            executor.base_resolver = self._base_resolver(ctx.generation)
+        if ctx.config.pushdown:
+            executor.base_resolver = self._base_resolver(ctx)
         naive_plan, plan = result.plan, pushed_plan
         if run.failed:
             get_metrics().counter(
@@ -1330,7 +1258,7 @@ class MDM:
                 else self._drop_failed_branches(pushed_plan, failed)
             )
         optimization = pushdown_stats
-        if ctx.optimize:
+        if ctx.config.optimize:
             with timer.phase("optimize"):
                 plan, stage_b = self._optimize_plan(
                     plan,
@@ -1339,7 +1267,7 @@ class MDM:
                 )
                 optimization = _merge_optimization_stats(pushdown_stats, stage_b)
         plan_findings: Tuple = ()
-        if ctx.validate_plans:
+        if ctx.config.validate_plans:
             with timer.phase("validate"):
                 plan_findings = self._validate_plan(plan, executor)
         stats: Optional[OperatorStats] = None
@@ -1379,7 +1307,7 @@ class MDM:
             subplan_hits=run.subplan_hits,
             subplan_misses=run.subplan_misses,
             plan_findings=plan_findings,
-            plan_validated=ctx.validate_plans,
+            plan_validated=ctx.config.validate_plans,
             generation=ctx.generation,
             result_cache=run.result_cache,
         )
@@ -1507,7 +1435,7 @@ class MDM:
     def _fetch_requests(
         self,
         requests: Mapping[str, FetchRequest],
-        generation: int,
+        ctx: QueryContext,
     ) -> Tuple[
         Dict[str, Relation],
         Dict[str, int],
@@ -1537,7 +1465,8 @@ class MDM:
                 raise MdmError(
                     f"wrapper {name!r} is mapped but has no runtime object"
                 )
-        policy = self.retry_policy
+        generation = ctx.generation
+        policy = ctx.config.retry_policy
         tracer = get_tracer()
         cache = self.wrapper_cache
         relations: Dict[str, Relation] = {}
@@ -1588,7 +1517,7 @@ class MDM:
                 meta[name]["rows_source"] = fetched.rows_source
                 cache.put(name, requests[name], generation, fetched.relation)
 
-        workers = min(self.max_fetch_workers, len(to_fetch))
+        workers = min(ctx.config.max_fetch_workers, len(to_fetch))
         if workers <= 1:
             collect(fetch_one)
         else:
@@ -1713,14 +1642,16 @@ class MDM:
                 derived[name] = tuple(scans[key] for key in sorted(scans))
         return requests, register_as, derived
 
-    def _base_resolver(self, generation: int):
+    def _base_resolver(self, ctx: QueryContext):
         """An on-demand base-relation fetcher for the executor.
 
         When pushdown registered only a Scan's binding, a later plan
         over the same executor (provenance re-executes the original CQ
         branches) may still scan the *base* name; the resolver fetches
-        it lazily — through the wrapper cache when enabled.
+        it lazily — through the wrapper cache when enabled — under the
+        query's captured generation and retry policy.
         """
+        generation = ctx.generation
 
         def resolve(name: str) -> Relation:
             wrapper = self.wrappers.get(name)
@@ -1731,7 +1662,7 @@ class MDM:
             cached = self.wrapper_cache.lookup(name, FULL_FETCH, generation)
             if cached is not None:
                 return cached
-            fetched, _ = wrapper.fetch_request(FULL_FETCH, self.retry_policy)
+            fetched, _ = wrapper.fetch_request(FULL_FETCH, ctx.config.retry_policy)
             self.wrapper_cache.put(name, FULL_FETCH, generation, fetched.relation)
             return fetched.relation
 

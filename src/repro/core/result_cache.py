@@ -7,7 +7,10 @@ users posing the same handful of walks between releases — the expensive
 part is exactly that tail, so this cache stores the finished
 :class:`~repro.core.mdm.QueryOutcome` keyed by::
 
-    (canonical walk, metadata generation, optimize flag, pushdown flag)
+    (canonical walk, metadata generation, optimize, pushdown, validate_plans)
+
+where the three flags come from the
+:class:`~repro.core.config.ExecutionConfig` the query captured.
 
 Generation keying makes invalidation free: any of the nine metadata
 mutators bumps the generation, so every cached outcome becomes
@@ -39,6 +42,7 @@ from __future__ import annotations
 from typing import Any, Optional, Tuple
 
 from ..chaos.failpoints import fire as _failpoint
+from .config import ExecutionConfig
 from .lru import GenerationLRU
 from .rewrite_cache import walk_cache_key
 from .walks import Walk
@@ -51,7 +55,7 @@ def _analyzed(outcome: Any) -> bool:
 
 
 class ResultCache(GenerationLRU):
-    """Bounded LRU of ``(walk, generation, optimize, pushdown) -> QueryOutcome``.
+    """Bounded LRU of ``(walk, generation, config flags) -> QueryOutcome``.
 
     Thread-safe; capacity 0 disables the cache entirely (every probe is
     a bypass, nothing is stored).
@@ -62,23 +66,28 @@ class ResultCache(GenerationLRU):
 
     @staticmethod
     def key_for(
-        walk: Walk, generation: int, optimize: bool, pushdown: bool = False
-    ) -> Tuple[str, int, bool, bool]:
+        walk: Walk, generation: int, config: ExecutionConfig
+    ) -> Tuple[str, int, bool, bool, bool]:
         """The canonical cache key for a walk at a generation.
 
-        ``pushdown`` keys the outcome by whether federated pushdown was
-        on — the rows are byte-identical either way, but the attached
-        plans, profiles and pushdown summaries differ.
+        Of the configuration, only the flags that shape the outcome take
+        part: the rows are byte-identical either way, but the attached
+        plans, profiles, pushdown summary and plan-check verdict differ.
         """
-        return (walk_cache_key(walk), generation, bool(optimize), bool(pushdown))
+        return (
+            walk_cache_key(walk),
+            generation,
+            config.optimize,
+            config.pushdown,
+            config.validate_plans,
+        )
 
     def get(
         self,
         walk: Walk,
         generation: int,
-        optimize: bool,
+        config: ExecutionConfig,
         require_analyzed: bool = False,
-        pushdown: bool = False,
     ) -> Optional[Any]:
         """The cached outcome for ``walk`` at ``generation``, or None.
 
@@ -92,19 +101,14 @@ class ResultCache(GenerationLRU):
             return None
         _failpoint("cache.result")
         return self.probe(
-            self.key_for(walk, generation, optimize, pushdown),
+            self.key_for(walk, generation, config),
             accept=_analyzed if require_analyzed else None,
         )
 
     def put(
-        self,
-        walk: Walk,
-        generation: int,
-        optimize: bool,
-        outcome: Any,
-        pushdown: bool = False,
+        self, walk: Walk, generation: int, config: ExecutionConfig, outcome: Any
     ) -> None:
         """Cache ``outcome`` (LRU-evicting); partial outcomes are refused."""
         if getattr(outcome, "partial", False):
             return  # degraded by wrapper failures — never cacheable
-        self.store(self.key_for(walk, generation, optimize, pushdown), outcome)
+        self.store(self.key_for(walk, generation, config), outcome)

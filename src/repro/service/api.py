@@ -37,8 +37,8 @@ Observability (operator):
     ``GET  /querylog/recent``            recent query-log records (?limit=N)
     ``POST /obs/tracing``                {"enabled"?: bool, "sample_rate"?: float,
                                           "slow_threshold_ms"?: float|null}
-    ``GET  /config/execution``           fetch-pool size, retry policy, optimizer, cache stats
-    ``POST /config/execution``           {"max_fetch_workers"?: int, "optimize"?: bool, "retry"?: {...}}
+    ``GET  /config/execution``           the ExecutionConfig fields, generation, cache stats
+    ``POST /config/execution``           any ExecutionConfig field, cache sizes, "retry"?: {...}
 
 Wrapper rows posted through the service back a
 :class:`repro.sources.wrappers.StaticWrapper`; programmatic embedders
@@ -47,6 +47,7 @@ attach live :class:`RestWrapper` objects through the facade instead.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..core.mdm import MDM
@@ -560,61 +561,32 @@ class MdmService:
         return self.mdm.execution_config()
 
     def _post_execution_config(self, request: JsonRequest) -> Dict[str, Any]:
-        """Tune the fetch pool and retry policy at runtime.
+        """Reconfigure execution at runtime, all or nothing.
 
         Body: ``{"max_fetch_workers"?: int, "optimize"?: bool,
-        "result_cache_size"?: int, "pushdown"?: bool,
-        "wrapper_cache_size"?: int,
+        "pushdown"?: bool, "validate_plans"?: bool,
         "impact_gate"?: "off"|"advisory"|"blocking",
+        "result_cache_size"?: int, "wrapper_cache_size"?: int,
         "retry"?: {"attempts"?, "timeout_s"?, "backoff_base_s"?,
         "backoff_multiplier"?, "max_backoff_s"?}}`` — omitted parts keep
-        their current value.
+        their current value.  An unknown key or a mistyped value (flags
+        must be JSON booleans) is a 400 that changes nothing.
         """
-        from ..sources.wrappers import RetryPolicy
-
-        body = request.body
-        policy = None
-        retry = body.get("retry")
-        if retry is not None:
-            if not isinstance(retry, dict):
-                raise ServiceError(400, "retry must be an object")
-            current = self.mdm.retry_policy
-            try:
-                timeout = retry.get("timeout_s", current.timeout_s)
-                policy = RetryPolicy(
-                    attempts=int(retry.get("attempts", current.attempts)),
-                    timeout_s=None if timeout is None else float(timeout),
-                    backoff_base_s=float(
-                        retry.get("backoff_base_s", current.backoff_base_s)
-                    ),
-                    backoff_multiplier=float(
-                        retry.get(
-                            "backoff_multiplier", current.backoff_multiplier
-                        )
-                    ),
-                    max_backoff_s=float(
-                        retry.get("max_backoff_s", current.max_backoff_s)
-                    ),
-                )
-            except (TypeError, ValueError) as exc:
-                raise ServiceError(400, f"invalid retry policy: {exc}") from exc
+        request.require()
+        changes = dict(request.body)
+        retry = changes.pop("retry", None)
         try:
-            optimize = body.get("optimize")
-            rc_size = body.get("result_cache_size")
-            pushdown = body.get("pushdown")
-            wc_size = body.get("wrapper_cache_size")
-            self.mdm.configure_execution(
-                max_fetch_workers=body.get("max_fetch_workers"),
-                retry_policy=policy,
-                optimize=None if optimize is None else bool(optimize),
-                result_cache_size=None if rc_size is None else int(rc_size),
-                pushdown=None if pushdown is None else bool(pushdown),
-                wrapper_cache_size=None if wc_size is None else int(wc_size),
-                impact_gate=body.get("impact_gate"),
-            )
+            if retry is not None:
+                policy = self.mdm.config.retry_policy
+                fields = policy.describe()
+                if not isinstance(retry, dict) or not set(retry) <= set(fields):
+                    raise ValueError(
+                        f"retry must be an object with keys among {sorted(fields)}"
+                    )
+                changes["retry_policy"] = replace(policy, **retry)
+            return self.mdm.configure_execution(**changes)
         except (TypeError, ValueError) as exc:
             raise ServiceError(400, str(exc)) from exc
-        return self.mdm.execution_config()
 
     def _get_failpoints(self, request: JsonRequest) -> Dict[str, Any]:
         """Armed failpoints, trigger counts and the recent trigger log."""

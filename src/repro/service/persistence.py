@@ -77,20 +77,22 @@ def save_mdm(mdm: MDM, directory: os.PathLike) -> Path:
 
     Atomic per file (temp + ``os.replace``), with both temporaries fully
     staged before either replace — an injected crash anywhere up to the
-    commit leaves the previous snapshot intact.
+    commit leaves the previous snapshot intact.  Both stores serialize
+    under the metadata read lock, so a mutation is never half-captured.
     """
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
     _failpoint("persistence.save")
-    dataset_tmp = _stage_text(
-        target, serialize_trig(mdm.dataset), "persistence.save.dataset.mid"
-    )
-    metadata_tmp = None
+    dataset_tmp = metadata_tmp = None
     try:
-        _failpoint("persistence.save.dataset")
-        fd, metadata_tmp = tempfile.mkstemp(dir=str(target), suffix=".tmp")
-        os.close(fd)
-        mdm.metadata.save(metadata_tmp)
+        with mdm.metadata_lock.read_locked():
+            dataset_tmp = _stage_text(
+                target, serialize_trig(mdm.dataset), "persistence.save.dataset.mid"
+            )
+            _failpoint("persistence.save.dataset")
+            fd, metadata_tmp = tempfile.mkstemp(dir=str(target), suffix=".tmp")
+            os.close(fd)
+            mdm.metadata.save(metadata_tmp)
         _failpoint("persistence.save.commit")
         os.replace(dataset_tmp, target / DATASET_FILE)
         dataset_tmp = None

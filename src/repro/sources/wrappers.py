@@ -126,8 +126,8 @@ class RetryPolicy:
     sleep: Callable[[float], None] = chaos_clock.sleep
 
     def __post_init__(self):
-        if self.attempts < 1:
-            raise ValueError("retry policy needs at least one attempt")
+        if type(self.attempts) is not int or self.attempts < 1:
+            raise ValueError("retry policy needs an integer number of attempts >= 1")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("per-attempt timeout must be positive")
         if self.backoff_base_s < 0 or self.max_backoff_s < 0:

@@ -245,7 +245,7 @@ def test_retire_unknown_wrapper_raises(scenario):
 
 
 def test_gate_off_by_default(scenario):
-    assert scenario.mdm.impact_gate == "off"
+    assert scenario.mdm.config.impact_gate == "off"
     assert scenario.mdm.execution_config()["impact_gate"] == "off"
 
 
@@ -255,9 +255,9 @@ def test_gate_validation():
     with pytest.raises(ValueError):
         MDM(impact_gate="aggressive")
     mdm = MDM(impact_gate="advisory")
-    assert mdm.impact_gate == "advisory"
+    assert mdm.config.impact_gate == "advisory"
     mdm.configure_execution(impact_gate="blocking")
-    assert mdm.impact_gate == "blocking"
+    assert mdm.config.impact_gate == "blocking"
     with pytest.raises(ValueError):
         mdm.configure_execution(impact_gate="nope")
 

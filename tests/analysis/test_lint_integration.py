@@ -101,7 +101,7 @@ def test_corrupted_optimizer_rejected_before_execution(monkeypatch):
     scenario = FootballScenario.build(anchors_only=True)
     mdm = scenario.mdm
     walk = scenario.walk_player_team_names()
-    assert mdm.validate_plans  # default on
+    assert mdm.config.validate_plans  # default on
 
     monkeypatch.setattr(
         PlanOptimizer, "__wrapped_optimize__", PlanOptimizer.optimize, raising=False

@@ -1,14 +1,18 @@
 """Unit tests for the generation-keyed query result cache."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.config import ExecutionConfig
 from repro.core.mdm import MDM, QueryOutcome
 from repro.core.result_cache import ResultCache
 from repro.obs import get_metrics, reset_metrics, set_metrics
 from repro.rdf.namespaces import Namespace
-from repro.sources.wrappers import StaticWrapper
+from repro.sources.wrappers import RetryPolicy, StaticWrapper
 
 NS = Namespace("http://rc.test/")
+CONFIG = ExecutionConfig()
 
 
 @pytest.fixture()
@@ -49,8 +53,8 @@ class TestResultCacheUnit:
         mdm = tiny_mdm()
         walk = the_walk(mdm)
         assert not cache.enabled
-        cache.put(walk, 1, True, FakeOutcome())
-        assert cache.get(walk, 1, True) is None
+        cache.put(walk, 1, CONFIG, FakeOutcome())
+        assert cache.get(walk, 1, CONFIG) is None
         # Disabled probes are bypasses, not misses.
         assert cache.stats()["misses"] == 0
         assert len(cache) == 0
@@ -64,21 +68,27 @@ class TestResultCacheUnit:
         mdm = tiny_mdm()
         walk = the_walk(mdm)
         outcome = FakeOutcome()
-        cache.put(walk, 7, True, outcome)
-        assert cache.get(walk, 7, True) is outcome
-        # Any other generation or optimize flag is a different key.
-        assert cache.get(walk, 8, True) is None
-        assert cache.get(walk, 7, False) is None
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 2
+        cache.put(walk, 7, CONFIG, outcome)
+        assert cache.get(walk, 7, CONFIG) is outcome
+        # Any other generation or outcome-shaping flag is a different key.
+        assert cache.get(walk, 8, CONFIG) is None
+        for flag in ("optimize", "pushdown", "validate_plans"):
+            assert cache.get(walk, 7, replace(CONFIG, **{flag: False})) is None
+        # The fetch pool and retry policy do not shape the outcome.
+        tuned = replace(
+            CONFIG, max_fetch_workers=1, retry_policy=RetryPolicy(attempts=3)
+        )
+        assert cache.get(walk, 7, tuned) is outcome
+        assert cache.stats()["hits"] == 2
+        assert cache.stats()["misses"] == 4
 
     def test_partial_outcomes_are_never_cached(self, fresh_metrics):
         cache = ResultCache(4)
         mdm = tiny_mdm()
         walk = the_walk(mdm)
-        cache.put(walk, 1, True, FakeOutcome(partial=True))
+        cache.put(walk, 1, CONFIG, FakeOutcome(partial=True))
         assert len(cache) == 0
-        assert cache.get(walk, 1, True) is None
+        assert cache.get(walk, 1, CONFIG) is None
 
     def test_require_analyzed_misses_on_plain_entry(self, fresh_metrics):
         cache = ResultCache(4)
@@ -86,24 +96,24 @@ class TestResultCacheUnit:
         walk = the_walk(mdm)
         plain = FakeOutcome(operator_stats=None)
         analyzed = FakeOutcome(operator_stats=object())
-        cache.put(walk, 1, True, plain)
-        assert cache.get(walk, 1, True, require_analyzed=True) is None
-        cache.put(walk, 1, True, analyzed)
-        assert cache.get(walk, 1, True, require_analyzed=True) is analyzed
+        cache.put(walk, 1, CONFIG, plain)
+        assert cache.get(walk, 1, CONFIG, require_analyzed=True) is None
+        cache.put(walk, 1, CONFIG, analyzed)
+        assert cache.get(walk, 1, CONFIG, require_analyzed=True) is analyzed
         # Plain probes accept analyzed entries (strictly more data).
-        assert cache.get(walk, 1, True) is analyzed
+        assert cache.get(walk, 1, CONFIG) is analyzed
 
     def test_lru_eviction_and_resize(self, fresh_metrics):
         cache = ResultCache(2)
         mdm = tiny_mdm()
         walk = the_walk(mdm)
         first, second, third = FakeOutcome(), FakeOutcome(), FakeOutcome()
-        cache.put(walk, 1, True, first)
-        cache.put(walk, 2, True, second)
-        cache.get(walk, 1, True)  # refresh 1 -> 2 becomes LRU
-        cache.put(walk, 3, True, third)
-        assert cache.get(walk, 2, True) is None  # evicted
-        assert cache.get(walk, 1, True) is first
+        cache.put(walk, 1, CONFIG, first)
+        cache.put(walk, 2, CONFIG, second)
+        cache.get(walk, 1, CONFIG)  # refresh 1 -> 2 becomes LRU
+        cache.put(walk, 3, CONFIG, third)
+        assert cache.get(walk, 2, CONFIG) is None  # evicted
+        assert cache.get(walk, 1, CONFIG) is first
         assert cache.stats()["evictions"] == 1
         cache.resize(1)
         assert len(cache) == 1
@@ -224,14 +234,18 @@ class TestResultCacheInMdm:
 
     def test_config_is_read_once_per_query(self, fresh_metrics):
         """A reconfiguration racing a query does not split its config:
-        the plan, outcome and cache key all use the flags at entry."""
+        the plan, outcome and cache key all use the config at entry."""
 
         class ReconfiguringWrapper(StaticWrapper):
             def fetch(self):
-                mdm.configure_execution(optimize=False, pushdown=False)
+                mdm.configure_execution(
+                    optimize=False, pushdown=False, validate_plans=False
+                )
                 return super().fetch()
 
-        mdm = MDM(result_cache_size=8, optimize=True, pushdown=True)
+        mdm = MDM(
+            result_cache_size=8, optimize=True, pushdown=True, validate_plans=True
+        )
         mdm.add_concept(NS.C)
         mdm.add_identifier(NS.id, NS.C)
         mdm.add_feature(NS.val, NS.C)
@@ -242,15 +256,36 @@ class TestResultCacheInMdm:
         )
         mdm.define_mapping("w0", {"id": NS.id, "val": NS.val})
         walk = the_walk(mdm)
+        entry = mdm.config
         outcome = mdm.execute(walk)
-        assert not mdm.optimize and not mdm.pushdown
+        live = mdm.config
+        assert not (live.optimize or live.pushdown or live.validate_plans)
         # Stage B ran: only the typed pass estimates rows.
         assert outcome.optimization is not None
         assert outcome.optimization.estimated_rows_before > 0
         assert outcome.pushdown is not None
+        assert outcome.plan_validated
         cache = mdm.result_cache
-        assert cache.get(walk, outcome.generation, True, pushdown=True) is outcome
-        assert cache.get(walk, outcome.generation, False, pushdown=False) is None
+        assert cache.get(walk, outcome.generation, entry) is outcome
+        assert cache.get(walk, outcome.generation, live) is None
+        for flag in ("optimize", "pushdown", "validate_plans"):
+            mixed = replace(entry, **{flag: False})
+            assert cache.get(walk, outcome.generation, mixed) is None
+
+    def test_validate_plans_is_part_of_the_key(self, fresh_metrics):
+        """A plan-checked outcome is never served to an unchecked
+        configuration, nor an unchecked one to a checked configuration."""
+        mdm = tiny_mdm(result_cache_size=8)
+        walk = the_walk(mdm)
+        mdm.configure_execution(validate_plans=False)
+        unchecked = mdm.execute(walk)
+        assert not unchecked.plan_validated
+        mdm.configure_execution(validate_plans=True)
+        checked = mdm.execute(walk)
+        assert checked.result_cache == "miss" and checked.plan_validated
+        mdm.configure_execution(validate_plans=False)
+        again = mdm.execute(walk)
+        assert again.result_cache == "hit" and not again.plan_validated
 
     def test_configure_execution_resizes_and_reports(self, fresh_metrics):
         mdm = tiny_mdm()

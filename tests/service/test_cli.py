@@ -14,6 +14,31 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bogus"])
 
+    def test_execution_flags_become_one_config(self):
+        from repro.cli import _apply_execution_flags
+        from repro.core.mdm import MDM
+
+        args = build_parser().parse_args(
+            [
+                "serve",
+                "--fetch-workers", "2",
+                "--retry-attempts", "3",
+                "--no-optimize",
+                "--no-pushdown",
+                "--no-validate-plans",
+            ]
+        )
+        mdm = MDM()
+        _apply_execution_flags(mdm, args, result_cache_size=args.result_cache)
+        config = mdm.config
+        assert (config.max_fetch_workers, config.retry_policy.attempts) == (2, 3)
+        assert not (config.optimize or config.pushdown or config.validate_plans)
+        assert mdm.result_cache.capacity == args.result_cache
+
+    def test_validation_has_only_an_off_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["query", "--validate-plans"])
+
 
 class TestCommands:
     def test_demo(self, capsys):

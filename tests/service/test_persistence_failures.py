@@ -8,6 +8,8 @@ callers that predate the typed hierarchy) and
 rather than whatever the parser happened to throw.
 """
 
+import threading
+
 import pytest
 
 from repro.core.errors import (
@@ -123,3 +125,30 @@ class TestAtomicSave:
         assert (target / DATASET_FILE).exists()
         assert (target / METADATA_FILE).exists()
         load_mdm(target)
+
+
+class TestSaveLocking:
+    def test_save_waits_for_a_mutation_in_progress(self, tmp_path):
+        # A mutator holds the write lock half-way through a release: the
+        # concept is added, its identifier not yet.  The save must wait
+        # for the lock and then capture the finished mutation.
+        mdm = tiny_mdm()
+        started = threading.Event()
+
+        def save():
+            started.set()
+            save_mdm(mdm, tmp_path)
+
+        saver = threading.Thread(target=save)
+        with mdm.metadata_lock.write_locked():
+            mdm.add_concept(EX.Other)
+            saver.start()
+            assert started.wait(timeout=5.0)
+            saver.join(timeout=0.5)
+            assert saver.is_alive(), "save_mdm did not wait for the write lock"
+            assert not (tmp_path / DATASET_FILE).exists()
+            mdm.add_identifier(EX.otherId, EX.Other)
+        saver.join(timeout=5.0)
+        assert not saver.is_alive()
+        loaded = load_mdm(tmp_path)
+        assert EX.otherId in loaded.global_graph.features()
