@@ -55,3 +55,31 @@ def test_versioned_union_plans_pass_checker(n_versions, seed):
     optimizer = PlanOptimizer(wrapper_catalog(mdm), {})
     optimized, _ = optimizer.optimize(rewrite.plan)
     assert_plan_clean(mdm, optimized)
+
+
+def test_checker_errors_iff_output_schema_raises():
+    """Over the perturbed corpus catalogs, the checker and the algebra agree.
+
+    The checker reports an MDM101–MDM104 error exactly when
+    ``plan.output_schema(catalog)`` raises, and otherwise returns the
+    same schema — so a plan the checker passes always derives.
+    """
+    from repro.relational.schema import SchemaError
+
+    from .test_check_plan_corpus import scenario_cases
+
+    checked = 0
+    for case_id, plan, catalog in scenario_cases():
+        findings, checked_schema = check_plan(plan, catalog)
+        schema_errors = [
+            f for f in findings if f.code in ("MDM101", "MDM102", "MDM103", "MDM104")
+        ]
+        try:
+            derived = plan.output_schema(catalog)
+        except SchemaError:
+            derived = None
+        assert bool(schema_errors) == (derived is None), case_id
+        if derived is not None:
+            assert checked_schema == derived, case_id
+        checked += 1
+    assert checked > 300

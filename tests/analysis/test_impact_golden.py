@@ -24,7 +24,7 @@ def reports():
 
 
 def test_goldens_exist():
-    names = sorted(p.name for p in impact_golden.GOLDEN_DIR.glob("*.json"))
+    names = sorted(p.name for p in impact_golden.GOLDEN_DIR.glob("impact_*.json"))
     assert names == sorted(
         ["impact_broken_retire.json", "impact_football_v2.json"]
     )
@@ -43,7 +43,7 @@ def test_analyzer_output_matches_golden(name, reports):
 
 def test_goldens_are_normalized():
     # Volatile fields must not be baked into the blessed files.
-    for path in impact_golden.GOLDEN_DIR.glob("*.json"):
+    for path in impact_golden.GOLDEN_DIR.glob("impact_*.json"):
         assert "generation" not in json.loads(path.read_text())
 
 
