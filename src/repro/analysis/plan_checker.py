@@ -1,4 +1,4 @@
-"""Bottom-up schema/type inference over relational-algebra plans.
+"""Bottom-up schema/type checking of relational-algebra plans.
 
 The LAV rewriting and the logical optimizer both emit
 :mod:`repro.relational.algebra` trees; a bug in either (a projection of a
@@ -6,11 +6,15 @@ column a rename just destroyed, a union of incompatible branches, a join
 pair referencing a missing attribute) used to surface only at execution
 time, deep inside the executor — or worse, as a silently wrong answer.
 
-:func:`check_plan` walks a plan bottom-up, re-deriving each operator's
-output schema the way :meth:`PlanNode.output_schema` does but *collecting
-diagnostics instead of raising*, so one pass reports every violation.
-Each finding's location is the operator path from the root, e.g.
-``Distinct/Union[0]/Project``.
+:func:`check_plan` walks a plan bottom-up and applies each operator's own
+schema rule (:meth:`PlanNode.derive <repro.relational.algebra.PlanNode>`)
+at every node.  A rule reports every check it fails, and the schema the
+operator still produces where it can, so one pass reports every
+violation instead of stopping at the first.  On top of the rules the
+checker adds the type diagnostics the algebra does not enforce: predicate
+columns (MDM102) and comparisons or joins over incompatible types
+(MDM105).  Each finding's location is the operator path from the root,
+e.g. ``Distinct/Union[0]/Project``.
 
 Rule codes (``MDM1xx``, registered in the shared catalog):
 
@@ -22,8 +26,9 @@ MDM104    duplicate output column (e.g. ε of an existing name)
 MDM105    comparison between incompatible attribute types
 ========  ========================================================
 
-The checker is deliberately *at least as permissive* as the executor: a
-plan with zero ``error`` findings must execute without schema errors.
+Because the checker derives schemas with the operators' own rules, a plan
+with zero ``error`` findings derives without schema errors by
+construction: the checker is exactly as permissive as the executor.
 """
 
 from __future__ import annotations
@@ -31,15 +36,10 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..relational.algebra import (
-    Aggregate,
     Catalog,
-    Distinct,
     EquiJoin,
-    Extend,
     NaturalJoin,
     PlanNode,
-    Project,
-    Rename,
     Scan,
     Select,
     Union,
@@ -54,7 +54,16 @@ from ..relational.expressions import (
     NotExpr,
     Or,
 )
-from ..relational.schema import Attribute, RelationSchema, SchemaError
+from ..relational.schema import (
+    DUPLICATE_COLUMN,
+    UNION_INCOMPATIBLE,
+    UNKNOWN_ATTRIBUTE,
+    UNKNOWN_RELATION,
+    Attribute,
+    RelationSchema,
+    SchemaError,
+    unknown_attributes,
+)
 from ..relational.types import AttrType, common_type, infer_type
 from .diagnostics import Finding, Severity, SourceLocation, register_rule_info
 
@@ -97,6 +106,15 @@ PLAN_RULES = {
 }
 
 
+#: The MDM code of each check an operator's schema rule can fail.
+_CODES = {
+    UNKNOWN_RELATION: "MDM101",
+    UNKNOWN_ATTRIBUTE: "MDM102",
+    UNION_INCOMPATIBLE: "MDM103",
+    DUPLICATE_COLUMN: "MDM104",
+}
+
+
 class _Checker:
     """One traversal: accumulates findings, returns schemas (None on error)."""
 
@@ -104,38 +122,14 @@ class _Checker:
         self.catalog = catalog
         self.findings: List[Finding] = []
 
-    # -- helpers -------------------------------------------------------- #
-
     def _report(
-        self,
-        code: str,
-        message: str,
-        path: str,
-        detail: str = "",
-        severity: Optional[Severity] = None,
+        self, code: str, message: str, path: str, detail: str = ""
     ) -> None:
         self.findings.append(
             PLAN_RULES[code].finding(
-                message,
-                SourceLocation("plan-operator", path, detail),
-                severity=severity,
+                message, SourceLocation("plan-operator", path, detail)
             )
         )
-
-    def _require(
-        self, schema: RelationSchema, name: str, path: str, what: str
-    ) -> Optional[Attribute]:
-        """The attribute ``name`` of ``schema``, reporting MDM102 if absent."""
-        if name in schema:
-            return schema.attribute(name)
-        self._report(
-            "MDM102",
-            f"{what} references {name!r}, but the input schema only has "
-            f"{list(schema.names)}",
-            path,
-            detail=name,
-        )
-        return None
 
     # -- expression typing --------------------------------------------- #
 
@@ -145,8 +139,13 @@ class _Checker:
         """The inferred type of ``expr``; reports missing columns (MDM102)
         and incompatible comparisons (MDM105) along the way."""
         if isinstance(expr, Col):
-            attribute = self._require(schema, expr.name, path, "predicate")
-            return attribute.type if attribute is not None else AttrType.ANY
+            if expr.name in schema:
+                return schema.attribute(expr.name).type
+            for _check, message, name in unknown_attributes(
+                "predicate", [expr.name], schema
+            ):
+                self._report("MDM102", message, path, detail=name)
+            return AttrType.ANY
         if isinstance(expr, Const):
             try:
                 return infer_type(expr.value)
@@ -172,15 +171,7 @@ class _Checker:
     def _check_comparison(
         self, expr: Cmp, left: AttrType, right: AttrType, path: str
     ) -> None:
-        if AttrType.ANY in (left, right) or left == right:
-            compatible = True
-        else:
-            # The widening lattice tops out at STRING: two concrete types
-            # only compare meaningfully when one widens into the other.
-            compatible = common_type(left, right) != AttrType.STRING or (
-                AttrType.STRING in (left, right)
-            )
-        if not compatible:
+        if not _comparable(left, right):
             self._report(
                 "MDM105",
                 f"comparison {expr} mixes {left} and {right}; the executor "
@@ -194,37 +185,74 @@ class _Checker:
                 path,
             )
 
+    def _check_join_types(
+        self, left: Attribute, right: Attribute, column: str, path: str
+    ) -> None:
+        if not _comparable(left.type, right.type):
+            self._report(
+                "MDM105",
+                f"join on {column} mixes {left.type} and {right.type}",
+                path,
+            )
+
     # -- plan traversal ------------------------------------------------- #
 
     def check(self, plan: PlanNode, path: str = "") -> Optional[RelationSchema]:
         label = type(plan).__name__
         path = f"{path}/{label}" if path else label
-        if isinstance(plan, Scan):
-            if plan.is_pushed():
-                bound = self.catalog.get(plan.binding_name())
-                if bound is not None:
-                    return bound
-            schema = self.catalog.get(plan.relation_name)
-            if schema is None:
-                self._report(
-                    "MDM101",
-                    f"scan of unknown relation {plan.relation_name!r}; "
-                    f"catalog has {sorted(self.catalog)}",
-                    path,
-                    detail=plan.relation_name,
-                )
-                return None
-            if not plan.is_pushed():
-                return schema
-            # Pushed scans: validate the folded filters/columns against
-            # the base schema the way MDM102/MDM105 would have validated
-            # the original Select/Project nodes.
-            for column, op, _value in plan.filters:
-                attribute = self._require(schema, column, path, "pushed filter")
+        kids = plan.children()
+        inputs: List[RelationSchema] = []
+        for index, kid in enumerate(kids):
+            schema = self.check(kid, f"{path}[{index}]" if len(kids) > 1 else path)
+            if schema is not None:
+                inputs.append(schema)
+        if len(inputs) < len(kids):
+            # Reported where it failed.  A union still produces the
+            # schema of its other branch.
+            return inputs[0] if inputs and isinstance(plan, Union) else None
+        try:
+            schema = plan.derive(*inputs) if kids else plan.output_schema(self.catalog)
+        except SchemaError as exc:
+            if not exc.failures:
+                raise
+            for check, message, subject in exc.failures:
+                self._report(_CODES[check], message, path, detail=subject)
+            schema = exc.partial
+        self._check_types(plan, inputs, path)
+        return schema
+
+    def _check_types(
+        self, plan: PlanNode, inputs: List[RelationSchema], path: str
+    ) -> None:
+        """MDM105 (and MDM102 for predicate columns) at one operator."""
+        if isinstance(plan, Select):
+            self._expr_type(plan.predicate, inputs[0], path)
+        elif isinstance(plan, NaturalJoin):
+            left, right = inputs
+            for name in left.names:
+                if name in right:
+                    self._check_join_types(
+                        left.attribute(name), right.attribute(name), name, path
+                    )
+        elif isinstance(plan, EquiJoin):
+            left, right = inputs
+            for l_name, r_name in plan.pairs:
+                if l_name in left and r_name in right:
+                    self._check_join_types(
+                        left.attribute(l_name),
+                        right.attribute(r_name),
+                        f"{l_name}={r_name}",
+                        path,
+                    )
+        elif isinstance(plan, Scan) and plan.binding_name() not in self.catalog:
+            # Pushed filters are validated against the base schema the
+            # way the original Select's predicate would have been.
+            base = self.catalog.get(plan.relation_name)
+            for column, op, _value in plan.filters if base is not None else ():
                 if (
-                    attribute is not None
-                    and op in _ORDERING_OPS
-                    and attribute.type is AttrType.BOOLEAN
+                    op in _ORDERING_OPS
+                    and column in base
+                    and base.attribute(column).type is AttrType.BOOLEAN
                 ):
                     self._report(
                         "MDM105",
@@ -232,169 +260,17 @@ class _Checker:
                         "boolean values",
                         path,
                     )
-            if plan.columns is None:
-                return schema
-            attributes = []
-            for name in plan.columns:
-                attribute = self._require(schema, name, path, "pushed projection")
-                if attribute is not None:
-                    attributes.append(attribute)
-            if len(attributes) != len(plan.columns):
-                return None
-            return RelationSchema(attributes)
-        if isinstance(plan, Project):
-            child = self.check(plan.child, path)
-            if child is None:
-                return None
-            attributes = []
-            for name in plan.names:
-                attribute = self._require(child, name, path, "projection")
-                if attribute is not None:
-                    attributes.append(attribute)
-            if len(attributes) != len(plan.names):
-                return None
-            return self._build_schema(attributes, path)
-        if isinstance(plan, Select):
-            child = self.check(plan.child, path)
-            if child is not None:
-                self._expr_type(plan.predicate, child, path)
-            return child
-        if isinstance(plan, Rename):
-            child = self.check(plan.child, path)
-            if child is None:
-                return None
-            mapping = plan.mapping_dict()
-            for old in mapping:
-                self._require(child, old, path, "rename")
-            renamed = [
-                a.renamed(mapping[a.name]) if a.name in mapping else a
-                for a in child.attributes
-                if a.name in child
-            ]
-            return self._build_schema(renamed, path)
-        if isinstance(plan, NaturalJoin):
-            left = self.check(plan.left, f"{path}[0]")
-            right = self.check(plan.right, f"{path}[1]")
-            if left is None or right is None:
-                return None
-            shared = [n for n in left.names if n in right]
-            for name in shared:
-                self._check_join_types(
-                    left.attribute(name).type,
-                    right.attribute(name).type,
-                    name,
-                    path,
-                )
-            combined = list(left.attributes) + [
-                a for a in right.attributes if a.name not in left
-            ]
-            return self._build_schema(combined, path)
-        if isinstance(plan, EquiJoin):
-            left = self.check(plan.left, f"{path}[0]")
-            right = self.check(plan.right, f"{path}[1]")
-            if left is None or right is None:
-                return None
-            for l_name, r_name in plan.pairs:
-                l_attr = self._require(left, l_name, path, "join pair")
-                r_attr = self._require(right, r_name, path, "join pair")
-                if l_attr is not None and r_attr is not None:
-                    self._check_join_types(
-                        l_attr.type, r_attr.type, f"{l_name}={r_name}", path
-                    )
-            combined = list(left.attributes) + [
-                a for a in right.attributes if a.name not in left
-            ]
-            return self._build_schema(combined, path)
-        if isinstance(plan, Union):
-            left = self.check(plan.left, f"{path}[0]")
-            right = self.check(plan.right, f"{path}[1]")
-            if left is None or right is None:
-                return left or right
-            if not left.union_compatible(right):
-                self._report(
-                    "MDM103",
-                    f"union branches disagree: {list(left.names)} vs "
-                    f"{list(right.names)}",
-                    path,
-                )
-                return None
-            return left.widen(right)
-        if isinstance(plan, Distinct):
-            return self.check(plan.child, path)
-        if isinstance(plan, Extend):
-            child = self.check(plan.child, path)
-            if child is None:
-                return None
-            if plan.column in child:
-                self._report(
-                    "MDM104",
-                    f"extend column {plan.column!r} already exists in "
-                    f"{list(child.names)}",
-                    path,
-                    detail=plan.column,
-                )
-                return child
-            try:
-                attr_type = (
-                    AttrType.ANY if plan.value is None else infer_type(plan.value)
-                )
-            except TypeError:
-                attr_type = AttrType.ANY
-            return self._build_schema(
-                list(child.attributes) + [Attribute(plan.column, attr_type)],
-                path,
-            )
-        if isinstance(plan, Aggregate):
-            child = self.check(plan.child, path)
-            if child is None:
-                return None
-            attributes = []
-            for name in plan.group_by:
-                attribute = self._require(child, name, path, "group-by")
-                if attribute is not None:
-                    attributes.append(attribute)
-            for function, column, alias in plan.metrics:
-                if column != "*":
-                    self._require(child, column, path, f"{function}()")
-                if function == "count":
-                    attr_type = AttrType.INTEGER
-                elif function == "avg":
-                    attr_type = AttrType.FLOAT
-                elif column != "*" and column in child:
-                    attr_type = child.attribute(column).type
-                else:
-                    attr_type = AttrType.ANY
-                attributes.append(Attribute(alias, attr_type))
-            return self._build_schema(attributes, path)
-        # Unknown operator type: nothing to check statically.
-        for index, child_plan in enumerate(plan.children()):
-            self.check(child_plan, f"{path}[{index}]")
-        return None
 
-    def _check_join_types(
-        self, left: AttrType, right: AttrType, column: str, path: str
-    ) -> None:
-        if AttrType.ANY in (left, right) or left == right:
-            return
-        if common_type(left, right) != AttrType.STRING or AttrType.STRING in (
-            left,
-            right,
-        ):
-            return
-        self._report(
-            "MDM105",
-            f"join on {column} mixes {left} and {right}",
-            path,
-        )
 
-    def _build_schema(
-        self, attributes: List[Attribute], path: str
-    ) -> Optional[RelationSchema]:
-        try:
-            return RelationSchema(attributes)
-        except SchemaError as exc:
-            self._report("MDM104", str(exc), path)
-            return None
+def _comparable(left: AttrType, right: AttrType) -> bool:
+    """Whether two types compare meaningfully: equal, one ANY, or one
+    widening into the other (the lattice tops out at STRING)."""
+    return (
+        AttrType.ANY in (left, right)
+        or left == right
+        or common_type(left, right) != AttrType.STRING
+        or AttrType.STRING in (left, right)
+    )
 
 
 def check_plan(
@@ -403,8 +279,11 @@ def check_plan(
     """Statically validate ``plan`` against ``catalog``.
 
     Returns ``(findings, output_schema)``; the schema is ``None`` when an
-    error finding prevented derivation.  A plan with no ``error``-severity
-    findings is guaranteed to pass the executor's own schema derivation.
+    error finding prevented derivation.  Apart from MDM102 on predicate
+    columns, which the algebra does not check, the MDM101–MDM104 findings
+    are the operators' failed schema rules: a plan has one exactly when
+    ``plan.output_schema(catalog)`` raises, and otherwise both return the
+    same schema.
     """
     checker = _Checker(catalog)
     schema = checker.check(plan)

@@ -22,6 +22,13 @@ language.  Operators:
 ``Distinct(child)``
     δ duplicate elimination.
 
+Each operator states its schema rule once, as ``derive(*input_schemas)``
+over its children's schemas in :meth:`PlanNode.children` order (a Scan's
+input is its base relation).  ``output_schema(catalog)`` applies the
+rules bottom-up; the executor applies them to the relations it computes
+and the plan checker (:mod:`repro.analysis.plan_checker`) to collect
+every failed check instead of stopping at the first.
+
 ``pretty()`` renders the tree in the paper's mathematical notation, e.g.::
 
     π_{name, pName} (w2 ⋈_{id=teamId} w1)
@@ -30,10 +37,19 @@ language.  Operators:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .expressions import Expr
-from .schema import RelationSchema, SchemaError
+from .schema import (
+    DUPLICATE_COLUMN,
+    UNKNOWN_RELATION,
+    Attribute,
+    Failure,
+    RelationSchema,
+    SchemaError,
+    unknown_attributes,
+)
+from .types import AttrType, infer_type
 
 __all__ = [
     "PlanNode",
@@ -76,6 +92,11 @@ class PlanNode:
     """Base class of algebra operators."""
 
     __slots__ = ()
+
+    #: The operator's schema rule: its output schema from its inputs'
+    #: schemas.  Raises :class:`SchemaError` with one failure per failed
+    #: check and, where the operator still produces one, a partial schema.
+    derive: Callable[..., RelationSchema]
 
     def output_schema(self, catalog: Catalog) -> RelationSchema:
         """The schema this operator produces given base-relation schemas."""
@@ -166,15 +187,33 @@ class Scan(PlanNode):
             bound = catalog.get(self.binding_name())
             if bound is not None:
                 return bound
+        base = catalog.get(self.relation_name)
+        if base is None:
+            message = (
+                f"scan of unknown relation {self.relation_name!r}; "
+                f"catalog has {sorted(catalog)}"
+            )
+            raise SchemaError(failures=[(UNKNOWN_RELATION, message, self.relation_name)])
+        return self.derive(base)
+
+    def derive(self, base: RelationSchema) -> RelationSchema:
+        """The pushed work over the base relation's schema: each filter
+        column must exist, ``columns`` projects."""
         try:
-            base = catalog[self.relation_name]
-        except KeyError:
-            raise SchemaError(f"unknown relation {self.relation_name!r}") from None
-        for column, _op, _value in self.filters:
-            base.index_of(column)  # existence check against the base schema
-        if self.columns is not None:
-            return base.project(self.columns)
-        return base
+            for column, _op, _value in self.filters:
+                base.index_of(column)
+            return base if self.columns is None else base.project(self.columns)
+        except SchemaError:
+            failures = unknown_attributes(
+                "pushed filter", [c for c, _op, _value in self.filters], base
+            )
+            projected = unknown_attributes("pushed projection", self.columns or (), base)
+            if not failures and not projected:
+                raise  # a column projected twice
+            partial: Optional[RelationSchema] = None
+            if not projected:
+                partial = base if self.columns is None else base.project(self.columns)
+            raise SchemaError(failures=failures + projected, partial=partial) from None
 
     def pretty(self) -> str:
         if not self.is_pushed():
@@ -202,7 +241,16 @@ class Project(PlanNode):
     names: Tuple[str, ...]
 
     def output_schema(self, catalog: Catalog) -> RelationSchema:
-        return self.child.output_schema(catalog).project(self.names)
+        return self.derive(self.child.output_schema(catalog))
+
+    def derive(self, child: RelationSchema) -> RelationSchema:
+        try:
+            return child.project(self.names)
+        except SchemaError:
+            failures = unknown_attributes("projection", self.names, child)
+            if not failures:
+                raise  # a column projected twice
+            raise SchemaError(failures=failures) from None
 
     def pretty(self) -> str:
         cols = ", ".join(self.names)
@@ -220,7 +268,10 @@ class Select(PlanNode):
     predicate: Expr
 
     def output_schema(self, catalog: Catalog) -> RelationSchema:
-        return self.child.output_schema(catalog)
+        return self.derive(self.child.output_schema(catalog))
+
+    def derive(self, child: RelationSchema) -> RelationSchema:
+        return child
 
     def pretty(self) -> str:
         return f"σ_{{{self.predicate}}}({self.child.pretty()})"
@@ -237,10 +288,12 @@ class NaturalJoin(PlanNode):
     right: PlanNode
 
     def output_schema(self, catalog: Catalog) -> RelationSchema:
-        _, combined = self.left.output_schema(catalog).join_split(
-            self.right.output_schema(catalog)
+        return self.derive(
+            self.left.output_schema(catalog), self.right.output_schema(catalog)
         )
-        return combined
+
+    def derive(self, left: RelationSchema, right: RelationSchema) -> RelationSchema:
+        return left.join_split(right)[1]
 
     def pretty(self) -> str:
         return f"({self.left.pretty()} ⋈ {self.right.pretty()})"
@@ -262,15 +315,19 @@ class EquiJoin(PlanNode):
     pairs: Tuple[Tuple[str, str], ...]
 
     def output_schema(self, catalog: Catalog) -> RelationSchema:
-        left_schema = self.left.output_schema(catalog)
-        right_schema = self.right.output_schema(catalog)
+        return self.derive(
+            self.left.output_schema(catalog), self.right.output_schema(catalog)
+        )
+
+    def derive(self, left: RelationSchema, right: RelationSchema) -> RelationSchema:
+        combined = left.join_split(right)[1]
+        failures: List[Failure] = []
         for l_name, r_name in self.pairs:
-            left_schema.index_of(l_name)
-            right_schema.index_of(r_name)
-        combined = list(left_schema.attributes) + [
-            a for a in right_schema.attributes if a.name not in left_schema
-        ]
-        return RelationSchema(combined)
+            failures += unknown_attributes("join pair", [l_name], left)
+            failures += unknown_attributes("join pair", [r_name], right)
+        if failures:
+            raise SchemaError(failures=failures, partial=combined)
+        return combined
 
     def pretty(self) -> str:
         condition = " ∧ ".join(f"{l}={r}" for l, r in self.pairs)
@@ -297,7 +354,17 @@ class Rename(PlanNode):
         return dict(self.mapping)
 
     def output_schema(self, catalog: Catalog) -> RelationSchema:
-        return self.child.output_schema(catalog).rename(self.mapping_dict())
+        return self.derive(self.child.output_schema(catalog))
+
+    def derive(self, child: RelationSchema) -> RelationSchema:
+        try:
+            return child.rename(self.mapping_dict())
+        except SchemaError:
+            failures = unknown_attributes("rename", [old for old, _ in self.mapping], child)
+            if not failures:
+                raise  # two columns renamed to one name
+            known = {old: new for old, new in self.mapping if old in child}
+            raise SchemaError(failures=failures, partial=child.rename(known)) from None
 
     def pretty(self) -> str:
         renames = ", ".join(f"{old}→{new}" for old, new in self.mapping)
@@ -315,9 +382,12 @@ class Union(PlanNode):
     right: PlanNode
 
     def output_schema(self, catalog: Catalog) -> RelationSchema:
-        left_schema = self.left.output_schema(catalog)
-        right_schema = self.right.output_schema(catalog)
-        return left_schema.widen(right_schema)
+        return self.derive(
+            self.left.output_schema(catalog), self.right.output_schema(catalog)
+        )
+
+    def derive(self, left: RelationSchema, right: RelationSchema) -> RelationSchema:
+        return left.widen(right)
 
     def pretty(self) -> str:
         return f"({self.left.pretty()} ∪ {self.right.pretty()})"
@@ -333,7 +403,10 @@ class Distinct(PlanNode):
     child: PlanNode
 
     def output_schema(self, catalog: Catalog) -> RelationSchema:
-        return self.child.output_schema(catalog)
+        return self.derive(self.child.output_schema(catalog))
+
+    def derive(self, child: RelationSchema) -> RelationSchema:
+        return child
 
     def pretty(self) -> str:
         return f"δ({self.child.pretty()})"
@@ -356,19 +429,21 @@ class Extend(PlanNode):
     value: object = None
 
     def output_schema(self, catalog: Catalog) -> RelationSchema:
-        from .schema import Attribute
-        from .types import AttrType, infer_type
+        return self.derive(self.child.output_schema(catalog))
 
-        child_schema = self.child.output_schema(catalog)
-        if self.column in child_schema:
-            raise SchemaError(
-                f"extend column {self.column!r} already exists in "
-                f"{list(child_schema.names)}"
+    def derive(self, child: RelationSchema) -> RelationSchema:
+        if self.column in child:
+            message = (
+                f"extend column {self.column!r} already exists in {list(child.names)}"
             )
-        attr_type = AttrType.ANY if self.value is None else infer_type(self.value)
-        return RelationSchema(
-            list(child_schema.attributes) + [Attribute(self.column, attr_type)]
-        )
+            raise SchemaError(
+                failures=[(DUPLICATE_COLUMN, message, self.column)], partial=child
+            )
+        try:
+            attr_type = infer_type(self.value)
+        except TypeError:  # a constant no relational type holds
+            attr_type = AttrType.ANY
+        return RelationSchema(child.attributes + (Attribute(self.column, attr_type),))
 
     def pretty(self) -> str:
         rendered = "NULL" if self.value is None else repr(self.value)
@@ -413,24 +488,27 @@ class Aggregate(PlanNode):
             seen.add(alias)
 
     def output_schema(self, catalog: Catalog) -> RelationSchema:
-        from .schema import Attribute
-        from .types import AttrType
+        return self.derive(self.child.output_schema(catalog))
 
-        child_schema = self.child.output_schema(catalog)
-        attributes = [child_schema.attribute(name) for name in self.group_by]
+    def derive(self, child: RelationSchema) -> RelationSchema:
+        failures = unknown_attributes("group-by", self.group_by, child)
+        attributes = [child.attribute(name) for name in self.group_by if name in child]
         for function, column, alias in self.metrics:
             if column != "*":
-                child_schema.index_of(column)  # existence check
+                failures += unknown_attributes(f"{function}()", [column], child)
             if function == "count":
                 attr_type = AttrType.INTEGER
             elif function == "avg":
                 attr_type = AttrType.FLOAT
-            elif column != "*":
-                attr_type = child_schema.attribute(column).type
+            elif column in child:
+                attr_type = child.attribute(column).type
             else:
                 attr_type = AttrType.ANY
             attributes.append(Attribute(alias, attr_type))
-        return RelationSchema(attributes)
+        schema = RelationSchema(attributes)
+        if failures:
+            raise SchemaError(failures=failures, partial=schema)
+        return schema
 
     def pretty(self) -> str:
         groups = ", ".join(self.group_by)

@@ -435,9 +435,8 @@ class Executor:
             return self._aggregate(plan)
         if isinstance(plan, Extend):
             child = self.execute(plan.child)
-            schema = plan.output_schema({**self.catalog, "__child__": child.schema})
             rows = [row + (plan.value,) for row in child]
-            return Relation(schema, rows)
+            return Relation(plan.derive(child.schema), rows)
         raise ExecutionError(f"unknown plan node {plan!r}")
 
     def _scan(self, plan: Scan) -> Relation:
@@ -458,7 +457,7 @@ class Executor:
 
     def _aggregate(self, plan: Aggregate) -> Relation:
         child = self.execute(plan.child)
-        schema = plan.output_schema({**self.catalog, "__child__": child.schema})
+        schema = plan.derive(child.schema)
         group_indices = [child.schema.index_of(n) for n in plan.group_by]
         metric_indices = [
             None if column == "*" else child.schema.index_of(column)
@@ -506,8 +505,8 @@ class Executor:
 
     def _project(self, plan: Project) -> Relation:
         child = self.execute(plan.child)
+        schema = plan.derive(child.schema)
         indices = [child.schema.index_of(n) for n in plan.names]
-        schema = child.schema.project(plan.names)
         rows = [tuple(row[i] for i in indices) for row in child]
         return Relation(schema, rows)
 
@@ -535,22 +534,8 @@ class Executor:
     def _equi_join(self, plan: EquiJoin) -> Relation:
         left = self.execute(plan.left)
         right = self.execute(plan.right)
-        schema = self._equi_schema(left.schema, right.schema, plan.pairs)
+        schema = plan.derive(left.schema, right.schema)
         return self._hash_join(left, right, plan.pairs, schema)
-
-    @staticmethod
-    def _equi_schema(
-        left_schema: RelationSchema,
-        right_schema: RelationSchema,
-        pairs: Tuple[Tuple[str, str], ...],
-    ) -> RelationSchema:
-        for l_name, r_name in pairs:
-            left_schema.index_of(l_name)
-            right_schema.index_of(r_name)
-        combined = list(left_schema.attributes) + [
-            a for a in right_schema.attributes if a.name not in left_schema
-        ]
-        return RelationSchema(combined)
 
     @staticmethod
     def _join_key(value: Any) -> Any:
@@ -615,7 +600,7 @@ class Executor:
 
     def _rename(self, plan: Rename) -> Relation:
         child = self.execute(plan.child)
-        return Relation(child.schema.rename(plan.mapping_dict()), child.rows)
+        return Relation(plan.derive(child.schema), child.rows)
 
     def _union(self, plan: Union) -> Relation:
         left = self.execute(plan.left)

@@ -594,7 +594,7 @@ class PlanOptimizer:
         try:
             left_schema = child.left.output_schema(self.catalog)
             right_schema = child.right.output_schema(self.catalog)
-            widened = left_schema.widen(right_schema)
+            widened = child.derive(left_schema, right_schema)
             for name in refs:
                 attr = widened.attribute(name)
                 if (

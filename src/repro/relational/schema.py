@@ -7,15 +7,59 @@ projection, renaming, union compatibility and natural-join splitting.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .types import AttrType, common_type
 
-__all__ = ["Attribute", "RelationSchema", "SchemaError"]
+__all__ = ["Attribute", "RelationSchema", "SchemaError", "unknown_attributes"]
+
+#: The checks a plan operator's schema rule can fail.
+UNKNOWN_RELATION = "unknown relation"
+UNKNOWN_ATTRIBUTE = "unknown attribute"
+UNION_INCOMPATIBLE = "union-incompatible"
+DUPLICATE_COLUMN = "duplicate column"
+
+#: One failed check: ``(check, message, subject)``; the subject is the
+#: relation or attribute the check concerns, or ``""``.
+Failure = Tuple[str, str, str]
 
 
 class SchemaError(ValueError):
-    """Raised for malformed schemas or incompatible schema operations."""
+    """Raised for malformed schemas or incompatible schema operations.
+
+    When a plan operator's schema rule fails (see
+    :meth:`repro.relational.algebra.PlanNode.output_schema`),
+    ``failures`` lists every check it failed and ``partial`` is the
+    schema the operator still produces despite them (``None`` when it
+    produces none).  Other schema errors carry no failures.
+    """
+
+    def __init__(
+        self,
+        message: str = "",
+        failures: Sequence[Failure] = (),
+        partial: Optional["RelationSchema"] = None,
+    ) -> None:
+        self.failures: Tuple[Failure, ...] = tuple(failures)
+        self.partial = partial
+        super().__init__(message or "; ".join(m for _, m, _ in self.failures))
+
+
+def unknown_attributes(
+    clause: str, names: Iterable[str], schema: "RelationSchema"
+) -> List[Failure]:
+    """An unknown-attribute failure for each of ``names`` (referenced by
+    ``clause``) that ``schema`` lacks, in order."""
+    return [
+        (
+            UNKNOWN_ATTRIBUTE,
+            f"{clause} references {name!r}, but the input schema only has "
+            f"{list(schema.names)}",
+            name,
+        )
+        for name in names
+        if name not in schema
+    ]
 
 
 class Attribute:
@@ -55,7 +99,8 @@ class RelationSchema:
         names = [a.name for a in self._attributes]
         if len(set(names)) != len(names):
             duplicates = sorted({n for n in names if names.count(n) > 1})
-            raise SchemaError(f"duplicate attribute names: {duplicates}")
+            message = f"duplicate attribute names: {duplicates}"
+            raise SchemaError(failures=[(DUPLICATE_COLUMN, message, "")])
         self._index: Dict[str, int] = {a.name: i for i, a in enumerate(self._attributes)}
 
     @classmethod
@@ -122,9 +167,10 @@ class RelationSchema:
     def widen(self, other: "RelationSchema") -> "RelationSchema":
         """Positionally widen the types against a union-compatible schema."""
         if not self.union_compatible(other):
-            raise SchemaError(
-                f"schemas not union-compatible: {list(self.names)} vs {list(other.names)}"
+            message = (
+                f"union branches disagree: {list(self.names)} vs {list(other.names)}"
             )
+            raise SchemaError(failures=[(UNION_INCOMPATIBLE, message, "")])
         return RelationSchema(
             Attribute(a.name, common_type(a.type, b.type))
             for a, b in zip(self._attributes, other._attributes)
