@@ -140,7 +140,7 @@ class MdmService:
         iri_text, concept_text = request.require("iri", "concept")
         body = request.body
         label = body.get("label")
-        identifier = bool(body.get("identifier", False))
+        identifier = request.typed("identifier", "boolean", False)
         feature = _iri(iri_text, "feature IRI")
         concept = _iri(concept_text, "concept IRI")
         if identifier:
@@ -198,14 +198,11 @@ class MdmService:
         ]
 
     def _post_wrapper(self, request: JsonRequest) -> Dict[str, Any]:
-        name, attributes = request.require("name", "attributes")
+        (name,) = request.require("name")
+        attributes = request.typed("attributes", "list of strings")
+        rows = request.typed("rows", "list of objects", [])
+        changes = request.typed("changes", "list of strings", [])
         source_name = request.path_params["name"]
-        rows = request.body.get("rows", [])
-        changes = request.body.get("changes", [])
-        if not isinstance(attributes, list) or not all(
-            isinstance(a, str) for a in attributes
-        ):
-            raise ServiceError(400, "attributes must be a list of strings")
         wrapper = StaticWrapper(name, attributes, rows)
         try:
             registration = self.mdm.register_wrapper(
@@ -277,9 +274,9 @@ class MdmService:
         if not isinstance(nodes, list) or not nodes:
             raise ServiceError(400, "nodes must be a non-empty list of IRIs")
         walk = self.mdm.walk_from_nodes([_iri(n, "walk node") for n in nodes])
-        execute = bool(request.body.get("execute", True))
+        execute = request.typed("execute", "boolean", True)
         on_error = request.body.get("on_wrapper_error", "raise")
-        use_cache = bool(request.body.get("use_cache", True))
+        use_cache = request.typed("use_cache", "boolean", True)
         outcome = None
         try:
             if execute:
@@ -317,11 +314,12 @@ class MdmService:
     def _post_sparql_query(self, request: JsonRequest) -> Dict[str, Any]:
         """Pose an OMQ as SPARQL text: ``{"sparql": "...", "execute"?: bool}``."""
         (text,) = request.require("sparql")
+        execute = request.typed("execute", "boolean", True)
         from ..core.sparql_frontend import walk_from_sparql
 
         try:
             walk = walk_from_sparql(self.mdm.global_graph, text)
-            if bool(request.body.get("execute", True)):
+            if execute:
                 outcome = self.mdm.execute(walk)
                 return {
                     "sparql": outcome.rewrite.sparql,
@@ -541,9 +539,10 @@ class MdmService:
                 "body must set at least one of enabled / sample_rate / "
                 "slow_threshold_ms",
             )
+        enabled = request.typed("enabled", "boolean", None)
         tracer = get_tracer()
-        if "enabled" in body:
-            tracer.enabled = bool(body["enabled"])
+        if enabled is not None:
+            tracer.enabled = enabled
         try:
             tracer.configure_sampling(
                 sample_rate=body.get("sample_rate"),
@@ -611,7 +610,7 @@ class MdmService:
                 400, "body must be an object with spec/disarm/release/clear"
             )
         registry = get_failpoints()
-        if body.get("clear"):
+        if request.typed("clear", "boolean", False):
             registry.clear()
         spec = body.get("spec")
         if spec is not None:

@@ -24,6 +24,15 @@ from ..obs import get_metrics, get_tracer
 __all__ = ["JsonRequest", "JsonResponse", "Router", "ServiceError"]
 
 
+#: The kinds of body field :meth:`JsonRequest.typed` checks.
+_KINDS: Dict[str, Callable[[Any], bool]] = {
+    "boolean": lambda v: isinstance(v, bool),
+    "list of strings": lambda v: isinstance(v, list) and all(isinstance(i, str) for i in v),
+    "list of objects": lambda v: isinstance(v, list) and all(isinstance(i, dict) for i in v),
+}
+_REQUIRED = object()
+
+
 class ServiceError(Exception):
     """Raised by handlers to produce a non-200 response."""
 
@@ -51,6 +60,18 @@ class JsonRequest:
         if missing:
             raise ServiceError(400, f"missing body fields: {missing}")
         return tuple(self.body[k] for k in keys)
+
+    def typed(self, key: str, kind: str, default: Any = _REQUIRED) -> Any:
+        """Body field ``key``, which must be a ``kind`` of :data:`_KINDS`;
+        ``default`` when absent.  Raises 400 when it is mistyped, or
+        absent without a default."""
+        if default is not _REQUIRED and isinstance(self.body, Mapping):
+            if key not in self.body:
+                return default
+        (value,) = self.require(key)
+        if not _KINDS[kind](value):
+            raise ServiceError(400, f"{key} must be a {kind}")
+        return value
 
 
 @dataclass(frozen=True)
