@@ -770,8 +770,7 @@ class MDM:
         between releases (a column suddenly going all-null, a type
         changing representation) even when the signature itself held.
         """
-        from ..relational.types import AttrType, common_type, infer_type
-        from ..sources.inference import AttributeProfile, SignatureProfile
+        from ..sources.inference import SignatureProfile, profile_attributes
 
         wrapper = self.wrappers.get(wrapper_name)
         if wrapper is None:
@@ -779,35 +778,10 @@ class MDM:
                 f"wrapper {wrapper_name!r} has no runtime object to profile"
             )
         rows = wrapper.fetch()
-        profiles = []
-        for name in wrapper.attributes:
-            inferred = AttrType.ANY
-            present = 0
-            nulls = 0
-            examples: List[str] = []
-            for row in rows:
-                value = row.get(name)
-                if value is None or value == "":
-                    nulls += 1
-                    continue
-                present += 1
-                inferred = common_type(inferred, infer_type(value))
-                rendered = repr(value)
-                if len(examples) < 3 and rendered not in examples:
-                    examples.append(rendered)
-            profiles.append(
-                AttributeProfile(
-                    name=name,
-                    inferred_type=inferred,
-                    present=present,
-                    nulls=nulls,
-                    examples=tuple(examples),
-                )
-            )
         return SignatureProfile(
             path=getattr(wrapper, "path", wrapper_name),
             record_count=len(rows),
-            attributes=tuple(profiles),
+            attributes=profile_attributes(wrapper.attributes, rows),
         )
 
     def diff_wrapper_versions(self, old_name: str, new_name: str):

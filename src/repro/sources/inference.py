@@ -11,13 +11,13 @@ with per-attribute type/nullability statistics the steward can review.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from ..relational.types import AttrType, common_type, infer_type
 from .formats import decode_csv, decode_json, decode_xml, flatten_record
 from .restapi import MockRestServer
 
-__all__ = ["AttributeProfile", "SignatureProfile", "infer_signature"]
+__all__ = ["AttributeProfile", "SignatureProfile", "infer_signature", "profile_attributes"]
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,40 @@ class SignatureProfile:
         return "\n".join(lines)
 
 
+def profile_attributes(
+    names: Sequence[str], records: Sequence[Mapping[str, Any]]
+) -> Tuple[AttributeProfile, ...]:
+    """Type, null count and up to three examples of each of ``names``
+    over ``records``; a missing, None or empty value counts as null."""
+    profiles: List[AttributeProfile] = []
+    for name in names:
+        inferred = AttrType.ANY
+        present = 0
+        nulls = 0
+        examples: List[str] = []
+        for record in records:
+            value = record.get(name)
+            if value is None or value == "":
+                nulls += 1
+                continue
+            present += 1
+            inferred = common_type(inferred, infer_type(value))
+            if len(examples) < 3:
+                rendered = repr(value)
+                if rendered not in examples:
+                    examples.append(rendered)
+        profiles.append(
+            AttributeProfile(
+                name=name,
+                inferred_type=inferred,
+                present=present,
+                nulls=nulls,
+                examples=tuple(examples),
+            )
+        )
+    return tuple(profiles)
+
+
 def infer_signature(
     server: MockRestServer,
     path: str,
@@ -95,31 +129,6 @@ def infer_signature(
             if key not in seen:
                 seen.add(key)
                 order.append(key)
-    profiles: List[AttributeProfile] = []
-    for name in order:
-        inferred = AttrType.ANY
-        present = 0
-        nulls = 0
-        examples: List[str] = []
-        for record in records:
-            if name not in record or record[name] is None or record[name] == "":
-                nulls += 1
-                continue
-            present += 1
-            inferred = common_type(inferred, infer_type(record[name]))
-            if len(examples) < 3:
-                rendered = repr(record[name])
-                if rendered not in examples:
-                    examples.append(rendered)
-        profiles.append(
-            AttributeProfile(
-                name=name,
-                inferred_type=inferred,
-                present=present,
-                nulls=nulls,
-                examples=tuple(examples),
-            )
-        )
     return SignatureProfile(
-        path=path, record_count=len(records), attributes=tuple(profiles)
+        path=path, record_count=len(records), attributes=profile_attributes(order, records)
     )
