@@ -10,8 +10,10 @@ for MDM's metadata and plans:
   and text/JSON renderers;
 - :mod:`repro.analysis.metadata_rules` — the lint rule pack over the BDI
   ontology (global graph, source graph, LAV mappings, saved OMQs);
-- :mod:`repro.analysis.plan_checker` — bottom-up schema/type inference
-  over :mod:`repro.relational.algebra` plans, used standalone by
+- :mod:`repro.analysis.plan_checker` — applies each operator's own
+  schema rule (``PlanNode.derive``) bottom-up over
+  :mod:`repro.relational.algebra` plans, reporting every failed check,
+  plus type diagnostics on predicates and joins; used standalone by
   ``repro-mdm lint`` and as the post-optimizer assertion in
   ``MDM.execute`` (``validate_plans`` / ``MDM_VALIDATE_PLANS``);
 - :mod:`repro.analysis.lint` — the orchestrator producing a

@@ -263,14 +263,9 @@ class _Checker:
 
 
 def _comparable(left: AttrType, right: AttrType) -> bool:
-    """Whether two types compare meaningfully: equal, one ANY, or one
-    widening into the other (the lattice tops out at STRING)."""
-    return (
-        AttrType.ANY in (left, right)
-        or left == right
-        or common_type(left, right) != AttrType.STRING
-        or AttrType.STRING in (left, right)
-    )
+    """Whether two types compare meaningfully: their common type is one of
+    them, not the STRING fallback the lattice tops out at."""
+    return common_type(left, right) in (left, right)
 
 
 def check_plan(

@@ -293,7 +293,7 @@ class NaturalJoin(PlanNode):
         )
 
     def derive(self, left: RelationSchema, right: RelationSchema) -> RelationSchema:
-        return left.join_split(right)[1]
+        return left.joined(right)
 
     def pretty(self) -> str:
         return f"({self.left.pretty()} ⋈ {self.right.pretty()})"
@@ -320,7 +320,7 @@ class EquiJoin(PlanNode):
         )
 
     def derive(self, left: RelationSchema, right: RelationSchema) -> RelationSchema:
-        combined = left.join_split(right)[1]
+        combined = left.joined(right)
         failures: List[Failure] = []
         for l_name, r_name in self.pairs:
             failures += unknown_attributes("join pair", [l_name], left)

@@ -176,19 +176,20 @@ class RelationSchema:
             for a, b in zip(self._attributes, other._attributes)
         )
 
+    def joined(self, other: "RelationSchema") -> "RelationSchema":
+        """A join's output schema: this schema's attributes in order, then
+        the attributes of ``other`` whose names this schema lacks."""
+        return RelationSchema(
+            list(self._attributes)
+            + [a for a in other._attributes if a.name not in self._index]
+        )
+
     def join_split(
         self, other: "RelationSchema"
     ) -> Tuple[List[str], "RelationSchema"]:
-        """For a natural join: (shared names, combined result schema).
-
-        The result keeps this schema's attributes in order, then the
-        non-shared attributes of ``other``.
-        """
+        """For a natural join: (shared names, :meth:`joined` schema)."""
         shared = [n for n in self.names if n in other]
-        combined = list(self._attributes) + [
-            a for a in other._attributes if a.name not in self._index
-        ]
-        return shared, RelationSchema(combined)
+        return shared, self.joined(other)
 
     def __eq__(self, other: object) -> bool:
         return (

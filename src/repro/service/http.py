@@ -65,9 +65,9 @@ class JsonRequest:
         """Body field ``key``, which must be a ``kind`` of :data:`_KINDS`;
         ``default`` when absent.  Raises 400 when it is mistyped, or
         absent without a default."""
-        if default is not _REQUIRED and isinstance(self.body, Mapping):
-            if key not in self.body:
-                return default
+        absent = isinstance(self.body, Mapping) and key not in self.body
+        if absent and default is not _REQUIRED:
+            return default
         (value,) = self.require(key)
         if not _KINDS[kind](value):
             raise ServiceError(400, f"{key} must be a {kind}")

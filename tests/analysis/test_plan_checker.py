@@ -1,7 +1,10 @@
 """Plan schema checker over hand-built (mostly invalid) plans."""
 
+import pytest
+
 from repro.analysis.plan_checker import check_plan
 from repro.relational.algebra import (
+    Aggregate,
     EquiJoin,
     Extend,
     NaturalJoin,
@@ -11,8 +14,8 @@ from repro.relational.algebra import (
     Select,
     Union,
 )
-from repro.relational.expressions import Cmp, Col, Const
-from repro.relational.schema import Attribute, RelationSchema
+from repro.relational.expressions import And, Cmp, Col, Const, IsNull, NotExpr, Or
+from repro.relational.schema import UNKNOWN_ATTRIBUTE, Attribute, RelationSchema, SchemaError
 from repro.relational.types import AttrType
 
 CATALOG = {
@@ -211,3 +214,80 @@ def test_union_of_projected_pushed_scan_incompatible_mdm103():
     findings, schema = check_plan(plan, CATALOG)
     assert codes(findings) == ["MDM103"]
     assert schema is None
+
+
+# --- the operators' schema rules, through the checker ------------------ #
+
+
+def test_predicate_connectives_are_typed():
+    predicate = And(
+        Or(Cmp("=", Col("id"), Const([1])), NotExpr(IsNull(Col("ghost")))),
+        Cmp("<", Col("active"), Const(True)),
+    )
+    findings, schema = check_plan(Select(Scan("people"), predicate), CATALOG)
+    assert codes(findings) == ["MDM102", "MDM105"]
+    assert "ordering comparison" in findings[1].message
+    assert list(schema.names) == ["id", "name", "active"]
+
+
+def test_duplicate_projection_mdm104():
+    plan = Project(Scan("people"), ("id", "id"))
+    findings, schema = check_plan(plan, CATALOG)
+    assert codes(findings) == ["MDM104"]
+    assert schema is None
+    with pytest.raises(SchemaError):
+        plan.output_schema(CATALOG)
+
+
+def test_rename_onto_existing_column_mdm104():
+    findings, schema = check_plan(
+        Rename.from_dict(Scan("people"), {"id": "name"}), CATALOG
+    )
+    assert codes(findings) == ["MDM104"]
+    assert schema is None
+
+
+def test_duplicate_pushed_projection_mdm104():
+    findings, schema = check_plan(Scan("people", columns=("id", "id")), CATALOG)
+    assert codes(findings) == ["MDM104"]
+    assert schema is None
+
+
+def test_aggregate_reports_every_missing_column_and_keeps_going():
+    plan = Aggregate(
+        Scan("people"),
+        ("ghost", "name"),
+        (("sum", "id", "total"), ("max", "nope", "top"), ("count", "*", "n")),
+    )
+    findings, schema = check_plan(plan, CATALOG)
+    assert codes(findings) == ["MDM102", "MDM102"]
+    assert [f.location.detail for f in findings] == ["ghost", "nope"]
+    assert "group-by references 'ghost'" in findings[0].message
+    assert "max() references 'nope'" in findings[1].message
+    assert [(a.name, a.type) for a in schema] == [
+        ("name", AttrType.STRING),
+        ("total", AttrType.INTEGER),
+        ("top", AttrType.ANY),
+        ("n", AttrType.INTEGER),
+    ]
+
+
+def test_schema_errors_outside_the_rules_propagate():
+    # An empty column name is a malformed plan, not a rule failure.
+    with pytest.raises(SchemaError):
+        check_plan(Extend(Scan("people"), "", None), CATALOG)
+
+
+def test_rule_failures_carry_checks_and_partial_schema():
+    plan = EquiJoin(Scan("people"), Scan("accounts"), (("ghost", "aid"),))
+    with pytest.raises(SchemaError) as caught:
+        plan.output_schema(CATALOG)
+    ((check, message, subject),) = caught.value.failures
+    assert (check, subject) == (UNKNOWN_ATTRIBUTE, "ghost")
+    assert message in str(caught.value)
+    assert list(caught.value.partial.names) == ["id", "name", "active", "aid", "owner"]
+
+
+def test_untypable_extend_constant_is_any():
+    schema = Extend(Scan("people"), "note", object()).output_schema(CATALOG)
+    assert schema.attribute("note").type is AttrType.ANY
