@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Coverage gate for the chaos subsystem (CI ``coverage`` job).
+"""Coverage gate for the most failure-prone modules (CI ``coverage`` job).
 
 The failpoint registry, the readers-writer lock, the LRU behind every
-generation-keyed cache and the execution configuration are the pieces
+generation-keyed cache, the execution configuration, the operators'
+schema rules and the plan checker that applies them are the pieces
 whose untested branches bite hardest — a silent hole in any shows up as
-a flaky production incident, not a failing assertion.  This gate reads
-a ``coverage.json`` report
+a flaky production incident or a wrongly rejected plan, not a failing
+assertion.  This gate reads a ``coverage.json`` report
 (``pytest --cov=repro --cov-report=json:coverage.json``) and fails
 unless every measured file under ``src/repro/chaos/`` and each of
-``src/repro/core/config.py``, ``src/repro/core/locking.py`` and
-``src/repro/core/lru.py`` has line coverage of at least 90%.
+:data:`GATED_FILES` has line coverage of at least 90%.
 
 Usage:
     python scripts/check_coverage.py coverage.json
@@ -32,9 +32,11 @@ THRESHOLD = 90.0
 #: invoked (``src/repro/…`` vs ``repro/…``).
 GATED_PREFIXES = ("repro/chaos/",)
 GATED_FILES = (
+    "repro/analysis/plan_checker.py",
     "repro/core/config.py",
     "repro/core/locking.py",
     "repro/core/lru.py",
+    "repro/relational/algebra.py",
 )
 
 

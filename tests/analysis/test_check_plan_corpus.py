@@ -7,8 +7,9 @@ stage-B-optimized plans of the football walks (league × nationality,
 player/team names) and of ``versioned_concept_mdm(3)``, checked against
 the wrapper-signature catalog and the typed post-fetch catalog, each
 also perturbed by dropping a relation, dropping an attribute or (typed
-catalog only) retyping an attribute to BOOLEAN; plus the hand-built
-plans of ``test_plan_checker.py`` over its catalog.
+catalog only) retyping an attribute to BOOLEAN; plus hand-built plans
+over the catalog of ``test_plan_checker.py`` (union incompatibility,
+duplicate columns, pushed scans).
 
 Plans and base catalogs are stored in the file, so the replay does not
 depend on the rewriter or the optimizer.  Regenerate after an intended
@@ -279,12 +280,13 @@ def build_corpus():
 
     corpus = {"plans": {}, "catalogs": {}, "cases": []}
 
-    def add_cases(plans, catalogs):
+    def add_cases(plans, catalogs, perturbed=True):
         for plan_key, plan in plans.items():
             corpus["plans"][plan_key] = encode_plan(plan)
             for catalog_key, (catalog, typed) in catalogs.items():
                 corpus["catalogs"][catalog_key] = encode_catalog(catalog)
-                for spec in perturbations(catalog, typed):
+                specs = perturbations(catalog, typed) if perturbed else [[]]
+                for spec in specs:
                     corpus["cases"].append(
                         {
                             "plan": plan_key,
@@ -297,11 +299,7 @@ def build_corpus():
     for plans, catalogs in _scenario_plans_and_catalogs():
         add_cases(plans, catalogs)
     hand = {f"hand/{k}": v for k, v in _hand_built_plans().items()}
-    add_cases(hand, {"hand/catalog": (CATALOG, False)})
-    # Hand-built plans are checked against their catalog as given.
-    corpus["cases"] = [
-        c for c in corpus["cases"] if not c["plan"].startswith("hand/") or not c["perturb"]
-    ]
+    add_cases(hand, {"hand/catalog": (CATALOG, False)}, perturbed=False)
     return corpus
 
 
