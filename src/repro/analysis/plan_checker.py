@@ -26,9 +26,10 @@ MDM104    duplicate output column (e.g. ε of an existing name)
 MDM105    comparison between incompatible attribute types
 ========  ========================================================
 
-Because the checker derives schemas with the operators' own rules, a plan
-with zero ``error`` findings derives without schema errors by
-construction: the checker is exactly as permissive as the executor.
+Because the checker derives schemas with the operators' own rules, it
+cannot disagree with them: a plan with zero ``error`` findings derives
+without schema errors, and every rule failure it reports is an error the
+executor's derivation raises too.
 """
 
 from __future__ import annotations
