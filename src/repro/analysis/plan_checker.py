@@ -216,8 +216,8 @@ class _Checker:
         except SchemaError as exc:
             if not exc.failures:
                 raise
-            for check, message, subject in exc.failures:
-                self._report(_CODES[check], message, path, detail=subject)
+            for kind, message, subject in exc.failures:
+                self._report(_CODES[kind], message, path, detail=subject)
             schema = exc.partial
         self._check_types(plan, inputs, path)
         return schema
@@ -249,7 +249,9 @@ class _Checker:
             # Pushed filters are validated against the base schema the
             # way the original Select's predicate would have been.
             base = self.catalog.get(plan.relation_name)
-            for column, op, _value in plan.filters if base is not None else ():
+            if base is None:
+                return
+            for column, op, _value in plan.filters:
                 if (
                     op in _ORDERING_OPS
                     and column in base
