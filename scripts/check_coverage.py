@@ -3,10 +3,11 @@
 
 The failpoint registry, the readers-writer lock, the LRU behind every
 generation-keyed cache, the execution configuration, the operators'
-schema rules and the plan checker that applies them are the pieces
+schema rules and structure, the plan checker that applies them, and the
+optimizer and executor that rewrite and run every plan are the pieces
 whose untested branches bite hardest — a silent hole in any shows up as
-a flaky production incident or a wrongly rejected plan, not a failing
-assertion.  This gate reads a ``coverage.json`` report
+a flaky production incident, a wrongly rejected plan or a wrong answer,
+not a failing assertion.  This gate reads a ``coverage.json`` report
 (``pytest --cov=repro --cov-report=json:coverage.json``) and fails
 unless every measured file under ``src/repro/chaos/`` and each of
 :data:`GATED_FILES` has line coverage of at least 90%.
@@ -37,6 +38,8 @@ GATED_FILES = (
     "repro/core/locking.py",
     "repro/core/lru.py",
     "repro/relational/algebra.py",
+    "repro/relational/executor.py",
+    "repro/relational/optimizer.py",
 )
 
 

@@ -1582,20 +1582,13 @@ class MDM:
 
         pushed: Dict[str, Dict[str, object]] = {}
         plain: set = set()
-
-        def visit(node) -> None:
-            if isinstance(node, Scan):
-                if node.is_pushed():
-                    pushed.setdefault(node.relation_name, {})[
-                        node.binding_name()
-                    ] = node
-                else:
-                    plain.add(node.relation_name)
-                return
-            for child in node.children():
-                visit(child)
-
-        visit(plan)
+        for node in plan.nodes():
+            if not isinstance(node, Scan):
+                continue
+            if node.is_pushed():
+                pushed.setdefault(node.relation_name, {})[node.binding_name()] = node
+            else:
+                plain.add(node.relation_name)
         requests: Dict[str, FetchRequest] = {}
         register_as: Dict[str, str] = {}
         derived: Dict[str, Tuple] = {}
@@ -1652,21 +1645,15 @@ class MDM:
         wrapper name from ``scans()``, so membership checks work
         unchanged.
         """
-        from ..relational.algebra import Distinct, Union, union_all
+        from ..relational.algebra import Distinct, flatten_union, union_all
 
         inner = plan
         wrapped = isinstance(inner, Distinct)
         if wrapped:
             inner = inner.child
-
-        def flatten(node) -> List:
-            if isinstance(node, Union):
-                return flatten(node.left) + flatten(node.right)
-            return [node]
-
         surviving = [
             branch
-            for branch in flatten(inner)
+            for branch in flatten_union(inner)
             if not (set(branch.scans()) & failed)
         ]
         if not surviving:

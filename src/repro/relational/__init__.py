@@ -24,6 +24,8 @@ from .algebra import (
     Scan,
     Select,
     Union,
+    flatten_union,
+    plan_key,
     union_all,
 )
 from .executor import ExecutionError, Executor
@@ -44,8 +46,6 @@ from .optimizer import (
     CardinalityEstimator,
     OptimizationStats,
     PlanOptimizer,
-    flatten_union,
-    plan_key,
 )
 from .relation import Relation
 from .schema import Attribute, RelationSchema, SchemaError

@@ -21,6 +21,19 @@ language.  Operators:
     ∪ over union-compatible children (bag union; wrap in Distinct for set).
 ``Distinct(child)``
     δ duplicate elimination.
+``Extend(child, column, value)``
+    ε — append a constant column (NULL-pads optional features).
+``Aggregate(child, group_by, metrics)``
+    γ grouped aggregation.
+
+Every operator is a frozen dataclass.  Its first fields are its
+children, declared by its arity base: :class:`UnaryNode` (``child``) or
+:class:`BinaryNode` (``left``, ``right``); a Scan has none.  The other
+fields are its parameters.  The structure is read from those fields
+once, here: :meth:`PlanNode.children`, :meth:`PlanNode.with_children`
+(rebuild over new children), :meth:`PlanNode.nodes` (pre-order
+traversal), :func:`plan_key` (canonical structural key) and
+:func:`flatten_union`.
 
 Each operator states its schema rule once, as ``derive(*input_schemas)``
 over its children's schemas in :meth:`PlanNode.children` order (a Scan's
@@ -36,8 +49,9 @@ every failed check instead of stopping at the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from functools import cache
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .expressions import Expr
 from .schema import (
@@ -53,6 +67,8 @@ from .types import AttrType, infer_type
 
 __all__ = [
     "PlanNode",
+    "UnaryNode",
+    "BinaryNode",
     "canonical_scan_filters",
     "Scan",
     "Project",
@@ -62,8 +78,13 @@ __all__ = [
     "Rename",
     "Union",
     "Distinct",
+    "Extend",
+    "Aggregate",
+    "AGGREGATE_FUNCTIONS",
     "Catalog",
     "union_all",
+    "flatten_union",
+    "plan_key",
 ]
 
 #: Maps scan names to their schemas for static schema derivation.
@@ -89,7 +110,11 @@ def canonical_scan_filters(
 
 
 class PlanNode:
-    """Base class of algebra operators."""
+    """Base class of algebra operators.
+
+    An operator's dataclass fields are its children, then its parameters;
+    the methods below read the structure from them.
+    """
 
     __slots__ = ()
 
@@ -107,22 +132,66 @@ class PlanNode:
         raise NotImplementedError
 
     def children(self) -> Tuple["PlanNode", ...]:
-        """Direct child operators."""
-        raise NotImplementedError
+        """Direct child operators (none for a leaf)."""
+        return ()
+
+    def with_children(self, kids: Sequence["PlanNode"]) -> "PlanNode":
+        """This operator over ``kids`` instead of its children, parameters kept."""
+        names = _param_names(type(self), len(self.children()))
+        return type(self)(*kids, *[getattr(self, name) for name in names])
+
+    def nodes(self) -> Iterator["PlanNode"]:
+        """This operator and every operator below it, in pre-order
+        (children left to right)."""
+        stack: List[PlanNode] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children()))
 
     def scans(self) -> List[str]:
         """All base-relation names in the subtree, in left-to-right order."""
-        if isinstance(self, Scan):
-            return [self.relation_name]
-        out: List[str] = []
-        for child in self.children():
-            out.extend(child.scans())
-        return out
+        return [node.relation_name for node in self.nodes() if isinstance(node, Scan)]
 
     def depth(self) -> int:
         """Height of the operator tree (a Scan has depth 1)."""
         kids = self.children()
         return 1 + (max(k.depth() for k in kids) if kids else 0)
+
+
+@cache
+def _param_names(cls: type, arity: int) -> Tuple[str, ...]:
+    """The fields of an operator class after its ``arity`` child fields."""
+    return tuple(f.name for f in fields(cls))[arity:]
+
+
+@dataclass(frozen=True)
+class UnaryNode(PlanNode):
+    """An operator over one input, ``child``."""
+
+    child: PlanNode
+
+    def children(self) -> Tuple[PlanNode, ...]:
+        return (self.child,)
+
+    def output_schema(self, catalog: Catalog) -> RelationSchema:
+        return self.derive(self.child.output_schema(catalog))
+
+
+@dataclass(frozen=True)
+class BinaryNode(PlanNode):
+    """An operator over two inputs, ``left`` and ``right``."""
+
+    left: PlanNode
+    right: PlanNode
+
+    def children(self) -> Tuple[PlanNode, ...]:
+        return (self.left, self.right)
+
+    def output_schema(self, catalog: Catalog) -> RelationSchema:
+        return self.derive(
+            self.left.output_schema(catalog), self.right.output_schema(catalog)
+        )
 
 
 @dataclass(frozen=True)
@@ -229,19 +298,12 @@ class Scan(PlanNode):
             inner.append(f"limit: {self.limit}")
         return f"{self.relation_name}⟨{'; '.join(inner)}⟩"
 
-    def children(self) -> Tuple[PlanNode, ...]:
-        return ()
-
 
 @dataclass(frozen=True)
-class Project(PlanNode):
+class Project(UnaryNode):
     """π — keep (and reorder to) the listed attribute names."""
 
-    child: PlanNode
     names: Tuple[str, ...]
-
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
-        return self.derive(self.child.output_schema(catalog))
 
     def derive(self, child: RelationSchema) -> RelationSchema:
         try:
@@ -256,19 +318,12 @@ class Project(PlanNode):
         cols = ", ".join(self.names)
         return f"π_{{{cols}}}({self.child.pretty()})"
 
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
-
 
 @dataclass(frozen=True)
-class Select(PlanNode):
+class Select(UnaryNode):
     """σ — filter rows by a predicate expression."""
 
-    child: PlanNode
     predicate: Expr
-
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
-        return self.derive(self.child.output_schema(catalog))
 
     def derive(self, child: RelationSchema) -> RelationSchema:
         return child
@@ -276,21 +331,10 @@ class Select(PlanNode):
     def pretty(self) -> str:
         return f"σ_{{{self.predicate}}}({self.child.pretty()})"
 
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
-
 
 @dataclass(frozen=True)
-class NaturalJoin(PlanNode):
+class NaturalJoin(BinaryNode):
     """⋈ — join on all shared attribute names (cross product if none)."""
-
-    left: PlanNode
-    right: PlanNode
-
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
-        return self.derive(
-            self.left.output_schema(catalog), self.right.output_schema(catalog)
-        )
 
     def derive(self, left: RelationSchema, right: RelationSchema) -> RelationSchema:
         return left.joined(right)
@@ -298,26 +342,16 @@ class NaturalJoin(PlanNode):
     def pretty(self) -> str:
         return f"({self.left.pretty()} ⋈ {self.right.pretty()})"
 
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.left, self.right)
-
 
 @dataclass(frozen=True)
-class EquiJoin(PlanNode):
+class EquiJoin(BinaryNode):
     """⋈ on explicit attribute pairs ``(left_name, right_name)``.
 
     The output keeps all left attributes and the right attributes whose
     names do not collide with a left name.
     """
 
-    left: PlanNode
-    right: PlanNode
     pairs: Tuple[Tuple[str, str], ...]
-
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
-        return self.derive(
-            self.left.output_schema(catalog), self.right.output_schema(catalog)
-        )
 
     def derive(self, left: RelationSchema, right: RelationSchema) -> RelationSchema:
         combined = left.joined(right)
@@ -333,15 +367,11 @@ class EquiJoin(PlanNode):
         condition = " ∧ ".join(f"{l}={r}" for l, r in self.pairs)
         return f"({self.left.pretty()} ⋈_{{{condition}}} {self.right.pretty()})"
 
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.left, self.right)
-
 
 @dataclass(frozen=True)
-class Rename(PlanNode):
+class Rename(UnaryNode):
     """ρ — rename attributes per a mapping (stored as sorted pairs)."""
 
-    child: PlanNode
     mapping: Tuple[Tuple[str, str], ...]
 
     @classmethod
@@ -352,9 +382,6 @@ class Rename(PlanNode):
     def mapping_dict(self) -> Dict[str, str]:
         """The rename mapping as a dict."""
         return dict(self.mapping)
-
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
-        return self.derive(self.child.output_schema(catalog))
 
     def derive(self, child: RelationSchema) -> RelationSchema:
         try:
@@ -370,21 +397,10 @@ class Rename(PlanNode):
         renames = ", ".join(f"{old}→{new}" for old, new in self.mapping)
         return f"ρ_{{{renames}}}({self.child.pretty()})"
 
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
-
 
 @dataclass(frozen=True)
-class Union(PlanNode):
+class Union(BinaryNode):
     """∪ — bag union of two union-compatible children."""
-
-    left: PlanNode
-    right: PlanNode
-
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
-        return self.derive(
-            self.left.output_schema(catalog), self.right.output_schema(catalog)
-        )
 
     def derive(self, left: RelationSchema, right: RelationSchema) -> RelationSchema:
         return left.widen(right)
@@ -392,18 +408,10 @@ class Union(PlanNode):
     def pretty(self) -> str:
         return f"({self.left.pretty()} ∪ {self.right.pretty()})"
 
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.left, self.right)
-
 
 @dataclass(frozen=True)
-class Distinct(PlanNode):
+class Distinct(UnaryNode):
     """δ — duplicate elimination."""
-
-    child: PlanNode
-
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
-        return self.derive(self.child.output_schema(catalog))
 
     def derive(self, child: RelationSchema) -> RelationSchema:
         return child
@@ -411,12 +419,9 @@ class Distinct(PlanNode):
     def pretty(self) -> str:
         return f"δ({self.child.pretty()})"
 
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
-
 
 @dataclass(frozen=True)
-class Extend(PlanNode):
+class Extend(UnaryNode):
     """ε — append a constant column (used to NULL-pad optional features).
 
     UCQ branches must be union-compatible; a branch whose wrappers do not
@@ -424,12 +429,8 @@ class Extend(PlanNode):
     name so it lines up with branches that do.
     """
 
-    child: PlanNode
     column: str
     value: object = None
-
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
-        return self.derive(self.child.output_schema(catalog))
 
     def derive(self, child: RelationSchema) -> RelationSchema:
         if self.column in child:
@@ -449,16 +450,13 @@ class Extend(PlanNode):
         rendered = "NULL" if self.value is None else repr(self.value)
         return f"ε_{{{self.column}={rendered}}}({self.child.pretty()})"
 
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
-
 
 #: The aggregation functions :class:`Aggregate` supports.
 AGGREGATE_FUNCTIONS = ("count", "sum", "avg", "min", "max")
 
 
 @dataclass(frozen=True)
-class Aggregate(PlanNode):
+class Aggregate(UnaryNode):
     """γ — grouped aggregation.
 
     ``metrics`` is a tuple of ``(function, column, alias)`` with function
@@ -469,7 +467,6 @@ class Aggregate(PlanNode):
     BI tool over MDM would.
     """
 
-    child: PlanNode
     group_by: Tuple[str, ...]
     metrics: Tuple[Tuple[str, str, str], ...]
 
@@ -486,9 +483,6 @@ class Aggregate(PlanNode):
             if alias in seen:
                 raise SchemaError(f"duplicate output column {alias!r}")
             seen.add(alias)
-
-    def output_schema(self, catalog: Catalog) -> RelationSchema:
-        return self.derive(self.child.output_schema(catalog))
 
     def derive(self, child: RelationSchema) -> RelationSchema:
         failures = unknown_attributes("group-by", self.group_by, child)
@@ -517,9 +511,6 @@ class Aggregate(PlanNode):
         )
         return f"γ_{{{groups}; {metrics}}}({self.child.pretty()})"
 
-    def children(self) -> Tuple[PlanNode, ...]:
-        return (self.child,)
-
 
 def union_all(branches: Sequence[PlanNode]) -> PlanNode:
     """Left-deep union of one or more branches (identity for a single one)."""
@@ -529,3 +520,47 @@ def union_all(branches: Sequence[PlanNode]) -> PlanNode:
     for branch in branches[1:]:
         result = Union(result, branch)
     return result
+
+
+def flatten_union(plan: PlanNode, kind: type = Union) -> List[PlanNode]:
+    """The inputs of a nested run of ``kind`` operators, left to right.
+
+    By default the branches of a (possibly nested) union; with
+    ``NaturalJoin``, the leaves of a join cluster.
+    """
+    leaves: List[PlanNode] = []
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, kind):
+            stack += (node.right, node.left)
+        else:
+            leaves.append(node)
+    return leaves
+
+
+def plan_key(plan: PlanNode, cache: Optional[Dict[int, str]] = None) -> str:
+    """Canonical structural key of a plan subtree.
+
+    The operator's class name over its children's keys and the ``repr``
+    of each parameter, so two subtrees get the same key iff their reprs
+    are equal.  Parameters are keyed by ``repr`` because ``==`` equates
+    ``1`` with ``True``.  For immutable base relations equal keys mean
+    equal results — the property the Executor's shared-subplan memo
+    relies on.  ``cache`` (id → key) makes repeated hashing of a
+    DAG-shaped UCQ linear instead of quadratic.
+    """
+    if cache is not None:
+        hit = cache.get(id(plan))
+        if hit is not None:
+            return hit
+    kids = plan.children()
+    parts = []
+    for kid in kids:
+        parts.append(plan_key(kid, cache))
+    for name in _param_names(type(plan), len(kids)):
+        parts.append(repr(getattr(plan, name)))
+    key = f"{type(plan).__name__}({';'.join(parts)})"
+    if cache is not None:
+        cache[id(plan)] = key
+    return key

@@ -28,9 +28,10 @@ from .algebra import (
     Scan,
     Select,
     Union,
+    flatten_union,
+    plan_key,
 )
 from .expressions import Cmp, Col, Const, Expr, conjoin
-from .optimizer import plan_key
 from .relation import Relation
 from .schema import RelationSchema, SchemaError
 
@@ -140,20 +141,6 @@ class OperatorStats:
         return "\n".join(lines)
 
 
-def _count_union_branches(plan: Union) -> int:
-    """Number of non-Union leaves under a (possibly nested) union."""
-    count = 0
-    stack: List[PlanNode] = [plan]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Union):
-            stack.append(node.left)
-            stack.append(node.right)
-        else:
-            count += 1
-    return count
-
-
 def _op_label(plan: PlanNode, catalog: Optional[Catalog] = None) -> str:
     """Short human label for one plan node (scan names, op arity hints).
 
@@ -205,7 +192,7 @@ def _op_label(plan: PlanNode, catalog: Optional[Catalog] = None) -> str:
         condition = ",".join(f"{l}={r}" for l, r in plan.pairs)
         return f"EquiJoin[{condition}]"
     if isinstance(plan, Union):
-        return f"Union[{_count_union_branches(plan)} branches]"
+        return f"Union[{len(flatten_union(plan))} branches]"
     if isinstance(plan, Aggregate):
         groups = ",".join(plan.group_by) or "∅"
         metrics = ",".join(

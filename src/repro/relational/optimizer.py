@@ -26,8 +26,7 @@ module closes that gap with a classic three-stage logical optimizer:
 
 All rewrites preserve the result as a bag of rows up to row order (and
 byte-identically after the canonical UCQ-root sort that
-``MDM.execute`` applies).  :func:`plan_key` is the canonical structural
-hash the Executor uses to memoize shared subplans across CQ branches.
+``MDM.execute`` applies).
 """
 
 from __future__ import annotations
@@ -50,6 +49,8 @@ from .algebra import (
     Scan,
     Select,
     Union,
+    flatten_union,
+    plan_key,
     union_all,
 )
 from .expressions import Expr, conjuncts, rename_columns
@@ -63,94 +64,6 @@ __all__ = [
     "flatten_union",
     "plan_key",
 ]
-
-
-# --------------------------------------------------------------------- #
-# canonical structural hashing
-# --------------------------------------------------------------------- #
-
-
-def plan_key(plan: PlanNode, cache: Optional[Dict[int, str]] = None) -> str:
-    """Canonical structural key of a plan subtree.
-
-    Two subtrees get the same key iff they are structurally identical
-    (same operators, same parameters, same scans), which for immutable
-    base relations means they evaluate to the same result — the property
-    the Executor's shared-subplan memo relies on.  ``cache`` (id → key)
-    makes repeated hashing of a DAG-shaped UCQ linear instead of
-    quadratic.
-    """
-    if cache is not None:
-        hit = cache.get(id(plan))
-        if hit is not None:
-            return hit
-    if isinstance(plan, Scan):
-        if plan.is_pushed():
-            key = (
-                f"S({plan.relation_name!r};{plan.filters!r};"
-                f"{plan.columns!r};{plan.limit!r})"
-            )
-        else:
-            key = f"S({plan.relation_name!r})"
-    elif isinstance(plan, Project):
-        key = f"P({plan_key(plan.child, cache)};{plan.names!r})"
-    elif isinstance(plan, Select):
-        key = f"F({plan_key(plan.child, cache)};{plan.predicate!r})"
-    elif isinstance(plan, NaturalJoin):
-        key = f"J({plan_key(plan.left, cache)};{plan_key(plan.right, cache)})"
-    elif isinstance(plan, EquiJoin):
-        key = (
-            f"E({plan_key(plan.left, cache)};"
-            f"{plan_key(plan.right, cache)};{plan.pairs!r})"
-        )
-    elif isinstance(plan, Rename):
-        key = f"R({plan_key(plan.child, cache)};{plan.mapping!r})"
-    elif isinstance(plan, Union):
-        key = f"U({plan_key(plan.left, cache)};{plan_key(plan.right, cache)})"
-    elif isinstance(plan, Distinct):
-        key = f"D({plan_key(plan.child, cache)})"
-    elif isinstance(plan, Extend):
-        key = f"X({plan_key(plan.child, cache)};{plan.column!r};{plan.value!r})"
-    elif isinstance(plan, Aggregate):
-        key = (
-            f"G({plan_key(plan.child, cache)};"
-            f"{plan.group_by!r};{plan.metrics!r})"
-        )
-    else:  # future operators: fall back to repr (frozen dataclasses)
-        key = repr(plan)
-    if cache is not None:
-        cache[id(plan)] = key
-    return key
-
-
-def flatten_union(plan: PlanNode) -> List[PlanNode]:
-    """The non-Union leaves of a (possibly nested) union tree, in order."""
-    if isinstance(plan, Union):
-        return flatten_union(plan.left) + flatten_union(plan.right)
-    return [plan]
-
-
-def _with_children(plan: PlanNode, kids: Sequence[PlanNode]) -> PlanNode:
-    """A copy of ``plan`` with its children replaced, parameters kept."""
-    if isinstance(plan, Project):
-        return Project(kids[0], plan.names)
-    if isinstance(plan, Select):
-        return Select(kids[0], plan.predicate)
-    if isinstance(plan, NaturalJoin):
-        return NaturalJoin(kids[0], kids[1])
-    if isinstance(plan, EquiJoin):
-        return EquiJoin(kids[0], kids[1], plan.pairs)
-    if isinstance(plan, Rename):
-        return Rename(kids[0], plan.mapping)
-    if isinstance(plan, Union):
-        return Union(kids[0], kids[1])
-    if isinstance(plan, Distinct):
-        return Distinct(kids[0])
-    if isinstance(plan, Extend):
-        return Extend(kids[0], plan.column, plan.value)
-    if isinstance(plan, Aggregate):
-        return Aggregate(kids[0], plan.group_by, plan.metrics)
-    raise TypeError(f"cannot rebuild {type(plan).__name__} with new children")
 
 
 # --------------------------------------------------------------------- #
@@ -407,7 +320,7 @@ class PlanOptimizer:
                 changed = changed or kid_changed
                 new_kids.append(new_kid)
             if changed:
-                plan = _with_children(plan, new_kids)
+                plan = plan.with_children(new_kids)
         rewritten = self._apply_local(plan, stats)
         if rewritten is not None:
             return rewritten, True
@@ -634,13 +547,13 @@ class PlanOptimizer:
             return None
         if refs <= left_names:
             stats.count("select_pushdown_join_left")
-            return _with_children(
-                child, (Select(child.left, plan.predicate), child.right)
+            return child.with_children(
+                (Select(child.left, plan.predicate), child.right)
             )
         if refs <= (right_names - left_names):
             stats.count("select_pushdown_join_right")
-            return _with_children(
-                child, (child.left, Select(child.right, plan.predicate))
+            return child.with_children(
+                (child.left, Select(child.right, plan.predicate))
             )
         return None
 
@@ -777,21 +690,15 @@ class PlanOptimizer:
         if kids:
             new_kids = [self._reorder_everywhere(k, stats) for k in kids]
             if any(n is not o for n, o in zip(new_kids, kids)):
-                plan = _with_children(plan, new_kids)
+                plan = plan.with_children(new_kids)
         if isinstance(plan, NaturalJoin):
             return self._reorder_cluster(plan, stats)
         return plan
 
-    def _join_leaves(self, plan: PlanNode) -> List[PlanNode]:
-        """Leaves of a natural-join cluster, in original left-to-right order."""
-        if isinstance(plan, NaturalJoin):
-            return self._join_leaves(plan.left) + self._join_leaves(plan.right)
-        return [plan]
-
     def _reorder_cluster(
         self, cluster: NaturalJoin, stats: OptimizationStats
     ) -> PlanNode:
-        leaves = self._join_leaves(cluster)
+        leaves = flatten_union(cluster, NaturalJoin)
         if len(leaves) < 3:
             return cluster
         try:

@@ -23,6 +23,7 @@ from .algebra import (
     Select,
     Union,
 )
+from .executor import pushdown_predicate
 
 __all__ = ["to_sql"]
 
@@ -43,7 +44,15 @@ class _SqlBuilder:
 
     def render(self, plan: PlanNode) -> str:
         if isinstance(plan, Scan):
-            return f"SELECT * FROM {_quote(plan.relation_name)}"
+            columns = "*"
+            if plan.columns is not None:
+                columns = ", ".join(_quote(n) for n in plan.columns)
+            sql = f"SELECT {columns} FROM {_quote(plan.relation_name)}"
+            if plan.filters:
+                sql += f" WHERE {pushdown_predicate(plan.filters).sql()}"
+            if plan.limit is not None:
+                sql += f" LIMIT {plan.limit}"
+            return sql
         if isinstance(plan, Project):
             inner = self.render(plan.child)
             cols = ", ".join(_quote(n) for n in plan.names)

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..relational.algebra import canonical_scan_filters
 from ..relational.relation import Relation
 
 __all__ = [
@@ -38,24 +37,12 @@ __all__ = [
     "FetchRequest",
     "FetchResult",
     "apply_fetch_request",
-    "canonical_filters",
 ]
 
 #: Capability flags a wrapper may declare (see ``Wrapper.capabilities``).
 CAP_FILTERS = "filters"
 CAP_PROJECTION = "projection"
 CAP_LIMIT = "limit"
-
-#: Comparison operators a pushed filter may use (mirrors walks._FILTER_OPS).
-PUSHABLE_OPS = ("=", "!=", "<", "<=", ">", ">=")
-
-#: Constant types that may appear in a pushed filter.
-PUSHABLE_VALUE_TYPES = (str, int, float, bool, type(None))
-
-
-#: Canonical filter ordering (re-exported from the algebra layer so
-#: wrappers and the optimizer agree on one definition).
-canonical_filters = canonical_scan_filters
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 """Unit tests for algebra operators, the executor and SQL rendering."""
 
+import sqlite3
+from contextlib import closing
+
 import pytest
 
 from repro.relational.algebra import (
     Distinct,
     EquiJoin,
+    Extend,
     NaturalJoin,
     Project,
     Rename,
@@ -18,6 +22,7 @@ from repro.relational.expressions import And, Cmp, Col, Const, IsNull, NotExpr, 
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema, SchemaError
 from repro.relational.sql import to_sql
+from repro.sources.fetch import FetchRequest, apply_fetch_request
 
 
 @pytest.fixture
@@ -176,6 +181,21 @@ class TestOperators:
     def test_catalog(self, executor):
         assert set(executor.catalog) == {"w1", "w2"}
 
+    def test_pushed_scan_without_binding_derives_it_from_the_base(self, executor):
+        # Only the base relation is registered, so the executor applies the
+        # pushed work itself, exactly as a wrapper answering the request.
+        base = executor.relation("w1")
+        scan = Scan(
+            "w1", filters=(("height", ">", 175.0),), columns=("pName", "id"), limit=1
+        )
+        request = FetchRequest(scan.filters, scan.columns, scan.limit)
+        expected = apply_fetch_request(base, request)
+        derived = executor.execute(scan)
+        assert derived.schema == expected.schema
+        assert repr(derived.rows) == repr(expected.rows)
+        assert executor.catalog[scan.binding_name()] == expected.schema
+        assert executor.execute(scan) is derived
+
 
 class TestPretty:
     def test_pretty_uses_paper_notation(self, executor):
@@ -219,6 +239,51 @@ class TestSql:
     def test_union_sql(self):
         sql = to_sql(Union(Scan("a"), Scan("b")))
         assert "UNION ALL" in sql
+
+    def test_pushed_scan_sql(self):
+        plan = Scan("w", filters=(("a", "=", 1),), columns=("a",), limit=3)
+        assert to_sql(plan) == 'SELECT "a" FROM "w" WHERE "a" = 1 LIMIT 3'
+
+    def test_pushed_scan_sql_reads_the_pushed_rows(self, executor):
+        base = executor.relation("w1")
+        scan = Scan(
+            "w1",
+            filters=(("height", ">", 175.0), ("teamId", "!=", 99)),
+            columns=("pName", "id"),
+            limit=1,
+        )
+        columns = ", ".join(f'"{name}"' for name in base.schema.names)
+        marks = ", ".join("?" for _ in base.schema.names)
+        with closing(sqlite3.connect(":memory:")) as connection:
+            connection.execute(f'CREATE TABLE "w1" ({columns})')
+            connection.executemany(f'INSERT INTO "w1" VALUES ({marks})', base.rows)
+            rows = connection.execute(to_sql(scan)).fetchall()
+        expected = [("Robert Lewandowski", 6300)]
+        assert rows == list(executor.execute(scan).rows) == expected
+
+    def test_distinct_sql(self):
+        assert (
+            to_sql(Distinct(Scan("a")))
+            == 'SELECT DISTINCT * FROM (SELECT * FROM "a") AS t1'
+        )
+
+    def test_rename_sql(self):
+        assert (
+            to_sql(Rename.from_dict(Scan("a"), {"x": "y"}))
+            == 'SELECT "x" AS "y" FROM (SELECT * FROM "a") AS t1'
+        )
+
+    def test_natural_join_sql(self):
+        assert to_sql(NaturalJoin(Scan("a"), Scan("b"))) == (
+            'SELECT * FROM (SELECT * FROM "a") AS t1 '
+            'NATURAL JOIN (SELECT * FROM "b") AS t2'
+        )
+
+    def test_extend_sql(self):
+        assert (
+            to_sql(Extend(Scan("a"), "pad"))
+            == 'SELECT *, NULL AS "pad" FROM (SELECT * FROM "a") AS t1'
+        )
 
     def test_schema_output_static(self, executor):
         plan = Project(EquiJoin(Scan("w2"), Scan("w1"), (("id", "teamId"),)), ("name", "pName"))

@@ -280,6 +280,17 @@ def test_rename_fusion_and_noop_drop(executor):
     assert stats.rules.get("rename_fused", 0) >= 1
     assert optimized == Scan("B")  # the two renames cancel
 
+    chained = Rename.from_dict(
+        Rename.from_dict(Scan("B"), {"id": "mid"}), {"mid": "key"}
+    )
+    optimized, _ = optimize(executor, chained)
+    assert optimized == Rename.from_dict(Scan("B"), {"id": "key"})
+    assert_equivalent(executor, chained, optimized)
+
+    optimized, stats = optimize(executor, Rename(Scan("B"), (("id", "id"),)))
+    assert stats.rules.get("rename_noop_dropped") == 1
+    assert optimized == Scan("B")
+
 
 def test_project_fusion_and_noop_drop(executor):
     plan = Project(Project(Scan("A"), ("id", "x")), ("x",))
@@ -399,6 +410,36 @@ def test_prune_drops_unused_extend(executor):
     plan = Project(Extend(Scan("B"), "pad", None), ("y",))
     optimized, stats = optimize(executor, plan)
     assert stats.rules.get("extend_dropped", 0) == 1
+    assert_equivalent(executor, plan, optimized)
+
+
+def test_prune_narrows_both_sides_of_an_equi_join(executor):
+    # A and D share no column name, so no collision keeps a column alive.
+    rows = [{"did": i, "w": f"d{i}", "pad": -i} for i in range(5)]
+    executor.register("D", rel(rows, ["did", "w", "pad"]))
+    plan = Project(EquiJoin(Scan("A"), Scan("D"), (("id", "did"),)), ("x", "w"))
+    optimized, stats = optimize(executor, plan)
+    assert stats.rules.get("scan_columns_pruned") == 2  # A.junk and D.pad
+    assert optimized == Project(
+        EquiJoin(
+            Project(Scan("A"), ("id", "x")),
+            Project(Scan("D"), ("did", "w")),
+            (("id", "did"),),
+        ),
+        ("x", "w"),
+    )
+    assert_equivalent(executor, plan, optimized)
+
+
+def test_prune_realigns_union_branches_pruned_to_different_columns(executor):
+    # Each branch keeps the column its own selection reads, so they prune
+    # to (id, x) and (id, junk) and the union realigns both on (id).
+    by_x = Select(Scan("A"), Cmp("=", Col("x"), Const("a1")))
+    by_junk = Select(Scan("A"), Cmp(">", Col("junk"), Const(70)))
+    plan = Project(Union(by_x, by_junk), ("id",))
+    optimized, stats = optimize(executor, plan)
+    assert stats.rules.get("scan_columns_pruned") == 2
+    assert optimized == Union(Project(by_x, ("id",)), Project(by_junk, ("id",)))
     assert_equivalent(executor, plan, optimized)
 
 
