@@ -10,7 +10,9 @@ At session end the harness additionally runs the reference OMQ (league /
 nationality) under the observability layer and writes
 ``benchmarks/BENCH_obs.json`` — per-phase rewrite latency, executor
 operator histograms and wrapper fetch statistics — so successive PRs
-leave a comparable perf trajectory.
+leave a comparable perf trajectory.  The span tree is written without
+its random ids and wall-clock start times, so the file only changes
+where the query's shape or timings do.
 """
 
 import json
@@ -25,6 +27,9 @@ BENCH_OBS_PATH = Path(__file__).resolve().parent / "BENCH_obs.json"
 
 #: How many traced executions feed the histograms in BENCH_obs.json.
 _OBS_RUNS = 5
+
+#: Span fields that differ on every run whatever the query does.
+_VOLATILE_SPAN_FIELDS = ("span_id", "parent_id", "trace_id", "start")
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +55,13 @@ def emit(title: str, body: str) -> None:
 def _traced_reference_query(scenario):
     walk = scenario.walk_league_nationality()
     return scenario.mdm.execute(walk, analyze=True)
+
+
+def _stable_span_tree(span: dict) -> dict:
+    """A span dict and its children without the volatile fields."""
+    kept = {k: v for k, v in span.items() if k not in _VOLATILE_SPAN_FIELDS}
+    kept["children"] = [_stable_span_tree(child) for child in span["children"]]
+    return kept
 
 
 def _obs_summary() -> dict:
@@ -99,7 +111,7 @@ def _obs_summary() -> dict:
         "rewrite_phases": rewrite_phases,
         "executor_operators": operators,
         "wrapper_fetches": wrappers,
-        "last_span_tree": root.to_dict(),
+        "last_span_tree": _stable_span_tree(root.to_dict()),
     }
 
 

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Fail if compiled-Python artifacts or oversized files are tracked.
+"""Fail if compiled-Python artifacts, ignored or oversized files are tracked.
 
 ``__pycache__`` directories and ``.pyc`` files snuck into one commit
 already; this check keeps them from coming back.  It also rejects
-tracked files larger than 1 MB outside ``benchmarks/`` — generated
-result dumps belong there or nowhere.  Run directly::
+tracked files that ``.gitignore`` ignores (a stale
+``src/repro.egg-info/`` was tracked that way), and tracked files larger
+than 1 MB outside ``benchmarks/`` — generated result dumps belong there
+or nowhere.  Run directly::
 
     python scripts/check_repo_hygiene.py
 
@@ -29,11 +31,11 @@ MAX_FILE_BYTES = 1_000_000
 SIZE_EXEMPT_PREFIXES = ("benchmarks/",)
 
 
-def tracked_files(repo_root: Path = REPO_ROOT) -> list:
-    """All paths in the git index (empty list when git is unavailable)."""
+def _ls_files(repo_root: Path, *options: str) -> list:
+    """``git ls-files`` paths (empty list when git is unavailable)."""
     try:
         completed = subprocess.run(
-            ["git", "ls-files", "-z"],
+            ["git", "ls-files", "-z", *options],
             cwd=repo_root,
             capture_output=True,
             check=True,
@@ -42,6 +44,16 @@ def tracked_files(repo_root: Path = REPO_ROOT) -> list:
         return []
     raw = completed.stdout.decode("utf-8", errors="replace")
     return [p for p in raw.split("\0") if p]
+
+
+def tracked_files(repo_root: Path = REPO_ROOT) -> list:
+    """All paths in the git index (empty list when git is unavailable)."""
+    return _ls_files(repo_root)
+
+
+def ignored_tracked_files(repo_root: Path = REPO_ROOT) -> list:
+    """Paths in the git index that the standard ignore rules exclude."""
+    return _ls_files(repo_root, "--cached", "--ignored", "--exclude-standard")
 
 
 def hygiene_violations(paths) -> list:
@@ -87,10 +99,15 @@ def size_violations(
 def main() -> int:
     paths = tracked_files()
     offenders = hygiene_violations(paths)
+    ignored = ignored_tracked_files()
     oversized = size_violations(paths)
     if offenders:
         print("tracked compiled-Python artifacts (git rm --cached them):")
         for path in offenders:
+            print(f"  {path}")
+    if ignored:
+        print("tracked files that .gitignore ignores (git rm --cached them):")
+        for path in ignored:
             print(f"  {path}")
     if oversized:
         print(
@@ -99,9 +116,12 @@ def main() -> int:
         )
         for path, size in oversized:
             print(f"  {path} ({size} bytes)")
-    if offenders or oversized:
+    if offenders or ignored or oversized:
         return 1
-    print("repo hygiene: clean (no tracked __pycache__/.pyc, no oversized files)")
+    print(
+        "repo hygiene: clean (no tracked __pycache__/.pyc, ignored or "
+        "oversized files)"
+    )
     return 0
 
 

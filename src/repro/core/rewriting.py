@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -47,6 +48,8 @@ from ..relational.algebra import (
     Rename,
     Scan,
     Select,
+    flatten_union,
+    plan_key,
     union_all,
 )
 from ..relational.expressions import And, Cmp, Col, Const, Expr
@@ -223,9 +226,6 @@ class Rewriter:
                         "walk's relations are not covered by any wrapper combination"
                     )
                 candidate_cqs = len(queries)
-                queries = (
-                    _drop_redundant(queries) if self.minimize else _dedupe(queries)
-                )
                 projected_features = sorted(
                     set(walk.features) | set(expanded.optional_features),
                     key=lambda i: i.value,
@@ -233,6 +233,13 @@ class Rewriter:
                 projection = tuple(
                     columns[f] for f in projected_features
                 ) or tuple(columns[f] for f in expanded.sorted_features())
+                if self.minimize:
+                    read = frozenset(projection).union(
+                        columns[c.feature] for c in walk.filters
+                    )
+                    queries = _drop_redundant(queries, read)
+                else:
+                    queries = _dedupe(queries)
                 predicate = _filter_predicate(walk, columns)
                 if predicate is not None:
                     queries = [
@@ -490,14 +497,13 @@ class Rewriter:
         plan = Project(plan, produced_sorted)
         return plan, frozenset(produced_sorted)
 
+    @staticmethod
     def _cover_plan(
-        self,
         cover: Tuple[MappingView, ...],
-        relevant: Set[IRI],
-        columns: Mapping[IRI, str],
+        leaves: Mapping[str, Tuple[PlanNode, FrozenSet[str]]],
     ) -> Tuple[PlanNode, FrozenSet[str]]:
         """Join the cover's views (natural join on shared identifier cols)."""
-        plans = [self._view_plan(v, relevant, columns) for v in cover]
+        plans = [leaves[v.wrapper_name] for v in cover]
         plan, cols = plans[0]
         for other_plan, other_cols in plans[1:]:
             plan = NaturalJoin(plan, other_plan)
@@ -516,14 +522,28 @@ class Rewriter:
         columns: Mapping[IRI, str],
         relevant: Set[IRI],
     ) -> List[ConjunctiveQuery]:
-        """Enumerate concept-cover combinations and join them over edges."""
+        """Enumerate concept-cover combinations and join them over edges.
+
+        Each wrapper's view plan is built once, so every CQ that uses the
+        wrapper shares one leaf node.
+        """
         concepts = walk.sorted_concepts()
+        views = {
+            view.wrapper_name: view
+            for covers in concept_covers.values()
+            for cover in covers
+            for view in cover
+        }
+        leaves = {
+            name: self._view_plan(view, relevant, columns)
+            for name, view in views.items()
+        }
         queries: List[ConjunctiveQuery] = []
         for combo in itertools.product(*(concept_covers[c] for c in concepts)):
             assignment = dict(zip(concepts, combo))
             if not self._edges_supported(walk, identifiers, assignment):
                 continue
-            assembled = self._assemble(walk, concepts, assignment, columns, relevant)
+            assembled = self._assemble(walk, concepts, assignment, leaves)
             if assembled is None:
                 continue
             plan, produced = assembled
@@ -567,8 +587,7 @@ class Rewriter:
         walk: Walk,
         concepts: Sequence[IRI],
         assignment: Mapping[IRI, Tuple[MappingView, ...]],
-        columns: Mapping[IRI, str],
-        relevant: Set[IRI],
+        leaves: Mapping[str, Tuple[PlanNode, FrozenSet[str]]],
     ) -> Optional[Tuple[PlanNode, FrozenSet[str]]]:
         """Join the per-concept cover plans along the walk's edges.
 
@@ -577,7 +596,7 @@ class Rewriter:
         joined plan and the set of columns it produces.
         """
         cover_plans: Dict[IRI, Tuple[PlanNode, FrozenSet[str]]] = {
-            c: self._cover_plan(assignment[c], relevant, columns) for c in concepts
+            c: self._cover_plan(assignment[c], leaves) for c in concepts
         }
         adjacency: Dict[IRI, Set[IRI]] = {c: set() for c in concepts}
         for edge in walk.sorted_edges():
@@ -632,39 +651,74 @@ def _filter_predicate(walk: Walk, columns: Mapping[IRI, str]) -> Optional[Expr]:
     return predicate
 
 
-def _drop_redundant(queries: List[ConjunctiveQuery]) -> List[ConjunctiveQuery]:
-    """Minimize the UCQ by conjunctive-query containment.
+def _leaf_shape(
+    query: ConjunctiveQuery, read: FrozenSet[str], keys: Dict[int, str]
+) -> Tuple[FrozenSet[Tuple[str, int]], Dict[str, str], Dict[str, str]]:
+    """A CQ's join leaves as (bag, first providers, guarded providers).
 
-    A CQ whose per-concept cover is, concept by concept, a superset of
-    another CQ's cover is *contained* in it: joining extra wrappers only
-    adds conjuncts, so its answers are a subset of the smaller CQ's and it
-    contributes nothing to the union.  Distinct wrapper choices that are
-    not comparable — e.g. the v1 and v2 wrappers of an evolved source —
-    are both kept, which is exactly how evolution governance unions the
-    schema versions.
+    A leaf is the π/ρ over one Scan that ``_view_plan`` builds, keyed by
+    ``plan_key``.  The bag holds ``(key, n)`` for the *n*-th occurrence
+    of a key, so sub-bag is subset.  ``first`` maps each produced column
+    to the key of its leftmost provider — the leaf whose raw value the
+    join keeps; ``guarded`` keeps its ``read`` columns that several
+    leaves provide.  ``keys`` is ``plan_key``'s cache, shared across the
+    CQs, whose leaves are shared nodes.
     """
+    seen: Counter[str] = Counter()
+    first: Dict[str, str] = {}
+    shared: Set[str] = set()
+    for leaf in flatten_union(query.plan, NaturalJoin):
+        key = plan_key(leaf, keys)
+        seen[key] += 1
+        for column in leaf.names:  # type: ignore[attr-defined]
+            if column in first:
+                shared.add(column)
+            else:
+                first[column] = key
+    bag = frozenset((key, n) for key, count in seen.items() for n in range(count))
+    return bag, first, {column: first[column] for column in shared & read}
 
-    def cover_map(query: ConjunctiveQuery) -> Dict[IRI, FrozenSet[str]]:
-        return {concept: frozenset(names) for concept, names in query.covers}
 
-    maps = [cover_map(q) for q in queries]
-    kept: List[ConjunctiveQuery] = []
-    seen: Set[Tuple] = set()
-    for i, query in enumerate(queries):
-        if query.covers in seen:
-            continue
-        contained_in_other = any(
-            j != i
-            and all(maps[j][c] <= maps[i][c] for c in maps[i])
-            and maps[j] != maps[i]
-            # The smaller CQ must also produce every column this one
-            # does — a CQ kept for an optional feature column is not
-            # redundant even though its covers are a superset.
+def _drop_redundant(
+    queries: List[ConjunctiveQuery], read: FrozenSet[str]
+) -> List[ConjunctiveQuery]:
+    """Minimize the UCQ by conjunctive-query containment over join leaves.
+
+    CQ *i* is contained in CQ *j* — the identity-mapping case of the
+    homomorphism test (Chandra & Merlin 1977) — when
+
+    * *j*'s leaf multiset is a sub-bag of *i*'s: *i* joins *j*'s leaves
+      with extra ones, and an extra leaf can only filter rows.  Bags, not
+      sets: a repeated leaf is a self-join, which drops rows with a NULL
+      in any of its columns, so it is not a no-op;
+    * *j* produces every column *i* produces (so both pad the same
+      optional columns with NULL);
+    * every column in ``read`` (projected or filtered) that several of
+      *i*'s leaves provide has the same leftmost provider in *j*.  The
+      lenient join equates ``'100'`` with ``100`` and keeps the first
+      provider's raw value, so another provider would change the bytes
+      and the type of the column.
+
+    *i* is dropped when some *j* with a strictly smaller bag contains it,
+    or an earlier *j* with an equal bag (equal bags contain each other).
+    Distinct leaves that are not comparable — e.g. the v1 and v2 wrappers
+    of an evolved source — are both kept, which is exactly how evolution
+    governance unions the schema versions.
+    """
+    keys: Dict[int, str] = {}
+    shapes = [_leaf_shape(q, read, keys) for q in queries]
+
+    def contained(i: int, j: int) -> bool:
+        bag_i, _, guarded_i = shapes[i]
+        bag_j, first_j, _ = shapes[j]
+        return (
+            (bag_j < bag_i or (bag_j == bag_i and j < i))
             and queries[j].columns >= queries[i].columns
-            for j in range(len(queries))
+            and all(first_j[c] == key for c, key in guarded_i.items())
         )
-        if contained_in_other:
-            continue
-        seen.add(query.covers)
-        kept.append(query)
-    return kept
+
+    return [
+        query
+        for i, query in enumerate(queries)
+        if not any(contained(i, j) for j in range(len(queries)))
+    ]

@@ -1,5 +1,7 @@
 """Unit tests for the three-phase LAV rewriting (paper §2.4)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.errors import (
@@ -7,8 +9,11 @@ from repro.core.errors import (
     NoCoverError,
     RewritingError,
 )
+from repro.core.rewriting import Rewriter
 from repro.core.walks import Walk
-from repro.relational.algebra import Distinct
+from repro.relational.algebra import Distinct, NaturalJoin, flatten_union
+from repro.relational.executor import Executor
+from repro.relational.types import AttrType
 from repro.scenarios.football import (
     COUNTRY,
     LEAGUE,
@@ -236,3 +241,77 @@ class TestMinimizationFlag:
                 )
             rows[minimize] = set(executor.execute(result.plan).rows)
         assert rows[True] == rows[False]
+
+
+def _answer(scenario, walk, minimize):
+    """Rewrite ``walk`` with minimization on or off and execute the UCQ.
+
+    Returns the rewrite and the answer as (schema, sorted row reprs), so
+    raw values that the lenient join equates (``'100'`` and ``100``)
+    still compare unequal.
+    """
+    result = Rewriter(
+        scenario.mdm.global_graph, scenario.mdm.mappings, minimize=minimize
+    ).rewrite(walk)
+    executor = Executor()
+    for name in {n for q in result.queries for n in q.wrapper_names}:
+        executor.register(name, scenario.mdm.wrappers[name].fetch_relation())
+    relation = executor.execute(result.plan)
+    rows = sorted(tuple(repr(v) for v in row) for row in relation.rows)
+    return result, (relation.schema, rows)
+
+
+def _leaf_wrappers(query):
+    return [leaf.scans()[0] for leaf in flatten_union(query.plan, NaturalJoin)]
+
+
+class TestLeafBagContainment:
+    def test_paper_omq_is_one_cq(self, scenario):
+        result = scenario.mdm.rewriter.rewrite(scenario.walk_league_nationality())
+        assert result.ucq_size == 1
+        # No self-join: each wrapper is one leaf.
+        assert _leaf_wrappers(result.queries[0]) == ["w1n", "w3", "w1", "w2m"]
+
+    def test_paper_omq_is_one_cq_on_generated_data(self):
+        generated = FootballScenario.build(seed=2018)
+        walk = generated.walk_league_nationality()
+        assert generated.mdm.rewriter.rewrite(walk).ucq_size == 1
+
+    def test_evolved_walk_is_one_cq_per_schema_version(self, evolved_scenario):
+        result = evolved_scenario.mdm.rewriter.rewrite(
+            evolved_scenario.walk_league_nationality()
+        )
+        assert result.ucq_size == 2
+        players = [
+            {"w1", "w1v2"} & set(q.wrapper_names) for q in result.queries
+        ]
+        assert players == [{"w1"}, {"w1v2"}]
+
+    def test_null_named_player_survives_minimization(self):
+        """A repeated leaf is a self-join that drops rows with a NULL, so
+        a CQ that repeats a leaf does not equal one that does not."""
+        scenario = FootballScenario.build(anchors_only=True)
+        ramos = next(p for p in scenario.data.players if p.name == "Sergio Ramos")
+        new_id = max(p.id for p in scenario.data.players) + 1
+        scenario.data.players.append(
+            dataclasses.replace(ramos, id=new_id, name=None)
+        )
+        walk = scenario.walk_league_nationality()
+        _, minimized = _answer(scenario, walk, minimize=True)
+        _, reference = _answer(scenario, walk, minimize=False)
+        assert ("None",) in minimized[1]
+        assert minimized == reference
+
+    def test_projected_column_keeps_its_first_provider(self, scenario):
+        """leagueId is STRING in w2m and INTEGER in w3.  The join keeps
+        the first provider's raw value, so a CQ may only replace another
+        that reads a projected column from the same leaf."""
+        walk = scenario.mdm.walk_from_nodes(
+            [PLAYER, EX.playerName, TEAM, LEAGUE, EX.leagueId, COUNTRY]
+        )
+        result, minimized = _answer(scenario, walk, minimize=True)
+        reference_result, reference = _answer(scenario, walk, minimize=False)
+        assert minimized == reference
+        schema = minimized[0]
+        assert schema.attribute("leagueId").type is AttrType.STRING
+        assert result.ucq_size < reference_result.ucq_size

@@ -3,17 +3,30 @@
 These tests generate random chain-shaped global graphs, sources with one
 wrapper per concept-pair edge, and consistent synthetic data, then check
 the rewriting's core invariants: every CQ joins only through identifier
-columns, results match the relational ground truth, and evolution (adding
-a second wrapper version) never changes the answer set.
+columns, results match the relational ground truth, evolution (adding
+a second wrapper version) never changes the answer set, and UCQ
+minimization never changes the answer's bytes.
 """
 
 import itertools
+import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mdm import MDM
+from repro.core.rewriting import Rewriter
+from repro.core.walks import FilterCondition
 from repro.rdf.namespaces import Namespace
+from repro.relational.algebra import (
+    Extend,
+    NaturalJoin,
+    Select,
+    flatten_union,
+    plan_key,
+)
+from repro.relational.executor import Executor
 from repro.sources.wrappers import StaticWrapper
 
 NS = Namespace("http://prop.test/")
@@ -317,3 +330,157 @@ def test_cache_capacity_is_bounded():
         mdm.rewrite(walk)
     assert len(mdm.rewrite_cache) == 2
     assert mdm.rewrite_cache.stats()["evictions"] >= 1
+
+
+# --------------------------------------------------------------------- #
+# UCQ minimization never changes the answer
+# --------------------------------------------------------------------- #
+
+
+def build_lav_chain_mdm(n_concepts: int, rows: int, seed: int):
+    """A chain C0 -r0-> C1 ... whose wrappers give alternative covers.
+
+    Each concept Ci has idI + valI features and a wrapper wi.  Edge ri is
+    carried by wi (column ``next``) or by w(i+1) (column ``prev``), and
+    may also be carried by a link wrapper li on the same source holding
+    just the two identifiers.  Wrappers that carry a neighbour's
+    identifier can cover that neighbour too, so different cover
+    assignments give equal or nested leaf bags.  About a fifth of all
+    values, identifiers included, are NULL.  The link wrapper of one
+    edge, when present, holds its neighbour identifier as a zero-padded
+    STRING (``'03'``) that the lenient join equates with the INTEGER
+    ``3`` of the other wrappers.
+    """
+    rng = random.Random(seed)
+
+    def maybe(value):
+        return None if rng.random() < 0.2 else value
+
+    mdm = MDM()
+    concepts = []
+    for i in range(n_concepts):
+        concept = NS[f"C{i}"]
+        mdm.add_concept(concept)
+        mdm.add_identifier(NS[f"id{i}"], concept)
+        mdm.add_feature(NS[f"val{i}"], concept)
+        mdm.register_source(f"s{i}")
+        concepts.append(concept)
+    edges = []
+    for i in range(n_concepts - 1):
+        mdm.relate(concepts[i], NS[f"r{i}"], concepts[i + 1])
+        edges.append((concepts[i], NS[f"r{i}"], concepts[i + 1]))
+    forward = [rng.random() < 0.5 for _ in edges]
+    string_edge = rng.randrange(len(edges)) if edges else None
+    for i in range(n_concepts):
+        mapping = {"id": NS[f"id{i}"], "val": NS[f"val{i}"]}
+        carried = []
+        if i < len(edges) and forward[i]:
+            mapping["next"] = NS[f"id{i + 1}"]
+            carried.append(edges[i])
+        if i > 0 and not forward[i - 1]:
+            mapping["prev"] = NS[f"id{i - 1}"]
+            carried.append(edges[i - 1])
+        records = []
+        for k in range(rows):
+            record = {"id": maybe(k), "val": maybe(f"c{i}v{k}")}
+            for column in mapping:
+                if column not in record:
+                    record[column] = maybe(rng.randrange(rows))
+            records.append(record)
+        mdm.register_wrapper(f"s{i}", StaticWrapper(f"w{i}", list(mapping), records))
+        mdm.define_mapping(f"w{i}", mapping, edges=carried)
+    for i, edge in enumerate(edges):
+        if rng.random() < 0.4:
+            continue  # no link wrapper for this edge
+        own, other = (i, i + 1) if forward[i] else (i + 1, i)
+        column = f"to{other}"
+        records = []
+        for k in range(rows):
+            target = maybe(rng.randrange(rows))
+            if i == string_edge and target is not None:
+                target = f"{target:02d}"
+            records.append({"id": maybe(k), column: target})
+        mdm.register_wrapper(f"s{own}", StaticWrapper(f"l{i}", ["id", column], records))
+        mdm.define_mapping(
+            f"l{i}",
+            {"id": NS[f"id{own}"], column: NS[f"id{other}"]},
+            edges=[edge],
+        )
+    return mdm, concepts
+
+
+def _answer_bytes(mdm, result):
+    """The UCQ's answer as (schema, sorted row reprs): byte-level."""
+    executor = Executor()
+    for name in {n for q in result.queries for n in q.wrapper_names}:
+        executor.register(name, mdm.wrappers[name].fetch_relation())
+    relation = executor.execute(result.plan)
+    return relation.schema, sorted(tuple(repr(v) for v in row) for row in relation.rows)
+
+
+def _join_shape(query):
+    """(leaf-key multiset, columns, column -> key of its first provider,
+    columns with several providers) of a CQ's join."""
+    plan = query.plan
+    while isinstance(plan, (Select, Extend)):
+        plan = plan.child
+    bag, first, shared = Counter(), {}, set()
+    for leaf in flatten_union(plan, NaturalJoin):
+        key = plan_key(leaf)
+        bag[key] += 1
+        for column in leaf.names:
+            if column in first:
+                shared.add(column)
+            first.setdefault(column, key)
+    return bag, set(first), first, shared
+
+
+def _contained(inner, outer, read):
+    """Whether ``outer`` answers everything ``inner`` does, byte for byte,
+    by the leaf-bag containment rule."""
+    bag_i, columns_i, first_i, shared_i = inner
+    bag_o, columns_o, first_o, _ = outer
+    return (
+        all(bag_o[key] <= bag_i[key] for key in bag_o)
+        and columns_o >= columns_i
+        and all(first_o[c] == first_i[c] for c in shared_i & read)
+    )
+
+
+@given(
+    n_concepts=st.integers(min_value=2, max_value=3),
+    rows=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=200, deadline=None)
+def test_minimized_ucq_answers_byte_identically(n_concepts, rows, seed):
+    """Dropping contained CQs changes neither the schema (types
+    included) nor the raw bytes of any answer row, and leaves no kept
+    CQ contained in another kept CQ."""
+    mdm, concepts = build_lav_chain_mdm(n_concepts, rows, seed)
+    rng = random.Random(seed + 1)
+    first = rng.randrange(n_concepts)
+    last = rng.randrange(first, n_concepts)
+    nodes = list(concepts[first : last + 1])
+    for i in range(first, last + 1):
+        if rng.random() < 0.5:
+            nodes.append(NS[f"val{i}"])
+        if rng.random() < 0.3:
+            nodes.append(NS[f"id{i}"])
+    walk = mdm.walk_from_nodes(nodes)
+    if rng.random() < 0.4:
+        feature = NS[f"id{rng.randrange(first, last + 1)}"]
+        op = rng.choice([">=", "=", "!="])
+        walk = walk.with_filters(FilterCondition(feature, op, rng.randrange(3)))
+    minimized = Rewriter(mdm.global_graph, mdm.mappings).rewrite(walk)
+    reference = Rewriter(mdm.global_graph, mdm.mappings, minimize=False).rewrite(walk)
+    assert minimized.ucq_size <= reference.ucq_size
+    assert _answer_bytes(mdm, minimized) == _answer_bytes(mdm, reference)
+    read = set(minimized.projection)
+    read.update(minimized.column_names[c.feature] for c in walk.filters)
+    shapes = [_join_shape(q) for q in minimized.queries]
+    for i, j in itertools.permutations(range(len(shapes)), 2):
+        assert not _contained(shapes[i], shapes[j], read), (
+            minimized.queries[i].describe(),
+            minimized.queries[j].describe(),
+        )

@@ -1,17 +1,23 @@
 """Pytest gate over :mod:`scripts.check_repo_hygiene`.
 
-Fails the suite when compiled-Python artifacts are tracked by git — the
-regression that added four ``.pyc`` files to one commit stays fixed.
+Fails the suite when compiled-Python artifacts or ignored files are
+tracked by git — the regressions that added four ``.pyc`` files to one
+commit and kept a stale ``src/repro.egg-info/`` in the index stay fixed.
 """
 
+import shutil
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "scripts"))
 
 from check_repo_hygiene import (  # noqa: E402
     hygiene_violations,
+    ignored_tracked_files,
     size_violations,
     tracked_files,
 )
@@ -30,6 +36,26 @@ def test_no_oversized_tracked_files():
     if not paths:
         return
     assert size_violations(paths, REPO_ROOT) == []
+
+
+def test_no_tracked_ignored_files():
+    assert ignored_tracked_files(REPO_ROOT) == []
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_ignored_tracked_file_detection(tmp_path):
+    def git(*args):
+        subprocess.run(["git", *args], cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / ".gitignore").write_text("*.egg-info/\n")
+    (tmp_path / "pkg.egg-info").mkdir()
+    (tmp_path / "pkg.egg-info" / "PKG-INFO").write_text("Name: pkg\n")
+    (tmp_path / "setup.py").write_text("")
+    git("add", ".gitignore", "setup.py")
+    assert ignored_tracked_files(tmp_path) == []
+    git("add", "--force", "pkg.egg-info/PKG-INFO")
+    assert ignored_tracked_files(tmp_path) == ["pkg.egg-info/PKG-INFO"]
 
 
 def test_size_violation_detection(tmp_path):
