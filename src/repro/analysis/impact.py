@@ -49,6 +49,7 @@ from typing import (
 )
 
 from ..rdf.terms import IRI
+from ..relational.algebra import Scan
 from ..sources.evolution import (
     AddField,
     ChangeType,
@@ -59,8 +60,7 @@ from ..sources.evolution import (
     SchemaChange,
     evolve_signature,
 )
-from ..sources.fetch import FetchRequest, FetchResult
-from ..sources.wrappers import RetryPolicy, StaticWrapper, Wrapper
+from ..sources.wrappers import FetchResult, RetryPolicy, StaticWrapper, Wrapper
 from .diagnostics import (
     Finding,
     Severity,
@@ -293,12 +293,12 @@ class _NoFetchWrapper(Wrapper):
     def fetch(self) -> List[Dict[str, Any]]:
         raise self._refuse()
 
-    def _fetch_push(self, request: FetchRequest) -> FetchResult:
+    def _fetch_push(self, scan: Scan) -> FetchResult:
         raise self._refuse()
 
     def fetch_request(
         self,
-        request: Optional[FetchRequest] = None,
+        scan: Optional[Scan] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> Tuple[FetchResult, int]:
         raise self._refuse()

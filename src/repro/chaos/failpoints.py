@@ -79,7 +79,7 @@ SITES = frozenset(
         "wrapper.fetch",  # key=wrapper name; before each fetch attempt
         "wrapper.payload",  # key=wrapper name; corruptible fetched rows
         "retry.sleep",  # key=wrapper name; before each backoff sleep
-        "fetch.apply",  # pushdown FetchRequest application
+        "fetch.apply",  # key=relation name; a pushed Scan applied (apply_pushdown)
         "restapi.get",  # key=endpoint path; mock REST endpoint serving
         "cache.rewrite",  # rewrite-cache lookup
         "cache.result",  # result-cache lookup

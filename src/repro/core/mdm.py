@@ -44,10 +44,10 @@ from ..obs.profile import (
 from ..obs.querylog import QueryLogRecord, get_query_log
 from ..rdf.dataset import Dataset
 from ..rdf.terms import IRI, Triple
-from ..relational.executor import Executor, OperatorStats
+from ..relational.algebra import Scan
+from ..relational.executor import Executor, OperatorStats, apply_pushdown
 from ..relational.optimizer import OptimizationStats, PlanOptimizer
 from ..relational.relation import Relation
-from ..sources.fetch import FULL_FETCH, FetchRequest, apply_fetch_request
 from ..sources.wrappers import RetryPolicy, Wrapper
 from ..sparql.evaluator import evaluate_text
 from .config import ExecutionConfig, env_capacity
@@ -301,7 +301,7 @@ class QueryOutcome:
 
         >>> outcome.aggregate(["teamName"], [("count", "*", "players")])
         """
-        from ..relational.algebra import Aggregate, Scan
+        from ..relational.algebra import Aggregate
 
         executor = Executor({"__result__": self.relation})
         plan = Aggregate(
@@ -1193,7 +1193,7 @@ class MDM:
                     extracted = self._extract_pushdown(result.plan, needed)
                     self._pushdown_plans.store(key, extracted)
                 pushed_plan, pushdown_stats = extracted
-        requests, register_as, derived = self._scan_requests(pushed_plan, needed)
+        requests, derived = self._scan_requests(pushed_plan, needed)
         with timer.phase("fetch"):
             run.relations, run.attempts, errors, run.fetch_meta = (
                 self._fetch_requests(requests, ctx)
@@ -1203,17 +1203,13 @@ class MDM:
         run.failed = sorted(errors)
         registered: Dict[str, Relation] = {}
         for name in sorted(run.relations):
-            registered[register_as[name]] = run.relations[name]
+            relation = run.relations[name]
+            registered[requests[name].binding_name()] = relation
             # A wrapper fetched in full but scanned pushed elsewhere in
             # the plan: derive those bindings mediator-side (executor
             # semantics, so exact).
-            for scan in derived.get(name, ()):
-                registered[scan.binding_name()] = apply_fetch_request(
-                    run.relations[name],
-                    FetchRequest(
-                        filters=scan.filters, columns=scan.columns, limit=scan.limit
-                    ),
-                )
+            for scan in derived[name]:
+                registered[scan.binding_name()] = apply_pushdown(relation, scan)
         for name in sorted(registered):
             executor.register(name, registered[name])
         if ctx.config.pushdown:
@@ -1408,7 +1404,7 @@ class MDM:
 
     def _fetch_requests(
         self,
-        requests: Mapping[str, FetchRequest],
+        requests: Mapping[str, Scan],
         ctx: QueryContext,
     ) -> Tuple[
         Dict[str, Relation],
@@ -1451,8 +1447,8 @@ class MDM:
         for name in names:
             request = requests[name]
             entry: Dict[str, object] = {
-                "kind": "full" if request.is_full else "pushed",
-                "request": request.canonical(),
+                "kind": "pushed" if request.is_pushed() else "full",
+                "request": request.request,
                 "cache": "off",
                 "rows_transferred": 0,
                 "rows_source": None,
@@ -1461,7 +1457,7 @@ class MDM:
             if cache.enabled:
                 with tracer.span("wrapper-cache") as span:
                     span.set_tag("wrapper", name)
-                    cached = cache.lookup(name, request, generation)
+                    cached = cache.lookup(request, generation)
                     span.set_tag(
                         "cache", "hit" if cached is not None else "miss"
                     )
@@ -1489,7 +1485,7 @@ class MDM:
                 relations[name] = fetched.relation
                 meta[name]["rows_transferred"] = fetched.rows_transferred
                 meta[name]["rows_source"] = fetched.rows_source
-                cache.put(name, requests[name], generation, fetched.relation)
+                cache.put(requests[name], generation, fetched.relation)
 
         workers = min(ctx.config.max_fetch_workers, len(to_fetch))
         if workers <= 1:
@@ -1568,19 +1564,16 @@ class MDM:
         """Decide what to ask each wrapper for, from the plan's Scans.
 
         Per wrapper: exactly one distinct pushed Scan and no plain Scan
-        → its :class:`~repro.sources.fetch.FetchRequest` is pushed to
-        the source and the result registered under the Scan's binding
-        name.  Anything else (plain scans, several divergent pushed
-        scans) → one full fetch registered under the base name, with
-        each pushed Scan derived from it mediator-side (never fetch the
-        same source twice for one query).
+        → that Scan is the request pushed to the source, and its result
+        is registered under the Scan's binding name.  Anything else
+        (plain scans, several divergent pushed scans) → a full fetch,
+        ``Scan(name)``, with each pushed Scan derived from it
+        mediator-side (never fetch the same source twice for one query).
 
-        Returns ``(requests, register_as, derived)`` keyed by wrapper
-        name.
+        Returns ``(requests, derived)`` keyed by wrapper name: the Scan
+        to fetch and the pushed Scans to derive from its result.
         """
-        from ..relational.algebra import Scan
-
-        pushed: Dict[str, Dict[str, object]] = {}
+        pushed: Dict[str, Dict[str, Scan]] = {}
         plain: set = set()
         for node in plan.nodes():
             if not isinstance(node, Scan):
@@ -1589,25 +1582,17 @@ class MDM:
                 pushed.setdefault(node.relation_name, {})[node.binding_name()] = node
             else:
                 plain.add(node.relation_name)
-        requests: Dict[str, FetchRequest] = {}
-        register_as: Dict[str, str] = {}
-        derived: Dict[str, Tuple] = {}
+        requests: Dict[str, Scan] = {}
+        derived: Dict[str, Tuple[Scan, ...]] = {}
         for name in sorted(needed):
             scans = pushed.get(name, {})
             if len(scans) == 1 and name not in plain:
-                scan = next(iter(scans.values()))
-                requests[name] = FetchRequest(
-                    filters=scan.filters,
-                    columns=scan.columns,
-                    limit=scan.limit,
-                )
-                register_as[name] = scan.binding_name()
+                requests[name] = next(iter(scans.values()))
                 derived[name] = ()
             else:
-                requests[name] = FULL_FETCH
-                register_as[name] = name
+                requests[name] = Scan(name)
                 derived[name] = tuple(scans[key] for key in sorted(scans))
-        return requests, register_as, derived
+        return requests, derived
 
     def _base_resolver(self, ctx: QueryContext):
         """An on-demand base-relation fetcher for the executor.
@@ -1626,11 +1611,12 @@ class MDM:
                 raise MdmError(
                     f"wrapper {name!r} is mapped but has no runtime object"
                 )
-            cached = self.wrapper_cache.lookup(name, FULL_FETCH, generation)
+            full = Scan(name)
+            cached = self.wrapper_cache.lookup(full, generation)
             if cached is not None:
                 return cached
-            fetched, _ = wrapper.fetch_request(FULL_FETCH, ctx.config.retry_policy)
-            self.wrapper_cache.put(name, FULL_FETCH, generation, fetched.relation)
+            fetched, _ = wrapper.fetch_request(full, ctx.config.retry_policy)
+            self.wrapper_cache.put(full, generation, fetched.relation)
             return fetched.relation
 
         return resolve

@@ -2,10 +2,11 @@
 
 One level below the result cache (:mod:`repro.core.result_cache`): where
 that cache stores finished query outcomes, this one stores the typed
-relation a single wrapper returned for a single canonical
-:class:`~repro.sources.fetch.FetchRequest`, keyed by::
+relation a single wrapper returned for a single fetch request — a
+:class:`~repro.relational.algebra.Scan`, plain for a full fetch, pushed
+otherwise — keyed by::
 
-    (wrapper name, canonical request, metadata generation)
+    (wrapper name, Scan.request, metadata generation)
 
 Generation keying reuses the write-lock generation counter: any metadata
 mutation bumps it and every cached payload becomes unreachable, which is
@@ -34,8 +35,9 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..chaos.failpoints import fire as _failpoint
+from ..relational.algebra import Scan
+from ..relational.executor import apply_pushdown
 from ..relational.relation import Relation
-from ..sources.fetch import FULL_FETCH, FetchRequest, apply_fetch_request
 from .lru import GenerationLRU
 
 __all__ = ["WrapperCache"]
@@ -53,14 +55,12 @@ class WrapperCache(GenerationLRU):
         super().__init__(capacity, "wrapper_cache")
 
     @staticmethod
-    def key_for(wrapper: str, request: FetchRequest, generation: int) -> _Key:
+    def key_for(scan: Scan, generation: int) -> _Key:
         """The canonical cache key for one wrapper fetch at a generation."""
-        return (wrapper, request.canonical(), generation)
+        return (scan.relation_name, scan.request, generation)
 
-    def lookup(
-        self, wrapper: str, request: FetchRequest, generation: int
-    ) -> Optional[Relation]:
-        """The relation answering ``request``, or None (one hit OR miss).
+    def lookup(self, scan: Scan, generation: int) -> Optional[Relation]:
+        """The relation answering ``scan``, or None (one hit OR miss).
 
         Probes the exact request key first, then — for a pushed request —
         the wrapper's full-fetch entry at the same generation, deriving
@@ -69,19 +69,18 @@ class WrapperCache(GenerationLRU):
         """
         if not self.enabled:
             return None
+        wrapper = scan.relation_name
         _failpoint("cache.wrapper", key=wrapper)
 
         def derive() -> Optional[Relation]:
-            full = self._entries.get(self.key_for(wrapper, FULL_FETCH, generation))
-            return None if full is None else apply_fetch_request(full, request)
+            full = self._entries.get((wrapper, "*", generation))
+            return None if full is None else apply_pushdown(full, scan)
 
         return self.probe(
-            self.key_for(wrapper, request, generation),
-            derive=None if request.is_full else derive,
+            self.key_for(scan, generation),
+            derive=derive if scan.is_pushed() else None,
         )
 
-    def put(
-        self, wrapper: str, request: FetchRequest, generation: int, relation: Relation
-    ) -> None:
+    def put(self, scan: Scan, generation: int, relation: Relation) -> None:
         """Cache one fetched relation (LRU-evicting)."""
-        self.store(self.key_for(wrapper, request, generation), relation)
+        self.store(self.key_for(scan, generation), relation)

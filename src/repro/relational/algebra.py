@@ -50,7 +50,7 @@ every failed check instead of stopping at the first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cache
+from functools import cache, cached_property
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .expressions import Expr
@@ -69,6 +69,9 @@ __all__ = [
     "PlanNode",
     "UnaryNode",
     "BinaryNode",
+    "CAP_FILTERS",
+    "CAP_PROJECTION",
+    "CAP_LIMIT",
     "canonical_scan_filters",
     "Scan",
     "Project",
@@ -90,23 +93,29 @@ __all__ = [
 #: Maps scan names to their schemas for static schema derivation.
 Catalog = Dict[str, RelationSchema]
 
+#: Pushdown capabilities a wrapper may declare: which parts of a pushed
+#: :class:`Scan` (``filters``, ``columns``, ``limit``) it applies itself.
+CAP_FILTERS = "filters"
+CAP_PROJECTION = "projection"
+CAP_LIMIT = "limit"
+
 
 def canonical_scan_filters(
     filters: Sequence[Tuple[str, str, Any]],
 ) -> Tuple[Tuple[str, str, Any], ...]:
     """Sorted, de-duplicated pushed-filter conjuncts (canonical order).
 
-    The sort key includes the value's type name so equal-but-distinct
-    constants (``1`` vs ``True``) order deterministically.  Conjuncts
-    form a set — applying one twice keeps the same rows — so duplicates
-    are dropped.  Canonical order makes structurally equal pushed scans
-    compare equal, share one ``plan_key``, one fetch, and one
-    wrapper-cache entry.
+    Conjuncts are keyed by column, operator, the value's type name and
+    its ``repr`` — the key :func:`plan_key` and :attr:`Scan.request`
+    see — so equal-but-distinct constants (``1`` vs ``True``) stay two
+    conjuncts in a deterministic order, whichever was folded first.
+    Conjuncts form a set — applying one twice keeps the same rows — so
+    duplicates are dropped.  Canonical order makes structurally equal
+    pushed scans compare equal, share one ``plan_key``, one fetch, and
+    one wrapper-cache entry.
     """
-    unique = {tuple(f) for f in filters}
-    return tuple(
-        sorted(unique, key=lambda f: (f[0], f[1], type(f[2]).__name__, repr(f[2])))
-    )
+    keyed = {(c, op, type(v).__name__, repr(v)): (c, op, v) for c, op, v in filters}
+    return tuple(keyed[key] for key in sorted(keyed))
 
 
 class PlanNode:
@@ -212,12 +221,15 @@ class Scan(PlanNode):
         ``None`` for all signature columns.
     ``limit``
         row cap the source applies *after* filtering, or ``None`` for
-        all rows (mirrors ``FetchRequest.limit``; only meaningful for
-        wrappers declaring the ``limit`` capability).
+        all rows (only meaningful for wrappers declaring the ``limit``
+        capability).
 
-    A plain ``Scan(name)`` is a full fetch; ``is_pushed()`` tells the
-    two apart and ``binding_name()`` gives the catalog name the fetched
-    (filtered/projected) relation is registered under.
+    The pushed Scan is also the fetch request MDM hands its wrapper (a
+    plain ``Scan(name)`` asks for a full fetch), and
+    ``executor.apply_pushdown`` is what its pushed work means.
+    :attr:`request` renders that work canonically; ``is_pushed()`` and
+    ``binding_name()`` — the catalog name the fetched relation is
+    registered under — read it.
     """
 
     relation_name: str
@@ -225,23 +237,16 @@ class Scan(PlanNode):
     columns: Optional[Tuple[str, ...]] = field(default=None)
     limit: Optional[int] = field(default=None)
 
-    def is_pushed(self) -> bool:
-        """Whether this scan carries pushed filters, columns or a limit."""
-        return (
-            bool(self.filters)
-            or self.columns is not None
-            or self.limit is not None
-        )
-
-    def binding_name(self) -> str:
-        """Catalog/executor name for this scan's (possibly pushed) output.
+    @cached_property
+    def request(self) -> str:
+        """The pushed work, rendered once: ``"*"`` for a full fetch,
+        otherwise e.g. ``σ[foot='L']π[foot,id]``.
 
         Deterministic in the canonical filter order, so structurally
-        equal scans share one binding (and one wrapper fetch).
+        equal scans share one binding, one wrapper fetch and one
+        wrapper-cache entry.
         """
-        if not self.is_pushed():
-            return self.relation_name
-        parts = [self.relation_name]
+        parts: List[str] = []
         if self.filters:
             rendered = ",".join(f"{c}{op}{v!r}" for c, op, v in self.filters)
             parts.append(f"σ[{rendered}]")
@@ -249,7 +254,16 @@ class Scan(PlanNode):
             parts.append(f"π[{','.join(self.columns)}]")
         if self.limit is not None:
             parts.append(f"limit[{self.limit}]")
-        return "".join(parts)
+        return "".join(parts) or "*"
+
+    def is_pushed(self) -> bool:
+        """Whether this scan carries pushed filters, columns or a limit."""
+        return self.request != "*"
+
+    def binding_name(self) -> str:
+        """Catalog/executor name for this scan's (possibly pushed) output."""
+        request = self.request
+        return self.relation_name if request == "*" else self.relation_name + request
 
     def output_schema(self, catalog: Catalog) -> RelationSchema:
         if self.is_pushed():

@@ -53,32 +53,32 @@ def pushdown_predicate(filters: Iterable[Tuple[str, str, Any]]) -> Expr:
     return conjoin([Cmp(op, Col(column), Const(value)) for column, op, value in filters])
 
 
-def apply_pushdown(
-    relation: Relation,
-    filters: Tuple[Tuple[str, str, Any], ...] = (),
-    columns: Optional[Tuple[str, ...]] = None,
-    limit: Optional[int] = None,
-) -> Relation:
-    """Apply pushed scan work to a full relation, with executor semantics.
+def apply_pushdown(relation: Relation, scan: Scan) -> Relation:
+    """Apply a Scan's pushed work to its full relation, with executor semantics.
 
     This is the single definition of what a pushed filter/projection
-    *means*: capable wrappers, the uncapable-wrapper fallback, and the
-    executor's residual path all funnel through it, so pushdown can
-    relocate the work without ever changing the rows.
+    *means*: capable wrappers, the uncapable-wrapper fallback, the
+    wrapper cache, request planning and the executor's residual path all
+    funnel through it, so pushdown can relocate the work without ever
+    changing the rows.  Fires the ``fetch.apply`` failpoint, keyed by
+    the relation's name.
     """
+    from ..chaos.failpoints import fire as _failpoint
+
+    _failpoint("fetch.apply", key=relation.name)
     result = relation
-    if filters:
-        predicate = pushdown_predicate(filters)
+    if scan.filters:
+        predicate = pushdown_predicate(scan.filters)
         names = result.schema.names
         kept = [
             row for row in result if predicate.evaluate(dict(zip(names, row)))
         ]
         result = Relation(result.schema, kept)
-    if limit is not None:
-        result = Relation(result.schema, list(result.rows)[:limit])
-    if columns is not None:
-        indices = [result.schema.index_of(n) for n in columns]
-        schema = result.schema.project(columns)
+    if scan.limit is not None:
+        result = Relation(result.schema, list(result.rows)[: scan.limit])
+    if scan.columns is not None:
+        indices = [result.schema.index_of(n) for n in scan.columns]
+        schema = result.schema.project(scan.columns)
         result = Relation(schema, [tuple(row[i] for i in indices) for row in result])
     return result
 
@@ -438,7 +438,7 @@ class Executor:
         # the full base relation with identical semantics, and register
         # it so repeated scans of the same binding reuse the result.
         base = self.relation(plan.relation_name)
-        derived = apply_pushdown(base, plan.filters, plan.columns, plan.limit)
+        derived = apply_pushdown(base, plan)
         self._relations[binding] = derived
         return derived
 

@@ -37,6 +37,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..obs import get_metrics
 from .algebra import (
+    CAP_FILTERS,
+    CAP_PROJECTION,
     Aggregate,
     Catalog,
     Distinct,
@@ -49,6 +51,7 @@ from .algebra import (
     Scan,
     Select,
     Union,
+    canonical_scan_filters,
     flatten_union,
     plan_key,
     union_all,
@@ -411,6 +414,12 @@ class PlanOptimizer:
     #: Constant types a pushed filter may carry across the boundary.
     _PUSHABLE_VALUE_TYPES = (str, int, float, bool, type(None))
 
+    def _capable(self, scan: Scan, cap: str) -> bool:
+        """Whether extraction is armed and ``scan``'s wrapper declared ``cap``."""
+        if self.pushdown_capabilities is None:
+            return False
+        return cap in self.pushdown_capabilities.get(scan.relation_name, ())
+
     @classmethod
     def _pushable_conjunct(cls, expr: Expr) -> Optional[Tuple[str, str, object]]:
         """``(column, op, value)`` if ``expr`` is a pushable comparison."""
@@ -441,10 +450,7 @@ class PlanOptimizer:
         against the base row, where a projected-away column would wrongly
         come back to life).
         """
-        if self.pushdown_capabilities is None:
-            return None
-        caps = self.pushdown_capabilities.get(child.relation_name)
-        if not caps or "filters" not in caps:
+        if not self._capable(child, CAP_FILTERS):
             return None
         if child.limit is not None:
             # The pushed limit truncates *after* the scan's own filters;
@@ -460,8 +466,6 @@ class PlanOptimizer:
             return None
         if conjunct[0] not in visible:
             return None
-        from .algebra import canonical_scan_filters
-
         folded = canonical_scan_filters(child.filters + (conjunct,))
         stats.count("select_pushed_into_scan")
         return Scan(child.relation_name, folded, child.columns)
@@ -470,10 +474,7 @@ class PlanOptimizer:
         self, plan: Project, child: Scan, stats: OptimizationStats
     ) -> Optional[PlanNode]:
         """π(Scan) → Scan with the needed-column list pushed down."""
-        if self.pushdown_capabilities is None:
-            return None
-        caps = self.pushdown_capabilities.get(child.relation_name)
-        if not caps or "projection" not in caps:
+        if not self._capable(child, CAP_PROJECTION):
             return None
         try:
             current = child.output_schema(self.catalog).names
@@ -622,10 +623,7 @@ class PlanOptimizer:
         the column list across the wrapper boundary.
         """
         scan = child.child
-        if self.pushdown_capabilities is None:
-            return None
-        caps = self.pushdown_capabilities.get(scan.relation_name)
-        if not caps or "projection" not in caps:
+        if not self._capable(scan, CAP_PROJECTION):
             return None
         try:
             renamed_visible = child.output_schema(self.catalog).names

@@ -20,23 +20,16 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..chaos import clock as chaos_clock
 from ..chaos.failpoints import fire as _failpoint
 from ..obs import get_metrics, get_tracer
+from ..relational.algebra import CAP_FILTERS, CAP_LIMIT, CAP_PROJECTION, Scan
+from ..relational.executor import apply_pushdown
 from ..relational.relation import Relation
 from ..relational.types import AttrType
-from .fetch import (
-    CAP_FILTERS,
-    CAP_LIMIT,
-    CAP_PROJECTION,
-    FULL_FETCH,
-    FetchRequest,
-    FetchResult,
-    apply_fetch_request,
-)
 from .formats import decode_csv, decode_json, decode_xml, flatten_record
 from .restapi import HttpError, MockRestServer, Response
 
@@ -49,6 +42,7 @@ __all__ = [
     "WrapperTimeoutError",
     "RetryPolicy",
     "AttributeSpec",
+    "FetchResult",
 ]
 
 Record = Dict[str, Any]
@@ -56,6 +50,21 @@ Record = Dict[str, Any]
 #: How a signature attribute is produced from one flattened payload record:
 #: a key (str) into the flattened record, or a function of it.
 AttributeSpec = Union[str, Callable[[Record], Any]]
+
+
+@dataclass(frozen=True)
+class FetchResult:
+    """A wrapper's answer to a fetch request (a :class:`Scan`).
+
+    ``rows_transferred`` counts rows that actually crossed the wrapper
+    boundary (post source-side filtering); ``rows_source`` is the
+    source's full cardinality when the wrapper knows it (``None`` for
+    remote sources that never materialized the full payload here).
+    """
+
+    relation: Relation
+    rows_transferred: int
+    rows_source: Optional[int] = None
 
 
 class WrapperSchemaError(RuntimeError):
@@ -190,7 +199,7 @@ class Wrapper:
         """
         return frozenset()
 
-    def _fetch_push(self, request: FetchRequest) -> FetchResult:
+    def _fetch_push(self, scan: Scan) -> FetchResult:
         """One pushed-fetch attempt.
 
         The base implementation is the uncapable fallback: fetch the
@@ -204,7 +213,7 @@ class Wrapper:
             rows, attribute_order=list(self.attributes), name=self.name
         )
         return FetchResult(
-            relation=apply_fetch_request(relation, request),
+            relation=apply_pushdown(relation, scan),
             rows_transferred=len(rows),
             rows_source=len(rows),
         )
@@ -298,7 +307,7 @@ class Wrapper:
 
     def fetch_request(
         self,
-        request: Optional[FetchRequest] = None,
+        scan: Optional[Scan] = None,
         retry: Optional["RetryPolicy"] = None,
     ) -> Tuple[FetchResult, int]:
         """The one instrumented fetch, honoring an optional pushed request.
@@ -311,23 +320,23 @@ class Wrapper:
         tracer is enabled.  ``retry`` applies a :class:`RetryPolicy`
         around the raw fetch.
 
-        ``request=None`` or a full request fetches the whole payload and
-        ``rows_transferred`` equals the relation's cardinality.  A pushed
-        request routes through :meth:`_fetch_push`, its span is tagged
-        with the canonical request, and ``mdm_wrapper_rows_total`` counts
-        the rows that actually crossed the boundary.
+        ``scan=None`` or a plain ``Scan(name)`` fetches the whole payload
+        and ``rows_transferred`` equals the relation's cardinality.  A
+        pushed Scan routes through :meth:`_fetch_push`, its span is
+        tagged with the scan's :attr:`~Scan.request`, and
+        ``mdm_wrapper_rows_total`` counts the rows that actually crossed
+        the boundary.
         """
         metrics = get_metrics()
         started = time.perf_counter()
-        wanted = FULL_FETCH if request is None else request
-        pushed = not wanted.is_full
+        pushed = scan is not None and scan.is_pushed()
         with get_tracer().span(f"fetch:{self.name}", wrapper=self.name) as span:
             if pushed:
-                span.set_tag("request", wanted.canonical())
+                span.set_tag("request", scan.request)
             try:
                 if pushed:
                     result, attempts = self.fetch_retrying(
-                        retry, call=lambda: self._fetch_push(wanted)
+                        retry, call=lambda: self._fetch_push(scan)
                     )
                 else:
                     rows, attempts = self.fetch_retrying(retry)
@@ -387,7 +396,7 @@ class StaticWrapper(Wrapper):
     def capabilities(self) -> frozenset:
         return frozenset({CAP_FILTERS, CAP_PROJECTION, CAP_LIMIT})
 
-    def _fetch_push(self, request: FetchRequest) -> FetchResult:
+    def _fetch_push(self, scan: Scan) -> FetchResult:
         """Apply the request source-side: only matching rows 'transfer'.
 
         Rows are obtained via :meth:`fetch` (subclasses inject delays or
@@ -396,16 +405,8 @@ class StaticWrapper(Wrapper):
         an unpushed fetch would have produced — byte-exact by
         construction.
         """
-        rows = self.fetch()
-        relation = Relation.from_dicts(
-            rows, attribute_order=list(self.attributes), name=self.name
-        )
-        filtered = apply_fetch_request(relation, request)
-        return FetchResult(
-            relation=filtered,
-            rows_transferred=len(filtered),
-            rows_source=len(rows),
-        )
+        result = super()._fetch_push(scan)
+        return replace(result, rows_transferred=len(result.relation))
 
 
 class RestWrapper(Wrapper):
@@ -435,8 +436,14 @@ class RestWrapper(Wrapper):
         on e.g. mixed boolean columns (``str(True)`` is ``"True"``, the
         coerced cell is ``"true"``) — hence off by default.  The exact
         predicate is always re-applied to the typed rows after the
-        prefilter, so a *superset*-returning server is safe; an
-        under-returning one is not.
+        prefilter, so a *superset*-returning server keeps the right
+        rows; an under-returning one does not.  The answer is *not*
+        byte-identical to an unpushed fetch in one case: column types
+        are inferred from the prefiltered subset alone, so a column the
+        full payload would widen (``score`` values ``1`` and ``2.5``,
+        filtered to the ``1`` row) comes back INTEGER ``1`` instead of
+        FLOAT ``1.0``; INTEGER/STRING and BOOLEAN/STRING mixes diverge
+        the same way.
     """
 
     def __init__(
@@ -532,7 +539,7 @@ class RestWrapper(Wrapper):
             caps.add(CAP_FILTERS)
         return frozenset(caps)
 
-    def _prefilter_params(self, request: FetchRequest) -> Optional[Dict[str, str]]:
+    def _prefilter_params(self, scan: Scan) -> Optional[Dict[str, str]]:
         """Query params for the server-side prefilter, or None if unusable.
 
         Only plain-string equality filters whose attribute maps to a
@@ -540,11 +547,11 @@ class RestWrapper(Wrapper):
         wrapper's standing params can ride as query parameters; anything
         else stays mediator-side.  Returns None when no filter qualifies.
         """
-        if not self.supports_filters or not request.filters:
+        if not self.supports_filters or not scan.filters:
             return None
         params = dict(self.params)
         sent = False
-        for column, op, value in request.filters:
+        for column, op, value in scan.filters:
             if op != "=" or not isinstance(value, str):
                 continue
             spec = self.attribute_map.get(column, column)
@@ -556,17 +563,17 @@ class RestWrapper(Wrapper):
             sent = True
         return params if sent else None
 
-    def _fetch_push(self, request: FetchRequest) -> FetchResult:
+    def _fetch_push(self, scan: Scan) -> FetchResult:
         """Prefilter at the endpoint, then apply the exact request.
 
         Every signature attribute is still mapped (and strict-checked)
         for every returned record, so a schema break surfaces exactly as
         on the unpushed path.  If the prefiltered subset types a column
         as ANY (all-null slice) or comes back empty, the full payload is
-        re-fetched: subset type inference could otherwise diverge from
-        the full-fetch schema.
+        re-fetched.  A subset whose types are narrower than the full
+        payload's is not detected (see the class docstring).
         """
-        params = self._prefilter_params(request)
+        params = self._prefilter_params(scan)
         rows = self._fetch_with_params(params)
         prefiltered = params is not None
         relation = Relation.from_dicts(
@@ -582,7 +589,7 @@ class RestWrapper(Wrapper):
             )
             prefiltered = False  # the full payload crossed after all
         return FetchResult(
-            relation=apply_fetch_request(relation, request),
+            relation=apply_pushdown(relation, scan),
             rows_transferred=len(rows),
             rows_source=None if prefiltered else len(rows),
         )

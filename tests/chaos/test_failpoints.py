@@ -261,6 +261,64 @@ class TestRegistry:
 
 
 # --------------------------------------------------------------------- #
+# fetch.apply: every application of a pushed Scan to a full relation
+# --------------------------------------------------------------------- #
+
+
+def filtered_chain():
+    """One capable StaticWrapper ``w0`` and a walk whose filter and
+    projection are pushed into its Scan: every CQ needs ``w0``."""
+    from repro.core.walks import FilterCondition
+    from tests.integration.test_rewriting_properties import NS, build_chain_mdm
+
+    mdm, concepts, _, _ = build_chain_mdm(1, 5, seed=3)
+    mdm.configure_execution(result_cache_size=0)
+    walk = mdm.walk_from_nodes([concepts[0], NS["id0"], NS["val0"]]).with_filters(
+        FilterCondition(NS["val0"], "=", "c0v1")
+    )
+    return mdm, walk
+
+
+class TestFetchApplySite:
+    def test_pushed_fetch_fails_as_a_wrapper_failure(self, failpoints):
+        mdm, walk = filtered_chain()
+        failpoints.arm_spec("fetch.apply[w0]=error")
+        with capture() as (_, registry):
+            with pytest.raises(FailpointError, match="fetch.apply"):
+                mdm.execute(walk)
+            errors = registry.counter(
+                "mdm_wrapper_errors_total", "", labelnames=("wrapper",)
+            )
+            assert errors.value(wrapper="w0") == 1
+        assert [(e["site"], e["key"]) for e in failpoints.trigger_log()] == [
+            ("fetch.apply", "w0")
+        ]
+
+    def test_skip_cannot_degrade_when_every_cq_needs_the_wrapper(self, failpoints):
+        from repro.core.errors import MdmError
+
+        mdm, walk = filtered_chain()
+        failpoints.arm_spec("fetch.apply[w0]=error")
+        with pytest.raises(MdmError, match="every CQ depends on a failed wrapper"):
+            mdm.execute(walk, on_wrapper_error="skip")
+
+    def test_deriving_from_a_cached_full_fetch_raises_out_of_execute(
+        self, failpoints
+    ):
+        mdm, walk = filtered_chain()
+        mdm.configure_execution(wrapper_cache_size=16, pushdown=False)
+        expected = mdm.execute(walk).relation  # caches w0's full fetch
+        mdm.configure_execution(pushdown=True)
+        failpoints.arm_spec("fetch.apply[w0]=error:times(1)")
+        with pytest.raises(FailpointError, match="fetch.apply"):
+            mdm.execute(walk, on_wrapper_error="skip")
+        # Disarmed by times(1): the same derivation now serves the query.
+        outcome = mdm.execute(walk)
+        assert outcome.pushdown["requests"]["w0"]["cache"] == "hit"
+        assert outcome.relation.rows == expected.rows
+
+
+# --------------------------------------------------------------------- #
 # arming surfaces
 # --------------------------------------------------------------------- #
 

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.wrapper_cache import WrapperCache
 from repro.obs import get_metrics, reset_metrics, set_metrics
+from repro.relational.algebra import Scan
 from repro.relational.relation import Relation
-from repro.sources.fetch import FULL_FETCH, FetchRequest
 
 
 def make_relation(n=5):
@@ -17,8 +17,8 @@ def make_relation(n=5):
 def test_disabled_cache_stores_and_serves_nothing():
     cache = WrapperCache(0)
     assert not cache.enabled
-    cache.put("w", FULL_FETCH, 1, make_relation())
-    assert cache.lookup("w", FULL_FETCH, 1) is None
+    cache.put(Scan("w"), 1, make_relation())
+    assert cache.lookup(Scan("w"), 1) is None
     assert len(cache) == 0
 
 
@@ -32,33 +32,33 @@ def test_negative_capacity_rejected():
 def test_hit_requires_same_wrapper_request_and_generation():
     cache = WrapperCache(8)
     relation = make_relation()
-    cache.put("w", FULL_FETCH, 1, relation)
-    assert cache.lookup("w", FULL_FETCH, 1) is relation
-    assert cache.lookup("other", FULL_FETCH, 1) is None
-    assert cache.lookup("w", FULL_FETCH, 2) is None
+    cache.put(Scan("w"), 1, relation)
+    assert cache.lookup(Scan("w"), 1) is relation
+    assert cache.lookup(Scan("other"), 1) is None
+    assert cache.lookup(Scan("w"), 2) is None
     assert cache.stats()["hits"] == 1
     assert cache.stats()["misses"] == 2
 
 
 def test_pushed_request_derived_from_full_entry():
     cache = WrapperCache(8)
-    cache.put("w", FULL_FETCH, 1, make_relation(6))
-    pushed = FetchRequest(filters=(("val", "=", "v0"),), columns=("id",))
-    derived = cache.lookup("w", pushed, 1)
+    cache.put(Scan("w"), 1, make_relation(6))
+    pushed = Scan("w", filters=(("val", "=", "v0"),), columns=("id",))
+    derived = cache.lookup(pushed, 1)
     assert derived is not None
     assert derived.schema.names == ("id",)
     assert derived.rows == ((0,), (2,), (4,))
     # The derivation is memoised under the exact key: a second probe is
     # a direct hit on the same object.
-    assert cache.lookup("w", pushed, 1) is derived
+    assert cache.lookup(pushed, 1) is derived
     assert cache.stats()["hits"] == 2
 
 
 def test_pushed_entry_does_not_answer_full_fetch():
     cache = WrapperCache(8)
-    pushed = FetchRequest(filters=(("val", "=", "v0"),))
-    cache.put("w", pushed, 1, make_relation(2))
-    assert cache.lookup("w", FULL_FETCH, 1) is None
+    pushed = Scan("w", filters=(("val", "=", "v0"),))
+    cache.put(pushed, 1, make_relation(2))
+    assert cache.lookup(Scan("w"), 1) is None
 
 
 @pytest.fixture()
@@ -71,12 +71,12 @@ def fresh_metrics():
 
 def test_lru_eviction_and_resize(fresh_metrics):
     cache = WrapperCache(2)
-    cache.put("a", FULL_FETCH, 1, make_relation(1))
-    cache.put("b", FULL_FETCH, 1, make_relation(1))
-    assert cache.lookup("a", FULL_FETCH, 1) is not None  # refresh a
-    cache.put("c", FULL_FETCH, 1, make_relation(1))  # evicts b (LRU)
-    assert cache.lookup("b", FULL_FETCH, 1) is None
-    assert cache.lookup("a", FULL_FETCH, 1) is not None
+    cache.put(Scan("a"), 1, make_relation(1))
+    cache.put(Scan("b"), 1, make_relation(1))
+    assert cache.lookup(Scan("a"), 1) is not None  # refresh a
+    cache.put(Scan("c"), 1, make_relation(1))  # evicts b (LRU)
+    assert cache.lookup(Scan("b"), 1) is None
+    assert cache.lookup(Scan("a"), 1) is not None
     assert cache.stats()["evictions"] == 1
     cache.resize(1)
     assert len(cache) == 1
@@ -90,8 +90,8 @@ def test_lru_eviction_and_resize(fresh_metrics):
 
 def test_clear_keeps_cumulative_stats():
     cache = WrapperCache(4)
-    cache.put("w", FULL_FETCH, 1, make_relation())
-    assert cache.lookup("w", FULL_FETCH, 1) is not None
+    cache.put(Scan("w"), 1, make_relation())
+    assert cache.lookup(Scan("w"), 1) is not None
     cache.clear()
     assert len(cache) == 0
     stats = cache.stats()
@@ -101,7 +101,7 @@ def test_clear_keeps_cumulative_stats():
 def test_hit_rate():
     cache = WrapperCache(4)
     assert cache.hit_rate == 0.0
-    cache.put("w", FULL_FETCH, 1, make_relation())
-    cache.lookup("w", FULL_FETCH, 1)
-    cache.lookup("w", FULL_FETCH, 2)
+    cache.put(Scan("w"), 1, make_relation())
+    cache.lookup(Scan("w"), 1)
+    cache.lookup(Scan("w"), 2)
     assert cache.hit_rate == 0.5

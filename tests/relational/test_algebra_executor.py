@@ -17,12 +17,11 @@ from repro.relational.algebra import (
     Union,
     union_all,
 )
-from repro.relational.executor import ExecutionError, Executor
+from repro.relational.executor import ExecutionError, Executor, apply_pushdown
 from repro.relational.expressions import And, Cmp, Col, Const, IsNull, NotExpr, Or
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema, SchemaError
 from repro.relational.sql import to_sql
-from repro.sources.fetch import FetchRequest, apply_fetch_request
 
 
 @pytest.fixture
@@ -188,8 +187,7 @@ class TestOperators:
         scan = Scan(
             "w1", filters=(("height", ">", 175.0),), columns=("pName", "id"), limit=1
         )
-        request = FetchRequest(scan.filters, scan.columns, scan.limit)
-        expected = apply_fetch_request(base, request)
+        expected = apply_pushdown(base, scan)
         derived = executor.execute(scan)
         assert derived.schema == expected.schema
         assert repr(derived.rows) == repr(expected.rows)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.relational.algebra import Scan
 from repro.sources.evolution import EndpointVersion, NestFields, RenameField, release_version
 from repro.sources.restapi import Endpoint, MockRestServer
 from repro.sources.wrappers import RestWrapper, StaticWrapper, Wrapper, WrapperSchemaError
@@ -197,3 +198,94 @@ class TestRestWrapper:
             attribute_map={"rating": "stats_rating"},
         )
         assert fixed.fetch()[0]["rating"] == 94
+
+
+class TestRestPrefilter:
+    """``supports_filters=True``: which pushed conjuncts ride to the
+    endpoint as query parameters, and when the full payload is refetched."""
+
+    @staticmethod
+    def wrapper(server, **kwargs):
+        return RestWrapper(
+            "w", ["id", "pName", "rating", "teamId", "label"], server, "/v1/players",
+            attribute_map={
+                "pName": "name",
+                "teamId": "team.id",
+                "label": lambda r: f"{r['name']}#{r['id']}",
+            },
+            supports_filters=True,
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize(
+        "conjunct",
+        [
+            ("rating", "=", 94),  # not a string value
+            ("pName", "!=", "Lewa"),  # not an equality
+            ("pName", ">=", "Lewa"),
+            ("teamId", "=", "25"),  # dotted payload key
+            ("label", "=", "Messi#1"),  # computed attribute
+        ],
+    )
+    def test_conjuncts_that_stay_mediator_side(self, server, conjunct):
+        assert self.wrapper(server)._prefilter_params(Scan("w", (conjunct,))) is None
+
+    def test_string_equality_on_a_mapped_plain_key_rides(self, server):
+        scan = Scan("w", (("pName", "=", "Messi"), ("rating", "=", 94)))
+        assert self.wrapper(server)._prefilter_params(scan) == {"name": "Messi"}
+
+    def test_standing_parameters_are_kept_and_never_overridden(self, server):
+        w = self.wrapper(server, params={"name": "Lewa", "per_page": "5"})
+        scan = Scan("w", (("pName", "=", "Messi"), ("rating", "=", "94")))
+        assert w._prefilter_params(scan) == {
+            "name": "Lewa",
+            "per_page": "5",
+            "rating": "94",
+        }
+        assert w._prefilter_params(Scan("w", (("pName", "=", "Messi"),))) is None
+
+    def test_pagination_parameters_never_ride(self, server):
+        w = RestWrapper(
+            "w", ["id", "page", "per_page"], server, "/v1/players",
+            strict=False, supports_filters=True,
+        )
+        scan = Scan("w", (("page", "=", "2"), ("per_page", "=", "1")))
+        assert w._prefilter_params(scan) is None
+
+    def test_no_prefilter_without_the_opt_in_or_without_filters(self, server):
+        plain = RestWrapper("w", ["id", "name"], server, "/v1/players")
+        assert plain.capabilities() == frozenset({"projection"})
+        assert plain._prefilter_params(Scan("w", (("name", "=", "Messi"),))) is None
+        w = self.wrapper(server)
+        assert w.capabilities() == frozenset({"filters", "projection"})
+        assert w._prefilter_params(Scan("w", columns=("id",))) is None
+
+    def test_prefiltered_fetch_transfers_only_matching_rows(self, server):
+        w = RestWrapper("w", ["id", "name"], server, "/v1/players", supports_filters=True)
+        scan = Scan("w", (("name", "=", "Messi"),), ("id",))
+        result, attempts = w.fetch_request(scan)
+        assert attempts == 1
+        assert result.relation.schema.names == ("id",)
+        assert result.relation.rows == ((1,),)
+        assert result.rows_transferred == 1
+        assert result.rows_source is None  # the full payload never crossed
+        assert [r.params for r in server.request_log] == [{"name": "Messi"}]
+
+    def test_empty_prefiltered_answer_refetches_in_full(self, server):
+        w = RestWrapper("w", ["id", "name"], server, "/v1/players", supports_filters=True)
+        result, _ = w.fetch_request(Scan("w", (("name", "=", "Nobody"),)))
+        assert len(result.relation) == 0
+        assert result.relation.schema == w.fetch_relation().schema
+        assert result.rows_transferred == 2
+        assert result.rows_source == 2
+        assert [r.params for r in server.request_log][:2] == [{"name": "Nobody"}, {}]
+
+    def test_all_null_prefiltered_column_refetches_in_full(self):
+        s = MockRestServer()
+        records = [{"id": 1, "name": "A", "nick": None}, {"id": 2, "name": "B", "nick": "b"}]
+        s.register(Endpoint("p", 1, "json", lambda: [dict(r) for r in records]))
+        w = RestWrapper("w", ["id", "name", "nick"], s, "/v1/p", supports_filters=True)
+        result, _ = w.fetch_request(Scan("w", (("name", "=", "A"),)))
+        assert result.relation.rows == ((1, "A", None),)
+        assert result.relation.schema == w.fetch_relation().schema
+        assert result.rows_transferred == 2 and result.rows_source == 2
