@@ -19,10 +19,11 @@ row*:
     nothing above — only the unavoidable cache invalidation (MDM207,
     info) of the generation bump.
 
-The shadow is a deep copy of the RDF dataset plus the metadata document
-store; its runtime wrappers are no-fetch proxies, so any code path that
-tried to touch a source during analysis raises instead of fetching.  The
-real MDM is only ever *read* — zero generation bumps, zero mutations.
+The shadow is a deep copy of the RDF dataset only; its runtime wrappers
+are no-fetch proxies, so any code path that tried to touch a source
+during analysis raises instead of fetching.  The real MDM is only ever
+*read* — zero generation bumps, zero mutations — bar the rewrite-cache
+entries its replayed saved queries store at the current generation.
 
 :func:`apply_change` is the shared "make it real" primitive: the
 analyzer runs it against the shadow, the governance workflow (and the
@@ -81,6 +82,7 @@ from .plan_checker import check_plan
 
 if TYPE_CHECKING:
     from ..core.mdm import MDM
+    from ..core.walks import Walk
 
 __all__ = [
     "WrapperRelease",
@@ -293,9 +295,6 @@ class _NoFetchWrapper(Wrapper):
     def fetch(self) -> List[Dict[str, Any]]:
         raise self._refuse()
 
-    def _fetch_push(self, scan: Scan) -> FetchResult:
-        raise self._refuse()
-
     def fetch_request(
         self,
         scan: Optional[Scan] = None,
@@ -305,19 +304,21 @@ class _NoFetchWrapper(Wrapper):
 
 
 def shadow_mdm(mdm: "MDM") -> "MDM":
-    """A deep-copied MDM the analyzer can mutate without consequence.
+    """A shadow MDM the analyzer can mutate without consequence.
 
-    The RDF dataset and the metadata document store are copied; the
-    graph stack (global graph, source graph, LAV store, rewriter) is
-    rebuilt over the copy; runtime wrappers become no-fetch proxies; the
-    impact gate is off (the shadow must accept the proposal so its
-    consequences can be measured).  The caller is expected to hold the
-    real MDM's read lock so the copy is a consistent snapshot.
+    Only the RDF dataset, all analysis reads, is copied; the graph stack
+    (global graph, source graph, LAV store, rewriter) is rebuilt over
+    the copy; runtime wrappers become no-fetch proxies; the impact gate
+    is off (the shadow must accept the proposal so its consequences can
+    be measured).  The shadow keeps its own empty document store and
+    rewrite cache: its generation starts at the live one and bumps as
+    the live one would, so a shared cache could serve its plans to live
+    queries.  The caller is expected to hold the real MDM's read lock so
+    the copy is a consistent snapshot.
     """
     from ..core.global_graph import GlobalGraph
     from ..core.lav import LavMappingStore
     from ..core.mdm import MDM
-    from ..core.releases import GovernanceLog
     from ..core.rewriting import Rewriter
     from ..core.source_graph import SourceGraph
     from ..core.vocabulary import M
@@ -335,9 +336,6 @@ def shadow_mdm(mdm: "MDM") -> "MDM":
         shadow.dataset, shadow.global_graph, shadow.source_graph
     )
     shadow.rewriter = Rewriter(shadow.global_graph, shadow.mappings)
-    shadow.metadata = mdm.metadata.copy()
-    shadow.governance = GovernanceLog(shadow.metadata)
-    shadow._sources_by_name = dict(mdm._sources_by_name)
     shadow._generation = mdm._generation
     shadow.wrappers = {
         name: _NoFetchWrapper(w) for name, w in mdm.wrappers.items()
@@ -364,23 +362,17 @@ class _QueryState:
     capabilities: FrozenSet[str]
 
 
-def _query_states(mdm: "MDM") -> Dict[str, _QueryState]:
+def _query_states(mdm: "MDM", walks: Mapping[str, Walk]) -> Dict[str, _QueryState]:
     from ..core.errors import MdmError
 
     catalog = wrapper_catalog(mdm)
     states: Dict[str, _QueryState] = {}
-    registry = mdm.saved_queries
-    for name in registry.names():
-        saved = registry.get(name)
-        try:
-            # The rewriter is used directly (not mdm.rewrite) so analysis
-            # neither pollutes the query log nor warms any cache.
-            result = mdm.rewriter.rewrite(saved.walk)
-        except MdmError as exc:
+    for name, result in zip(walks, mdm.replay(walks.values())):
+        if isinstance(result, MdmError):
             states[name] = _QueryState(
                 name=name,
                 ok=False,
-                error=f"{type(exc).__name__}: {exc}",
+                error=f"{type(result).__name__}: {result}",
                 ucq_size=0,
                 wrappers=(),
                 plan_codes={},
@@ -562,7 +554,8 @@ def analyze_impact(mdm: "MDM", change: ProposedChange) -> ImpactReport:
 
     description = change.describe()
     release_location = SourceLocation("release", description)
-    before_states = _query_states(mdm)
+    walks = mdm.saved_queries.walks()
+    before_states = _query_states(mdm, walks)
     before_concepts, before_features = _coverage(mdm)
     generation = mdm.generation
     findings: List[Finding] = []
@@ -600,7 +593,7 @@ def analyze_impact(mdm: "MDM", change: ProposedChange) -> ImpactReport:
     concepts_lost: Tuple[str, ...] = ()
     features_lost: Tuple[str, ...] = ()
     if applied:
-        after_states = _query_states(shadow)
+        after_states = _query_states(shadow, walks)
         after_concepts, after_features = _coverage(shadow)
         concepts_lost = tuple(
             sorted(c.value for c in before_concepts - after_concepts)
@@ -625,9 +618,7 @@ def analyze_impact(mdm: "MDM", change: ProposedChange) -> ImpactReport:
             )
         for name in sorted(before_states):
             before = before_states[name]
-            after = after_states.get(name)
-            if after is None:
-                continue
+            after = after_states[name]
             query_findings: List[Finding] = []
             note = ""
             if not before.ok:

@@ -106,17 +106,12 @@ def _check_saved_plans(mdm: "MDM") -> Tuple[List[Finding], int]:
     """MDM1xx findings over the rewrite plans of all saved queries."""
     from ..core.errors import MdmError
 
-    registry = getattr(mdm, "saved_queries", None)
-    if registry is None:
-        return [], 0
     catalog = wrapper_catalog(mdm)
     findings: List[Finding] = []
     checked = 0
-    for name in registry.names():
-        saved = registry.get(name)
-        try:
-            result = mdm.rewriter.rewrite(saved.walk)
-        except MdmError:
+    walks = mdm.saved_queries.walks()
+    for name, result in zip(walks, mdm.replay(walks.values())):
+        if isinstance(result, MdmError):
             continue  # already reported as MDM010 by the governance rule
         plan_findings, _ = check_plan(result.plan, catalog)
         for finding in plan_findings:
@@ -144,14 +139,16 @@ def lint_mdm(mdm: "MDM", replay_saved: bool = True, check_plans: bool = True
 
     ``replay_saved`` controls the MDM010 governance replay;
     ``check_plans`` the MDM1xx schema check of saved-query plans.  The
+    pass holds the read lock, so it reports one generation.  The
     per-severity totals are observed into the
     ``mdm_lint_findings_total{severity}`` counter.
     """
-    findings = run_metadata_rules(mdm, replay_saved=replay_saved)
-    checked = 0
-    if check_plans:
-        plan_findings, checked = _check_saved_plans(mdm)
-        findings.extend(plan_findings)
+    with mdm.metadata_lock.read_locked():
+        findings = run_metadata_rules(mdm, replay_saved=replay_saved)
+        checked = 0
+        if check_plans:
+            plan_findings, checked = _check_saved_plans(mdm)
+            findings.extend(plan_findings)
     counts = severity_counts(findings)
     counter = get_metrics().counter(
         "mdm_lint_findings_total",

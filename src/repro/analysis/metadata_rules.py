@@ -444,20 +444,14 @@ def rule_saved_queries(mdm: "MDM") -> Iterator[Finding]:
     """MDM010: saved OMQs whose rewriting would now fail or be empty."""
     from ..core.errors import MdmError
 
-    registry = getattr(mdm, "saved_queries", None)
-    if registry is None:
-        return
-    for name in registry.names():
-        saved = registry.get(name)
-        try:
-            result = mdm.rewriter.rewrite(saved.walk)
-        except MdmError as exc:
+    walks = mdm.saved_queries.walks()
+    for name, result in zip(walks, mdm.replay(walks.values())):
+        if isinstance(result, MdmError):
             yield METADATA_RULES["MDM010"].finding(
-                f"saved query {name!r} no longer rewrites: {exc}",
+                f"saved query {name!r} no longer rewrites: {result}",
                 SourceLocation("saved-query", name),
             )
-            continue
-        if result.ucq_size == 0:
+        elif result.ucq_size == 0:
             yield METADATA_RULES["MDM010"].finding(
                 f"saved query {name!r} rewrites to an empty union",
                 SourceLocation("saved-query", name),
@@ -475,12 +469,8 @@ def rule_pinned_saved_queries(mdm: "MDM") -> Iterator[Finding]:
     """
     from ..core.errors import MdmError
 
-    registry = getattr(mdm, "saved_queries", None)
-    governance = getattr(mdm, "governance", None)
-    if registry is None or governance is None:
-        return
     releases: Dict[str, Tuple[int, str, FrozenSet[str]]] = {}
-    for release in governance.history():
+    for release in mdm.governance.history():
         releases[release.wrapper_name] = (
             release.sequence,
             release.source_name,
@@ -498,11 +488,9 @@ def rule_pinned_saved_queries(mdm: "MDM") -> Iterator[Finding]:
                 superseders.setdefault(old, []).append(new)
     if not superseders:
         return
-    for name in registry.names():
-        saved = registry.get(name)
-        try:
-            result = mdm.rewriter.rewrite(saved.walk)
-        except MdmError:
+    walks = mdm.saved_queries.walks()
+    for name, result in zip(walks, mdm.replay(walks.values())):
+        if isinstance(result, MdmError):
             continue  # MDM010's territory
         used: Set[str] = set()
         for cq in result.queries:

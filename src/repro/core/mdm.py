@@ -31,7 +31,7 @@ import uuid
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..docstore.store import DocumentStore
 from ..obs import get_metrics, get_tracer
@@ -43,6 +43,7 @@ from ..obs.profile import (
 )
 from ..obs.querylog import QueryLogRecord, get_query_log
 from ..rdf.dataset import Dataset
+from ..rdf.namespaces import RDF
 from ..rdf.terms import IRI, Triple
 from ..relational.algebra import Scan
 from ..relational.executor import Executor, OperatorStats, apply_pushdown
@@ -72,7 +73,7 @@ from .releases import (
 from .rewrite_cache import walk_cache_key
 from .rewriting import Rewriter, RewriteResult
 from .source_graph import SourceGraph, WrapperRegistration
-from .vocabulary import G, M, mdm_namespace_manager
+from .vocabulary import G, M, S, mdm_namespace_manager, mint_local
 from .walks import Walk
 
 __all__ = ["MDM", "QueryOutcome"]
@@ -440,7 +441,6 @@ class MDM:
         self.governance = GovernanceLog(self.metadata)
         #: Runtime wrapper objects by name (the executable side of S:Wrapper).
         self.wrappers: Dict[str, Wrapper] = {}
-        self._sources_by_name: Dict[str, IRI] = {}
         #: The live execution configuration (the ``MDM_*`` environment
         #: overridden by the arguments); replaced whole, never mutated.
         self.config = replace(
@@ -611,7 +611,6 @@ class MDM:
         with self.metadata_lock.write_locked():
             self.bump_generation()
             iri = self.source_graph.add_data_source(name, label)
-            self._sources_by_name[name] = iri
             self.metadata.collection("sources").replace_one(
                 {"name": name}, {"name": name, "iri": iri.value, "label": label or name}
             ) or self.metadata.collection("sources").insert_one(
@@ -621,21 +620,24 @@ class MDM:
 
     def source_iri(self, name: str) -> IRI:
         """The IRI of a registered source (raises if unknown)."""
-        try:
-            return self._sources_by_name[name]
-        except KeyError:
-            raise SourceGraphError(f"unknown data source {name!r}") from None
+        iri = mint_local(M, "dataSource", name)
+        if (iri, RDF.type, S.DataSource) not in self.source_graph.graph:
+            raise SourceGraphError(f"unknown data source {name!r}")
+        return iri
 
     def source_name_of(self, source: IRI) -> Optional[str]:
-        """The registration name of a source IRI (None if unknown)."""
-        for name, iri in self._sources_by_name.items():
-            if iri == source:
-                return name
-        return None
+        """The name of a registered source IRI (None if unknown)."""
+        return {iri: name for name, iri in self.sources().items()}.get(source)
 
     def sources(self) -> Dict[str, IRI]:
-        """All registered sources as a ``name -> IRI`` mapping (a copy)."""
-        return dict(self._sources_by_name)
+        """All registered sources as a ``name -> IRI`` mapping; each name
+        is read back from its minted IRI (``my-source`` as ``my_source``)."""
+        prefix = M.base + "dataSource/"
+        return {
+            source.value[len(prefix):]: source
+            for source in self.source_graph.data_sources()
+            if source.value.startswith(prefix)
+        }
 
     def register_wrapper(
         self,
@@ -953,9 +955,10 @@ class MDM:
         Plans are served from :attr:`rewrite_cache` when an entry exists
         for the walk *at the current metadata generation* — any wrapper,
         mapping or ontology registration since the plan was cached makes
-        it cold, so evolution never replays a stale UCQ.  The query is
-        logged to the metadata store either way (impact analysis counts
-        posed queries, not rewriting work).
+        it cold, so evolution never replays a stale UCQ.  The metadata
+        ``queries`` collection logs each posed query, here and in
+        :meth:`execute` short of a result-cache hit, cached plan or not;
+        :meth:`replay` logs nothing.
 
         ``use_cache`` is honored regardless of tracing: a traced cache
         hit shows up as a ``rewrite-cache`` span tagged ``cache=hit``
@@ -965,12 +968,31 @@ class MDM:
         """
         with self.metadata_lock.read_locked():
             result, _ = self._rewrite_with_status(walk, use_cache)
+            self._log_posed(walk, result)
             return result
+
+    def replay(self, walks: Iterable[Walk]) -> List[Union[RewriteResult, MdmError]]:
+        """Rewrite walks to check them, not pose them: per walk, its
+        :class:`RewriteResult` or the :class:`MdmError` it raised (any
+        other exception propagates).
+
+        Plans go through the rewrite cache, so a walk is rewritten once
+        per generation however many checks replay it.  The read lock
+        spans the pass, so no plan is cached under another generation.
+        """
+        results: List[Union[RewriteResult, MdmError]] = []
+        with self.metadata_lock.read_locked():
+            for walk in walks:
+                try:
+                    results.append(self._rewrite_with_status(walk)[0])
+                except MdmError as exc:
+                    results.append(exc)
+        return results
 
     def _rewrite_with_status(
         self, walk: Walk, use_cache: bool = True
     ) -> Tuple[RewriteResult, str]:
-        """:meth:`rewrite` plus the cache disposition (hit/miss/bypass)."""
+        """The rewrite and its cache disposition (hit/miss/bypass)."""
         with get_tracer().span("rewrite-cache") as cache_span:
             result = None
             status = "bypass"
@@ -982,6 +1004,10 @@ class MDM:
                 if use_cache:
                     self.rewrite_cache.put(walk, self._generation, result)
             cache_span.set_tag("cache", status)
+        return result, status
+
+    def _log_posed(self, walk: Walk, result: RewriteResult) -> None:
+        """Append a posed query to the metadata ``queries`` collection."""
         self.metadata.collection("queries").insert_one(
             {
                 "walk": walk.describe(self.global_graph),
@@ -991,7 +1017,6 @@ class MDM:
                 ),
             }
         )
-        return result, status
 
     def execute(
         self,
@@ -1174,6 +1199,7 @@ class MDM:
             result, run.rewrite_cache = self._rewrite_with_status(
                 ctx.walk, ctx.use_cache
             )
+            self._log_posed(ctx.walk, result)
         run.result = result
         root.set_tag("cache", run.rewrite_cache)
         executor = Executor()

@@ -93,6 +93,11 @@ class QueryRegistry:
         """All saved query names, sorted."""
         return sorted(d["name"] for d in self._collection.find())
 
+    def walks(self) -> Dict[str, Walk]:
+        """Every saved walk, read once, by name in sorted order."""
+        documents = sorted(self._collection.find(), key=lambda d: d["name"])
+        return {d["name"]: Walk.from_json_dict(d["walk"]) for d in documents}
+
     def __len__(self) -> int:
         return self._collection.count()
 
@@ -112,28 +117,27 @@ class QueryRegistry:
         cheap, and sufficient to detect coverage loss.  With
         ``execute=True`` the UCQ also runs against the live wrappers
         (failing fetches are skipped, so a half-migrated source does not
-        mark the query red as long as one version still answers).
+        mark the query red as long as one version still answers).  The
+        pass holds the read lock, so it reports one generation, and the
+        execution reuses the plan :meth:`MDM.replay` cached.
         """
+        mdm = self._mdm
         report: List[RevalidationEntry] = []
-        for name in self.names():
-            saved = self.get(name)
-            try:
-                result = self._mdm.rewriter.rewrite(saved.walk)
+        with mdm.metadata_lock.read_locked():
+            walks = self.walks()
+            for (name, walk), result in zip(walks.items(), mdm.replay(walks.values())):
                 rows: Optional[int] = None
-                if execute:
-                    outcome = self._mdm.execute(
-                        saved.walk, on_wrapper_error="skip"
+                if execute and not isinstance(result, MdmError):
+                    try:
+                        rows = len(mdm.execute(walk, on_wrapper_error="skip").relation)
+                    except MdmError as exc:
+                        result = exc
+                if isinstance(result, MdmError):
+                    report.append(RevalidationEntry(name=name, ok=False, error=str(result)))
+                else:
+                    report.append(
+                        RevalidationEntry(name=name, ok=True, ucq_size=result.ucq_size, rows=rows)
                     )
-                    rows = len(outcome.relation)
-                report.append(
-                    RevalidationEntry(
-                        name=name, ok=True, ucq_size=result.ucq_size, rows=rows
-                    )
-                )
-            except MdmError as exc:
-                report.append(
-                    RevalidationEntry(name=name, ok=False, error=str(exc))
-                )
         return report
 
     def health_summary(self, execute: bool = False) -> Dict[str, int]:

@@ -284,23 +284,6 @@ class DocumentStore:
         """Sorted names of existing collections."""
         return sorted(self._collections)
 
-    def copy(self) -> "DocumentStore":
-        """An in-memory deep copy (no persistence path attached).
-
-        The impact analyzer clones the metadata store alongside the RDF
-        dataset so a shadow MDM can replay releases/registrations without
-        the originals ever observing them — and without a ``save()`` on
-        the clone clobbering the real store's file.
-        """
-        clone = DocumentStore()
-        for name in self.collection_names():
-            source = self._collections[name]
-            target = clone.collection(name)
-            with source._lock:
-                target._documents = copy.deepcopy(source._documents)
-                target._counter = source._counter
-        return clone
-
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #

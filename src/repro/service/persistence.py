@@ -40,7 +40,6 @@ from typing import Iterable, List
 from ..chaos.failpoints import fire as _failpoint
 from ..core.errors import SnapshotCorruptError, SnapshotMissingError
 from ..core.mdm import MDM
-from ..core.vocabulary import M
 from ..docstore.store import DocumentStore
 from ..rdf.trig import parse_trig, serialize_trig
 from ..sources.wrappers import Wrapper
@@ -109,8 +108,8 @@ def save_mdm(mdm: MDM, directory: os.PathLike) -> Path:
 def load_mdm(directory: os.PathLike) -> MDM:
     """Reconstruct an MDM from a saved directory.
 
-    The source-name index is rebuilt from the source graph's labels;
-    runtime wrappers must be re-attached (see :func:`attach_wrappers`).
+    Sources resolve by name through the loaded source graph; runtime
+    wrappers must be re-attached (see :func:`attach_wrappers`).
 
     Raises :class:`SnapshotMissingError` when the dataset file is absent
     and :class:`SnapshotCorruptError` when either file fails to parse.
@@ -136,19 +135,7 @@ def load_mdm(directory: os.PathLike) -> MDM:
         from ..core.releases import GovernanceLog
 
         mdm.governance = GovernanceLog(mdm.metadata)
-    _rebuild_source_index(mdm)
     return mdm
-
-
-def _rebuild_source_index(mdm: MDM) -> None:
-
-    graph = mdm.source_graph.graph
-    for source in mdm.source_graph.data_sources():
-        # Source IRIs are minted as mdm:dataSource/<name>; recover <name>.
-        local = source.value[len(M.base):]
-        if local.startswith("dataSource/"):
-            name = local[len("dataSource/"):]
-            mdm._sources_by_name[name] = source  # noqa: SLF001
 
 
 def attach_wrappers(mdm: MDM, wrappers: Iterable[Wrapper]) -> List[str]:

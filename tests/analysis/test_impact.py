@@ -197,6 +197,110 @@ def test_query_broken_before_change_is_annotated(scenario):
     assert "MDM201" not in codes(report)
 
 
+def test_mdm202_names_the_wrappers_lost_and_gained(scenario):
+    mdm = scenario.mdm
+    gained = mdm.analyze_impact(
+        WrapperRelease(source="players", wrapper="wBis", base_wrapper="w1")
+    )
+    apply_change(
+        mdm, WrapperRelease(source="players", wrapper="w1v2", base_wrapper="w1")
+    )
+    lost = mdm.analyze_impact(WrapperRetirement(wrapper="w1"))
+    assert lost.verdict is Verdict.DEGRADED
+    assert sorted(
+        f.message for f in gained.findings + lost.findings if f.code == "MDM202"
+    ) == [
+        "saved query 'league-nat' rewrite changes: UCQ 1 -> 2; "
+        "gains wrapper(s) wBis",
+        "saved query 'league-nat' rewrite changes: UCQ 2 -> 1; "
+        "loses wrapper(s) w1",
+        "saved query 'player-team' rewrite changes: UCQ 1 -> 2; "
+        "gains wrapper(s) wBis",
+        "saved query 'player-team' rewrite changes: UCQ 2 -> 1; "
+        "loses wrapper(s) w1",
+    ]
+
+
+def test_render_text_lists_each_saved_query(scenario):
+    mdm = scenario.mdm
+    apply_change(mdm, WrapperRetirement(wrapper="w1"))
+    text = mdm.analyze_impact(
+        MetadataMutation(method="add_concept", args=(EX.Coach,))
+    ).render_text()
+    assert text.startswith(
+        "Impact analysis: mutation add_concept\n"
+        "Verdict: SAFE (2 saved queries checked, generation "
+    )
+    assert text.endswith(
+        "\nSaved queries:\n"
+        "  league-nat: safe (UCQ 0 -> 0)  [already broken before the change]\n"
+        "  player-team: safe (UCQ 0 -> 0)  [already broken before the change]"
+    )
+
+
+class _ProjectionOnly(StaticWrapper):
+    """A wrapper that takes pushed projections but not filters or limits."""
+
+    def capabilities(self):
+        return frozenset({"projection"})
+
+
+@pytest.fixture()
+def people():
+    """Person(id, name) served by one fully capable wrapper ``wFull``;
+    ``wProj`` (projection only) is registered under another source but
+    not mapped yet."""
+    from repro.core.mdm import MDM
+
+    mdm = MDM()
+    mdm.add_concept(EX.Person)
+    mdm.add_identifier(EX.personId, EX.Person)
+    mdm.add_feature(EX.personName, EX.Person)
+    mdm.register_source("people")
+    mdm.register_wrapper("people", StaticWrapper("wFull", ["id", "name"], []))
+    mdm.define_mapping("wFull", {"id": EX.personId, "name": EX.personName})
+    mdm.register_source("mirror")
+    mdm.register_wrapper("mirror", _ProjectionOnly("wProj", ["id", "name"], []))
+    mdm.saved_queries.save(
+        "people", mdm.walk_from_nodes([EX.Person, EX.personId, EX.personName])
+    )
+    return mdm
+
+
+def test_routing_through_an_unfilterable_wrapper_is_mdm206(people):
+    report = people.analyze_impact(
+        MetadataMutation(
+            method="define_mapping",
+            args=("wProj", {"id": EX.personId, "name": EX.personName}),
+        )
+    )
+    messages = {f.code: f.message for f in report.findings}
+    assert messages["MDM206"] == (
+        "saved query 'people' loses pushdown capability(ies): filters, limit"
+    )
+    assert messages["MDM202"].endswith("gains wrapper(s) wProj")
+    assert report.verdict is Verdict.DEGRADED
+
+
+def test_render_lists_lost_concepts_and_features(people):
+    report = people.analyze_impact(WrapperRetirement(wrapper="wFull"))
+    assert report.verdict is Verdict.BROKEN
+    assert report.render_text().endswith(
+        "\nSaved queries:\n"
+        "  people: broken (UCQ 1 -> 0)\n"
+        f"Concepts losing all coverage: {EX.Person.value}\n"
+        "Features losing all providers: "
+        f"{EX.personId.value}, {EX.personName.value}"
+    )
+    payload = json.loads(report.render_json())
+    assert payload["verdict"] == "broken"
+    assert payload["ok"] is False
+    assert payload["checked_queries"] == 1
+    assert payload["concepts_lost"] == [EX.Person.value]
+    assert [q["name"] for q in payload["queries"]] == ["people"]
+    assert {f["code"] for f in payload["findings"]} >= {"MDM201", "MDM204"}
+
+
 # --- the differential primitive: apply_change for real ------------------ #
 
 

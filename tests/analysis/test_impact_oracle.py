@@ -45,11 +45,10 @@ def _signature(mdm, wrapper_name):
 
 def _source_name_of(mdm, wrapper_name):
     iri = mdm.source_graph.wrapper_by_name(wrapper_name)
-    source = mdm.source_graph.source_of(iri)
-    for name, candidate in mdm._sources_by_name.items():
-        if candidate == source:
-            return name
-    raise AssertionError(f"wrapper {wrapper_name!r} has no source")
+    name = mdm.source_name_of(mdm.source_graph.source_of(iri))
+    if name is None:
+        raise AssertionError(f"wrapper {wrapper_name!r} has no source")
+    return name
 
 
 # One probe build to learn the wrapper universe the strategies draw from.

@@ -88,6 +88,36 @@ def test_lint_checks_saved_query_plans():
     assert skipped.checked_plans == 0
 
 
+def test_saved_plan_findings_are_relabelled(monkeypatch):
+    """No valid metadata yields an MDM1xx saved-plan finding, so the
+    plan checker is stubbed: lint must anchor its findings at the saved
+    query, keeping the operator path as the detail."""
+    from repro.analysis import lint as lint_module
+    from repro.analysis.diagnostics import Finding, SourceLocation
+    from repro.analysis.plan_checker import PLAN_RULES
+
+    stub = PLAN_RULES["MDM102"].finding(
+        "stub message", SourceLocation("plan-operator", "Distinct/Union", "x")
+    )
+    monkeypatch.setattr(
+        lint_module, "check_plan", lambda plan, catalog: ([stub], None)
+    )
+    scenario = FootballScenario.build(anchors_only=True)
+    scenario.mdm.saved_queries.save("league", scenario.walk_player_team_names())
+    report = lint_mdm(scenario.mdm)
+    assert report.checked_plans == 1
+    assert [f for f in report.findings if f.code == "MDM102"] == [
+        Finding(
+            code="MDM102",
+            severity=stub.severity,
+            message="saved query 'league': stub message",
+            location=SourceLocation("saved-query", "league", "Distinct/Union"),
+            rule=stub.rule,
+        )
+    ]
+    assert not report.ok
+
+
 # --- the post-optimizer validation hook in MDM.execute ----------------- #
 
 

@@ -319,6 +319,50 @@ class TestFetchApplySite:
 
 
 # --------------------------------------------------------------------- #
+# cache.rewrite: every rewrite-cache lookup, posed queries and replays
+# --------------------------------------------------------------------- #
+
+
+def football_with_saved_query():
+    from repro.scenarios.football import FootballScenario
+
+    scenario = FootballScenario.build(anchors_only=True)
+    walk = scenario.walk_player_team_names()
+    scenario.mdm.saved_queries.save("player-team", walk)
+    return scenario.mdm, walk
+
+
+class TestCacheRewriteSite:
+    def test_execute_raises(self, failpoints):
+        mdm, walk = football_with_saved_query()
+        failpoints.arm_spec("cache.rewrite=error")
+        with pytest.raises(FailpointError, match="cache.rewrite"):
+            mdm.execute(walk)
+        assert [e["site"] for e in failpoints.trigger_log()] == ["cache.rewrite"]
+
+    @pytest.mark.parametrize("check", ["revalidate", "lint", "impact"])
+    def test_replay_raises_it_because_only_mdm_errors_are_results(
+        self, failpoints, check
+    ):
+        from repro.analysis.impact import WrapperRetirement
+        from repro.analysis.lint import lint_mdm
+
+        mdm, _ = football_with_saved_query()
+        generation = mdm.generation
+        failpoints.arm_spec("cache.rewrite=error")
+        run = {
+            "revalidate": lambda: mdm.saved_queries.revalidate(),
+            "lint": lambda: lint_mdm(mdm),
+            "impact": lambda: mdm.analyze_impact(WrapperRetirement("w1")),
+        }[check]
+        with pytest.raises(FailpointError, match="cache.rewrite"):
+            run()
+        assert mdm.generation == generation
+        failpoints.disarm("cache.rewrite")
+        run()  # disarmed: the same pass completes
+
+
+# --------------------------------------------------------------------- #
 # arming surfaces
 # --------------------------------------------------------------------- #
 

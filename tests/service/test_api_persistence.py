@@ -287,6 +287,24 @@ class TestPersistence:
         restored = load_mdm(tmp_path)
         assert len(restored.governance.history()) == 6
 
+    def test_source_names_survive_roundtrip(self, tmp_path):
+        """A name outside [A-Za-z0-9_] is minted sanitized; the loaded
+        MDM must still resolve it by the name it was registered under."""
+        from repro.core.mdm import MDM
+        from repro.sources.wrappers import StaticWrapper
+
+        live = MDM()
+        iri = live.register_source("my-source", "My Source")
+        save_mdm(live, tmp_path)
+        restored = load_mdm(tmp_path)
+        assert restored.source_iri("my-source") == iri
+        registration = restored.register_wrapper(
+            "my-source", StaticWrapper("wMine", ["id"], [])
+        )
+        assert registration.source == iri
+        assert restored.source_name_of(iri) == live.source_name_of(iri)
+        assert restored.sources() == live.sources() == {"my_source": iri}
+
     def test_load_missing_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_mdm(tmp_path / "nowhere")
