@@ -5,9 +5,10 @@ The failpoint registry, the readers-writer lock, the LRU behind every
 generation-keyed cache, the execution configuration, the operators'
 schema rules and structure, the plan checker that applies them, the
 optimizer and executor that rewrite and run every plan, the wrappers
-and wrapper cache that answer its pushed Scans, and the saved-query
-registry and impact analyzer that replay the saved queries are the
-pieces whose untested branches bite hardest — a silent hole in any shows up as a
+and wrapper cache that answer its pushed Scans, the saved-query
+registry and impact analyzer that replay the saved queries, and the
+RDF terms, namespaces, graphs and compiled LAV views every governance
+step reads through are the pieces whose untested branches bite hardest — a silent hole in any shows up as a
 flaky production incident, a wrongly rejected plan or a wrong answer,
 not a failing assertion.  This gate reads a ``coverage.json`` report
 (``pytest --cov=repro --cov-report=json:coverage.json``) and fails
@@ -38,10 +39,14 @@ GATED_FILES = (
     "repro/analysis/impact.py",
     "repro/analysis/plan_checker.py",
     "repro/core/config.py",
+    "repro/core/lav.py",
     "repro/core/locking.py",
     "repro/core/lru.py",
     "repro/core/registry.py",
     "repro/core/wrapper_cache.py",
+    "repro/rdf/graph.py",
+    "repro/rdf/namespaces.py",
+    "repro/rdf/terms.py",
     "repro/relational/algebra.py",
     "repro/relational/executor.py",
     "repro/relational/optimizer.py",

@@ -410,8 +410,7 @@ def _coverage(mdm: "MDM") -> Tuple[FrozenSet[IRI], FrozenSet[IRI]]:
     """(covered concepts, populated features) across all mapped wrappers."""
     concepts: set = set()
     features: set = set()
-    for wrapper in mdm.mappings.mapped_wrappers():
-        view = mdm.mappings.view(wrapper)
+    for view in mdm.mappings.views():
         concepts |= set(view.concepts)
         features |= set(view.features)
     return frozenset(concepts), frozenset(features)

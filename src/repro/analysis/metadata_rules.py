@@ -338,9 +338,9 @@ def rule_missing_runtimes(mdm: "MDM") -> Iterator[Finding]:
 
 def rule_orphan_wrappers(mdm: "MDM") -> Iterator[Finding]:
     """MDM019: mapped wrappers whose named graph covers no concept."""
-    for wrapper in mdm.mappings.mapped_wrappers():
-        if not mdm.mappings.view(wrapper).concepts:
-            name = _wrapper_display(mdm, wrapper)
+    for view in mdm.mappings.views():
+        if not view.concepts:
+            name = _wrapper_display(mdm, view.wrapper)
             yield METADATA_RULES["MDM019"].finding(
                 f"wrapper {name!r} is mapped but its named graph touches "
                 "no concept; it is unreachable from any OMQ",
@@ -372,8 +372,8 @@ def rule_concept_identifiers(mdm: "MDM") -> Iterator[Finding]:
 def rule_unreachable_concepts(mdm: "MDM") -> Iterator[Finding]:
     """MDM005: concepts covered by no mapping."""
     covered: Set[IRI] = set()
-    for wrapper in mdm.mappings.mapped_wrappers():
-        covered.update(mdm.mappings.view(wrapper).concepts)
+    for view in mdm.mappings.views():
+        covered.update(view.concepts)
     for concept in mdm.global_graph.concepts():
         if concept not in covered:
             yield METADATA_RULES["MDM005"].finding(

@@ -26,6 +26,7 @@ make LAV resolution unambiguous):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 from ..rdf.dataset import Dataset
@@ -43,7 +44,11 @@ __all__ = ["LavMapping", "MappingView", "LavMappingStore"]
 
 @dataclass(frozen=True)
 class MappingView:
-    """A resolved, query-ready view of one wrapper's LAV mapping."""
+    """A resolved, query-ready view of one wrapper's LAV mapping.
+
+    Views are compiled once per metadata state and shared by every
+    reader, so they are read-only throughout.
+    """
 
     wrapper: IRI
     wrapper_name: str
@@ -78,7 +83,15 @@ class LavMapping:
 
 
 class LavMappingStore:
-    """Defines, validates and serves LAV mappings over the MDM dataset."""
+    """Defines, validates and serves LAV mappings over the MDM dataset.
+
+    The views are compiled together, once per metadata state: they are
+    kept under the stamps of the global graph, the source graph and the
+    dataset's named graphs (:attr:`repro.rdf.graph.Graph.stamp`), and
+    recompiled when any of those differ.  Staleness is read from the
+    graphs themselves, so an edit that bypasses the MDM mutators (and
+    the generation) is never served a stale view.
+    """
 
     def __init__(
         self,
@@ -89,6 +102,9 @@ class LavMappingStore:
         self.dataset = dataset
         self.global_graph = global_graph
         self.source_graph = source_graph
+        #: ``(stamps, {wrapper: view})``, replaced whole so concurrent
+        #: readers always see a matching pair.
+        self._compiled: Tuple[tuple, Dict[IRI, MappingView]] = ((), {})
 
     # ------------------------------------------------------------------ #
     # definition
@@ -389,7 +405,30 @@ class LavMappingStore:
 
     def view(self, wrapper: IRI) -> MappingView:
         """The query-ready :class:`MappingView` for ``wrapper``."""
-        named = self.named_graph(wrapper)
+        view = self._views().get(wrapper)
+        if view is None:
+            raise MappingError(f"no LAV mapping defined for {wrapper}")
+        return view
+
+    def views(self) -> List[MappingView]:
+        """Views for every mapped wrapper, sorted by wrapper IRI."""
+        return list(self._views().values())
+
+    def _views(self) -> Dict[IRI, MappingView]:
+        """The compiled views, recompiled if the metadata changed."""
+        stamps = (
+            self.global_graph.graph.stamp,
+            self.source_graph.graph.stamp,
+            self.dataset.stamps(),
+        )
+        compiled_under, views = self._compiled
+        if compiled_under != stamps:
+            views = {w: self._compile(w) for w in self.mapped_wrappers()}
+            self._compiled = (stamps, views)
+        return views
+
+    def _compile(self, wrapper: IRI) -> MappingView:
+        named = self.dataset.graph(wrapper)
         concepts = frozenset(self._concepts_in(named))
         included_features = {
             t.object
@@ -416,10 +455,6 @@ class LavMappingStore:
             wrapper=wrapper,
             wrapper_name=self.source_graph.wrapper_name(wrapper) or wrapper.local_name(),
             concepts=concepts,
-            feature_attributes=feature_attributes,
+            feature_attributes=MappingProxyType(feature_attributes),
             edges=edges,
         )
-
-    def views(self) -> List[MappingView]:
-        """Views for every mapped wrapper, sorted by wrapper IRI."""
-        return [self.view(w) for w in self.mapped_wrappers()]

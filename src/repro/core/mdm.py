@@ -1757,8 +1757,7 @@ class MDM:
             ]
             # Features populated only by this source's wrappers.
             coverage: Dict[str, set] = {}
-            for wrapper_iri in self.mappings.mapped_wrappers():
-                view = self.mappings.view(wrapper_iri)
+            for view in self.mappings.views():
                 for feature in view.features:
                     coverage.setdefault(feature.value, set()).add(
                         view.wrapper_name

@@ -74,6 +74,14 @@ class Dataset:
         for name in self.graph_names():
             yield self._named[name]
 
+    def stamps(self) -> Tuple[Tuple[IRI, int], ...]:
+        """``(name, stamp)`` of every named graph (see :attr:`Graph.stamp`).
+
+        Equal results mean the same named graphs holding the same
+        triples, so state derived from them can be reused.
+        """
+        return tuple((name, g.stamp) for name, g in self._named.items())
+
     # ------------------------------------------------------------------ #
     # quad-level API
     # ------------------------------------------------------------------ #

@@ -19,6 +19,7 @@ ordinary Python.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterable, Iterator, Optional, Set, Tuple, Union
 
 from .namespaces import NamespaceManager, default_namespace_manager
@@ -28,6 +29,10 @@ __all__ = ["Graph"]
 
 _Index = Dict[Term, Dict[Term, Set[Term]]]
 TriplePattern = Tuple[TermPattern, TermPattern, TermPattern]
+
+# One process-wide sequence for every graph's stamp (``next`` on an
+# ``itertools.count`` is atomic under the GIL).
+_stamp_counter = itertools.count()
 
 
 def _index_add(index: _Index, a: Term, b: Term, c: Term) -> bool:
@@ -80,6 +85,18 @@ class Graph:
         self._pos: _Index = {}
         self._osp: _Index = {}
         self._size = 0
+        self._stamp = next(_stamp_counter)
+
+    @property
+    def stamp(self) -> int:
+        """A process-unique token for this graph object in its current state.
+
+        A fresh graph takes a new stamp, and so does every ``add``,
+        ``remove`` or ``clear`` that changes the triples.  Equal stamps
+        therefore mean the same graph object holding the same triples:
+        caches derived from a graph key on it.
+        """
+        return self._stamp
 
     # ------------------------------------------------------------------ #
     # mutation
@@ -93,6 +110,7 @@ class Graph:
             _index_add(self._pos, p, o, s)
             _index_add(self._osp, o, s, p)
             self._size += 1
+            self._stamp = next(_stamp_counter)
             return True
         return False
 
@@ -111,6 +129,7 @@ class Graph:
             _index_remove(self._pos, p, o, s)
             _index_remove(self._osp, o, s, p)
             self._size -= 1
+            self._stamp = next(_stamp_counter)
             return True
         return False
 
@@ -123,10 +142,13 @@ class Graph:
 
     def clear(self) -> None:
         """Remove every triple."""
+        if not self._size:
+            return
         self._spo.clear()
         self._pos.clear()
         self._osp.clear()
         self._size = 0
+        self._stamp = next(_stamp_counter)
 
     # ------------------------------------------------------------------ #
     # queries

@@ -32,9 +32,14 @@ __all__ = [
 
 
 class Namespace:
-    """A factory for IRIs under a common base, e.g. ``Namespace("http://schema.org/")``."""
+    """A factory for IRIs under a common base, e.g. ``Namespace("http://schema.org/")``.
 
-    __slots__ = ("_base",)
+    Attribute access is interned: ``G.hasFeature`` mints its IRI once and
+    stores it as an instance attribute, so every later access is a plain
+    attribute lookup.  Only names written in source code take that path;
+    ``ns[name]`` and :meth:`term` mint afresh, because they also carry
+    data-derived names.
+    """
 
     def __init__(self, base: str):
         if not base:
@@ -56,7 +61,8 @@ class Namespace:
     def __getattr__(self, local: str) -> IRI:
         if local.startswith("_"):
             raise AttributeError(local)
-        return self.term(local)
+        iri = self.__dict__[local] = self.term(local)
+        return iri
 
     def __contains__(self, iri: object) -> bool:
         return isinstance(iri, IRI) and iri.value.startswith(self._base)
@@ -84,8 +90,9 @@ SC = Namespace("http://schema.org/")
 EX = Namespace("http://www.essi.upc.edu/example/")
 
 _PREFIX_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
-# Local parts of QNames: permissive PN_LOCAL subset (no dots at the edges).
-_LOCAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$|^$")
+# Local parts of QNames: permissive PN_LOCAL subset (no dots at the edges),
+# the same shape the Turtle tokenizer reads back.
+_LOCAL_RE = re.compile(r"^(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?$")
 
 
 class NamespaceManager:

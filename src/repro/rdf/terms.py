@@ -77,23 +77,38 @@ class Term:
         return True
 
 
+#: What the N-Triples ``IRIREF`` production excludes (U+0000-U+0020 and
+#: ``<>"{}|^`\``), plus the Unicode whitespace and line breaks the codecs
+#: split on (``\s``, e.g. U+00A0 or U+2028).  An IRI holding one could be
+#: written to a snapshot but never read back.
+_IRI_EXCLUDED_RE = re.compile(r'[\x00-\x20\s<>"{}|^`\\]')
+
+
 class IRI(Term):
     """An IRI reference, e.g. ``IRI("http://schema.org/SportsTeam")``.
 
     Equality and hashing are by string value, so two ``IRI`` objects built
-    from the same string are interchangeable.
+    from the same string are interchangeable.  The hash is computed once:
+    IRIs key every graph index, so they are hashed far more often than
+    built.
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_hash")
 
     def __init__(self, value: str):
         if not isinstance(value, str):
             raise TypeError(f"IRI value must be str, got {type(value).__name__}")
         if not value:
             raise ValueError("IRI value must be non-empty")
-        if any(c in value for c in ("<", ">", '"', " ", "\n", "\t")):
+        if _IRI_EXCLUDED_RE.search(value):
             raise ValueError(f"invalid character in IRI: {value!r}")
         self._value = value
+        self._hash = hash(("IRI", value))
+
+    def __reduce__(self):
+        # The stored hash is valid only in the process that computed it;
+        # an unpickled IRI rehashes under its own process's hash seed.
+        return (IRI, (self._value,))
 
     @property
     def value(self) -> str:
@@ -116,7 +131,7 @@ class IRI(Term):
         return isinstance(other, IRI) and other._value == self._value
 
     def __hash__(self) -> int:
-        return hash(("IRI", self._value))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"IRI({self._value!r})"

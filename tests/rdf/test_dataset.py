@@ -120,5 +120,19 @@ class TestAggregates:
         assert len(dataset) == 0
         assert list(dataset.graph_names()) == []
 
+    def test_stamps_follow_the_named_graphs(self):
+        dataset = Dataset()
+        assert dataset.stamps() == ()
+        g1 = dataset.graph(EX.g1)
+        assert dataset.stamps() == ((EX.g1, g1.stamp),)
+        before = dataset.stamps()
+        dataset.default_graph.add((EX.a, EX.p, EX.b))
+        assert dataset.stamps() == before
+        g1.add((EX.a, EX.p, EX.b))
+        assert dataset.stamps() != before
+        dataset.remove_graph(EX.g1)
+        assert dataset.stamps() == ()
+        assert dataset.graph(EX.g1).stamp not in {stamp for _, stamp in before}
+
     def test_repr(self, dataset):
         assert "2 named graphs" in repr(dataset)

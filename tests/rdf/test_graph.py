@@ -61,6 +61,37 @@ class TestMutation:
         assert not graph
 
 
+class TestStamp:
+    """Equal stamps mean the same graph object holding the same triples."""
+
+    def test_every_graph_starts_with_its_own_stamp(self, graph):
+        assert len({Graph().stamp, Graph().stamp, graph.stamp}) == 3
+        assert graph.copy().stamp != graph.stamp
+
+    def test_changing_mutations_take_a_new_stamp(self, graph):
+        seen = [graph.stamp]
+        graph.add((EX.new, EX.p, EX.b))
+        seen.append(graph.stamp)
+        graph.remove((EX.new, EX.p, EX.b))
+        seen.append(graph.stamp)
+        graph.remove_pattern((None, SC.name, None))
+        seen.append(graph.stamp)
+        graph.clear()
+        seen.append(graph.stamp)
+        assert len(set(seen)) == len(seen)
+
+    def test_no_op_mutations_keep_the_stamp(self, graph):
+        stamp = graph.stamp
+        graph.add((EX.messi, RDF.type, EX.Player))
+        graph.remove((EX.nope, EX.p, EX.b))
+        graph.remove_pattern((EX.nope, None, None))
+        assert graph.stamp == stamp
+        empty = Graph()
+        stamp = empty.stamp
+        empty.clear()
+        assert empty.stamp == stamp
+
+
 class TestPatternMatching:
     def test_spo_concrete(self, graph):
         assert graph.count((EX.messi, RDF.type, EX.Player)) == 1

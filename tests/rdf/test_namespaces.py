@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.vocabulary import G
+from repro.rdf.graph import Graph
 from repro.rdf.namespaces import (
     EX,
     Namespace,
@@ -12,6 +14,7 @@ from repro.rdf.namespaces import (
     default_namespace_manager,
 )
 from repro.rdf.terms import IRI
+from repro.rdf.turtle import parse_turtle, serialize_turtle
 
 
 class TestNamespace:
@@ -42,6 +45,27 @@ class TestNamespace:
     def test_underscore_attribute_raises(self):
         with pytest.raises(AttributeError):
             SC._private  # noqa: B018
+        assert "_private" not in vars(SC)
+
+    def test_attribute_access_is_interned(self):
+        assert G.hasFeature is G.hasFeature
+        ns = Namespace("http://x/")
+        assert ns.a is ns.a
+        assert vars(ns)["a"] == IRI("http://x/a")
+
+    def test_item_and_term_access_are_not_memoized(self):
+        # Both carry data-derived names (mint_local), which must not pile
+        # up in the namespace.
+        ns = Namespace("http://x/")
+        assert ns["a"] is not ns["a"]
+        assert ns.term("a") is not ns.term("a")
+        assert "a" not in vars(ns)
+
+    def test_interning_keeps_equality_and_hash(self):
+        interned, fresh = Namespace("http://x/"), Namespace("http://x/")
+        iri = interned.a
+        assert interned == fresh and hash(interned) == hash(fresh)
+        assert iri == fresh.term("a") and hash(iri) == hash(fresh.term("a"))
 
     def test_wellknown_vocabularies(self):
         assert RDF.type.value.endswith("#type")
@@ -79,6 +103,19 @@ class TestNamespaceManager:
         manager.bind("a", "http://x/")
         manager.bind("b", "http://x/sub/")
         assert manager.compact(IRI("http://x/sub/leaf")) == "b:leaf"
+
+    def test_compact_never_ends_in_a_dot(self):
+        # "sc:SportsTeam." would read back as sc:SportsTeam plus a
+        # statement terminator; the full <...> form is written instead.
+        manager = NamespaceManager()
+        assert manager.compact(IRI("http://schema.org/SportsTeam.")) is None
+        assert manager.compact(IRI("http://schema.org/.a")) is None
+        assert manager.compact(IRI("http://schema.org/a.b")) == "sc:a.b"
+        assert manager.compact(IRI("http://schema.org/a-")) == "sc:a-"
+        graph = Graph()
+        graph.add((SC["SportsTeam."], RDF.type, SC.Thing))
+        assert "<http://schema.org/SportsTeam.>" in serialize_turtle(graph)
+        assert set(parse_turtle(serialize_turtle(graph))) == set(graph)
 
     def test_compact_refuses_slash_in_local(self):
         manager = NamespaceManager(bind_defaults=False)

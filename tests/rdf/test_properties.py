@@ -1,11 +1,21 @@
 """Property-based tests for the RDF substrate (hypothesis)."""
 
+import string
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.rdf.dataset import Dataset
 from repro.rdf.graph import Graph
-from repro.rdf.ntriples import parse_ntriples, serialize_ntriples
-from repro.rdf.terms import BNode, IRI, Literal, Triple
+from repro.rdf.namespaces import default_namespace_manager
+from repro.rdf.ntriples import (
+    parse_nquads,
+    parse_ntriples,
+    serialize_nquads,
+    serialize_ntriples,
+)
+from repro.rdf.terms import BNode, IRI, Literal, Quad, Triple
+from repro.rdf.trig import parse_trig, serialize_trig
 from repro.rdf.turtle import parse_turtle, serialize_turtle
 
 # ---------------------------------------------------------------------- #
@@ -64,6 +74,33 @@ def test_ntriples_roundtrip(triple_set):
 def test_turtle_roundtrip(triple_set):
     g = graph_of(triple_set)
     assert parse_turtle(serialize_turtle(g)) == g
+
+
+# A bound namespace base plus a local part of any characters (controls,
+# Unicode whitespace and line breaks included), weighted towards the
+# ASCII punctuation the QName and IRIREF grammars treat specially.
+_bound_bases = st.sampled_from(
+    [base for _, base in default_namespace_manager().prefixes()]
+)
+_locals = st.text(
+    alphabet=st.one_of(st.sampled_from(string.printable), st.characters()),
+    max_size=8,
+)
+
+
+@given(_bound_bases, _locals)
+@settings(max_examples=300)
+def test_an_iri_is_refused_or_survives_every_codec(base, local):
+    try:
+        iri = IRI(base + local)
+    except ValueError:
+        return  # refused up front, so no snapshot can hold it
+    dataset = Dataset()
+    dataset.add_quad(Quad(iri, iri, iri, None))
+    dataset.add_quad(Quad(iri, iri, iri, iri))
+    expected = set(dataset.quads())
+    assert set(parse_trig(serialize_trig(dataset)).quads()) == expected
+    assert set(parse_nquads(serialize_nquads(dataset.quads())).quads()) == expected
 
 
 # ---------------------------------------------------------------------- #

@@ -1,6 +1,13 @@
 """Unit tests for the RDF term model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.rdf.terms import (
     BNode,
@@ -49,6 +56,59 @@ class TestIRI:
     def test_invalid_characters_rejected(self, bad):
         with pytest.raises(ValueError):
             IRI(bad)
+
+    @pytest.mark.parametrize(
+        "char",
+        [chr(code) for code in range(0x21)]
+        + list('<>"{}|^`\\')
+        + ["\x85", "\xa0", "\u2028", "\u2029", "\u3000"],
+    )
+    def test_unreloadable_characters_rejected(self, char):
+        # What the N-Triples IRIREF production excludes, and the Unicode
+        # whitespace the TriG and N-Quads readers split on, could be
+        # written to a snapshot but never parsed back.
+        with pytest.raises(ValueError):
+            IRI(f"http://x/a{char}b")
+
+    @pytest.mark.parametrize("value", ["http://x/caf\u00e9", "http://x/Team%7Bv2%7D"])
+    def test_non_ascii_and_percent_escapes_accepted(self, value):
+        assert IRI(value).value == value
+
+    def test_hash_matches_value_hash(self):
+        assert hash(IRI("http://x/a")) == hash(("IRI", "http://x/a"))
+
+    def test_pickle_rehashes_under_another_hash_seed(self):
+        # Pickled under one PYTHONHASHSEED and loaded under another, the
+        # IRI must hash like one built there: a hash stored at
+        # construction is only valid in the process that computed it.
+        src = str(Path(repro.__file__).resolve().parent.parent)
+
+        def run(code, seed, data=b""):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            return subprocess.run(
+                [sys.executable, "-c", code],
+                input=data,
+                capture_output=True,
+                env=env,
+                check=True,
+                timeout=60,
+            ).stdout
+
+        pickled = run(
+            "import pickle, sys\n"
+            "from repro.rdf.terms import IRI\n"
+            "sys.stdout.buffer.write(pickle.dumps(IRI('http://x/a')))\n",
+            seed=1,
+        )
+        verdict = run(
+            "import pickle, sys\n"
+            "from repro.rdf.terms import IRI\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(loaded == IRI('http://x/a'), loaded in {IRI('http://x/a')})\n",
+            seed=2,
+            data=pickled,
+        )
+        assert verdict.split() == [b"True", b"True"]
 
     def test_non_string_rejected(self):
         with pytest.raises(TypeError):

@@ -225,6 +225,15 @@ class TestServiceErrors:
         )
         assert response.status == 400
 
+    def test_unreloadable_iri_400(self, service):
+        # "{" is outside the IRIREF production: a snapshot holding it
+        # could be saved but never loaded.
+        response = service.request(
+            "POST", "/globalGraph/concepts", {"iri": "http://example.org/Team{v2}"}
+        )
+        assert response.status == 400
+        assert "http://example.org/Team" not in service.mdm.to_trig()
+
     def test_duplicate_wrapper_409(self, service):
         response = service.request(
             "POST",
@@ -304,6 +313,31 @@ class TestPersistence:
         assert registration.source == iri
         assert restored.source_name_of(iri) == live.source_name_of(iri)
         assert restored.sources() == live.sources() == {"my_source": iri}
+
+    def test_unreloadable_iri_never_reaches_a_snapshot(self, tmp_path):
+        # Before IRI() refused it, this concept saved fine and load_mdm
+        # failed with "unexpected character '<'".
+        from repro.core.mdm import MDM
+        from repro.rdf.terms import IRI
+
+        live = MDM()
+        with pytest.raises(ValueError):
+            live.add_concept(IRI("http://example.org/Team{v2}"))
+        save_mdm(live, tmp_path)
+        assert load_mdm(tmp_path).to_trig() == live.to_trig()
+
+    def test_iri_ending_in_a_dot_survives_roundtrip(self, tmp_path):
+        # "sc:SportsTeam." would read back as sc:SportsTeam plus a
+        # statement terminator, so the snapshot spells the IRI out.
+        from repro.core.mdm import MDM
+        from repro.rdf.namespaces import SC
+
+        live = MDM()
+        concept = live.add_concept(SC["SportsTeam."])
+        save_mdm(live, tmp_path)
+        restored = load_mdm(tmp_path)
+        assert restored.global_graph.concepts() == [concept]
+        assert restored.to_trig() == live.to_trig()
 
     def test_load_missing_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
