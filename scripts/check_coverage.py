@@ -5,7 +5,8 @@ The failpoint registry, the readers-writer lock, the LRU behind every
 generation-keyed cache, the execution configuration, the operators'
 schema rules and structure, the plan checker that applies them, the
 optimizer and executor that rewrite and run every plan, the wrappers
-and wrapper cache that answer its pushed Scans, the saved-query
+and wrapper cache that answer its pushed Scans, the mock REST server,
+payload decoding and typed relations beneath them, the saved-query
 registry and impact analyzer that replay the saved queries, and the
 RDF terms, namespaces, graphs and compiled LAV views every governance
 step reads through are the pieces whose untested branches bite hardest — a silent hole in any shows up as a
@@ -50,6 +51,9 @@ GATED_FILES = (
     "repro/relational/algebra.py",
     "repro/relational/executor.py",
     "repro/relational/optimizer.py",
+    "repro/relational/relation.py",
+    "repro/sources/formats.py",
+    "repro/sources/restapi.py",
     "repro/sources/wrappers.py",
 )
 

@@ -511,7 +511,7 @@ def _add_execution_flags(parser) -> None:
     parser.add_argument(
         "--fetch-workers",
         type=int,
-        help="bound on concurrent wrapper fetches (default: "
+        help="bound on concurrent source-endpoint fetches (default: "
         "$MDM_FETCH_WORKERS or 4)",
     )
     parser.add_argument(

@@ -42,7 +42,8 @@ def env_capacity(name: str, environ: Mapping[str, str] = os.environ) -> int:
 class ExecutionConfig:
     """How queries execute; immutable — replace it to reconfigure."""
 
-    #: Upper bound on concurrent wrapper fetches per query (1 = serial).
+    #: Upper bound on concurrent fetches per query, one per source
+    #: endpoint (1 = serial).
     max_fetch_workers: int = 4
     #: Retry policy applied to every wrapper fetch during execution.
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)

@@ -49,7 +49,7 @@ from ..relational.algebra import Scan
 from ..relational.executor import Executor, OperatorStats, apply_pushdown
 from ..relational.optimizer import OptimizationStats, PlanOptimizer
 from ..relational.relation import Relation
-from ..sources.wrappers import RetryPolicy, Wrapper
+from ..sources.wrappers import FetchResult, RetryPolicy, Wrapper, sharing_requests
 from ..sparql.evaluator import evaluate_text
 from .config import ExecutionConfig, env_capacity
 from .errors import (
@@ -63,6 +63,7 @@ from .global_graph import GlobalGraph, UmlModel
 from .lav import LavMappingStore, MappingView
 from .locking import ReadWriteLock
 from .lru import GenerationLRU
+from .registry import QueryRegistry
 from .releases import (
     KIND_EVOLUTION,
     KIND_NEW_SOURCE,
@@ -77,6 +78,9 @@ from .vocabulary import G, M, S, mdm_namespace_manager, mint_local
 from .walks import Walk
 
 __all__ = ["MDM", "QueryOutcome"]
+
+#: One wrapper's fetch: ``(result, attempts)``, or the exception it raised.
+FetchOutcome = Union[Tuple[FetchResult, int], Exception]
 
 
 class QueryOutcome:
@@ -496,10 +500,16 @@ class MDM:
         #: both frozen within a generation (any metadata mutation bumps
         #: it under the write lock), so repeated queries skip it.
         self._pushdown_plans = GenerationLRU(256, "pushdown_plan_cache")
-        from .registry import QueryRegistry
 
-        #: Saved analytical processes (named walks) with revalidation.
-        self.saved_queries = QueryRegistry(self)
+    @property
+    def saved_queries(self):
+        """Saved analytical processes (named walks) with revalidation.
+
+        A fresh view each time: the registry's only state is this MDM
+        and the metadata store, and holding it here would make a
+        reference cycle that outlives every impact-analysis shadow.
+        """
+        return QueryRegistry(self)
 
     # ------------------------------------------------------------------ #
     # metadata generation & execution configuration
@@ -1441,13 +1451,17 @@ class MDM:
         """Serve each wrapper's fetch request: cache first, then the source.
 
         The wrapper cache is probed serially (cheap, lock-bound) under a
-        ``wrapper-cache`` span per wrapper; misses go to the sources
-        through a bounded :class:`ThreadPoolExecutor` whenever more than
-        one worker and wrapper are involved — tracing included: each
-        task runs under a copy of the caller's :mod:`contextvars`
-        context (one copy per task, since a single context cannot be
-        entered concurrently), so ``fetch:<name>`` spans opened inside
-        the workers parent to the caller's current span.
+        ``wrapper-cache`` span per wrapper.  The misses are grouped by
+        :meth:`~Wrapper.endpoint`: one task fetches a group's wrappers
+        in name order under :func:`sharing_requests`, so the source sees
+        one GET per endpoint (a wrapper without an endpoint is a group
+        of its own).  The groups run through a bounded
+        :class:`ThreadPoolExecutor` whenever more than one worker and
+        group are involved — tracing included: each task runs under a
+        copy of the caller's :mod:`contextvars` context (one copy per
+        task, since a single context cannot be entered concurrently),
+        so ``fetch:<name>`` spans opened inside the workers parent to
+        the caller's current span.
 
         Returns ``(relations, attempts, errors, meta)`` keyed by wrapper
         name; cache hits report 0 attempts and 0 rows transferred;
@@ -1495,38 +1509,57 @@ class MDM:
                 entry["cache"] = "miss"
             to_fetch.append(name)
 
-        def fetch_one(name: str):
-            return self.wrappers[name].fetch_request(requests[name], policy)
+        groups: List[List[str]] = []
+        by_endpoint: Dict[object, List[str]] = {}
+        for name in to_fetch:
+            endpoint = self.wrappers[name].endpoint()
+            if endpoint is None:
+                groups.append([name])
+            elif endpoint in by_endpoint:
+                by_endpoint[endpoint].append(name)
+            else:
+                by_endpoint[endpoint] = [name]
+                groups.append(by_endpoint[endpoint])
 
-        def collect(result_of) -> None:
-            """Record each fetch in name order; ``result_of(name)`` runs
-            or awaits it."""
-            for name in to_fetch:
-                try:
-                    fetched, attempts[name] = result_of(name)
-                except Exception as exc:  # noqa: BLE001 — mode decides
-                    errors[name] = exc
-                    attempts[name] = getattr(exc, "attempts", 1)
-                    continue
-                relations[name] = fetched.relation
-                meta[name]["rows_transferred"] = fetched.rows_transferred
-                meta[name]["rows_source"] = fetched.rows_source
-                cache.put(requests[name], generation, fetched.relation)
+        def fetch_group(group: List[str]) -> Dict[str, FetchOutcome]:
+            """Each wrapper's ``(result, attempts)`` or exception."""
+            fetched: Dict[str, FetchOutcome] = {}
+            with sharing_requests():
+                for name in group:
+                    try:
+                        fetched[name] = self.wrappers[name].fetch_request(
+                            requests[name], policy
+                        )
+                    except Exception as exc:  # noqa: BLE001 — mode decides
+                        fetched[name] = exc
+            return fetched
 
-        workers = min(ctx.config.max_fetch_workers, len(to_fetch))
+        workers = min(ctx.config.max_fetch_workers, len(groups))
+        outcomes: Dict[str, FetchOutcome] = {}
         if workers <= 1:
-            collect(fetch_one)
+            for group in groups:
+                outcomes.update(fetch_group(group))
         else:
             with ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="mdm-fetch"
             ) as pool:
-                futures = {
-                    name: pool.submit(
-                        contextvars.copy_context().run, fetch_one, name
-                    )
-                    for name in to_fetch
-                }
-                collect(lambda name: futures[name].result())
+                futures = [
+                    pool.submit(contextvars.copy_context().run, fetch_group, group)
+                    for group in groups
+                ]
+                for future in futures:
+                    outcomes.update(future.result())
+        for name in to_fetch:
+            outcome = outcomes[name]
+            if isinstance(outcome, Exception):
+                errors[name] = outcome
+                attempts[name] = getattr(outcome, "attempts", 1)
+                continue
+            fetched, attempts[name] = outcome
+            relations[name] = fetched.relation
+            meta[name]["rows_transferred"] = fetched.rows_transferred
+            meta[name]["rows_source"] = fetched.rows_source
+            cache.put(requests[name], generation, fetched.relation)
         metrics = get_metrics()
         request_counter = metrics.counter(
             "mdm_pushdown_requests_total",

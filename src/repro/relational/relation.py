@@ -8,6 +8,7 @@ build relations from dict rows (wrapper output) with type inference.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .schema import Attribute, RelationSchema, SchemaError
@@ -16,6 +17,61 @@ from .types import AttrType, coerce, common_type, infer_type
 __all__ = ["Relation"]
 
 Row = Tuple[Any, ...]
+
+#: The cell type of each exact Python type a wrapper row usually holds.
+_TYPE_OF: Dict[type, AttrType] = {
+    str: AttrType.STRING,
+    int: AttrType.INTEGER,
+    float: AttrType.FLOAT,
+    bool: AttrType.BOOLEAN,
+    type(None): AttrType.ANY,
+}
+
+
+def _column_types(rows: Sequence[Row], width: int) -> Tuple[List[AttrType], List[int]]:
+    """Each column's common type, and the indices of the mixed columns.
+
+    A column is typed from the distinct Python types in it: the common
+    type is a join, so the order of observation does not matter.  A
+    column is *mixed* when it holds two or more concrete types.  Any
+    other Python type (an ``int`` subclass, an unsupported value) sends
+    the whole relation through :func:`infer_type` cell by cell in row
+    order, so the same :class:`TypeError` names the same value.
+    """
+    if not rows:
+        return [AttrType.ANY] * width, []
+    types: List[AttrType] = []
+    mixed: List[int] = []
+    for index, column in enumerate(zip(*rows)):
+        try:
+            observed = {_TYPE_OF[t] for t in set(map(type, column))}
+        except KeyError:
+            return _column_types_per_cell(rows, width)
+        observed.discard(AttrType.ANY)
+        types.append(functools.reduce(common_type, observed, AttrType.ANY))
+        if len(observed) > 1:
+            mixed.append(index)
+    return types, mixed
+
+
+def _column_types_per_cell(
+    rows: Sequence[Row], width: int
+) -> Tuple[List[AttrType], List[int]]:
+    """:func:`_column_types` one cell at a time, for unusual values."""
+    types = [AttrType.ANY] * width
+    mixed: set = set()
+    for row in rows:
+        for index, value in enumerate(row):
+            inferred = infer_type(value)
+            if inferred is AttrType.ANY:
+                continue  # NULL observes nothing
+            current = types[index]
+            if current is AttrType.ANY:
+                types[index] = inferred
+            elif inferred is not current:
+                types[index] = common_type(current, inferred)
+                mixed.add(index)
+    return types, sorted(mixed)
 
 
 class Relation:
@@ -69,40 +125,25 @@ class Relation:
                         seen.append(key)
             attribute_order = seen
         names = list(attribute_order)
-        # Single pass over the records: track each column's running
-        # common type, and which columns ever saw two different concrete
-        # types.  A column with one concrete type needs no coercion at
-        # all — coerce(v, T) is the identity whenever infer_type(v) is T
-        # (and None passes through) — which is the overwhelmingly common
-        # case on the wrapper-fetch hot path.
-        types: Dict[str, AttrType] = {n: AttrType.ANY for n in names}
-        mixed: set = set()
-        for record in records:
-            for key in names:
-                inferred = infer_type(record.get(key))
-                if inferred is AttrType.ANY:
-                    continue  # NULL observes nothing
-                current = types[key]
-                if current is AttrType.ANY:
-                    types[key] = inferred
-                elif inferred is not current:
-                    types[key] = common_type(current, inferred)
-                    mixed.add(key)
-        schema = RelationSchema(Attribute(n, types[n]) for n in names)
+        rows = [tuple(map(record.get, names)) for record in records]
+        types, mixed = _column_types(rows, len(names))
+        schema = RelationSchema(Attribute(n, t) for n, t in zip(names, types))
         if not mixed:
-            rows = [tuple(record.get(n) for n in names) for record in records]
             return cls(schema, rows, name=name)
         # Coerce only the mixed columns so a relation's rows always
         # conform to its schema (a mixed int/str column becomes
         # all-string, exactly as a widening union would make it).
-        mixed_at = [(i, types[n]) for i, n in enumerate(names) if n in mixed]
-        rows = []
-        for record in records:
-            cells = [record.get(n) for n in names]
+        # coerce(v, T) is the identity whenever infer_type(v) is T (and
+        # None passes through), so a column of one concrete type needs
+        # no coercion — the overwhelmingly common case.
+        mixed_at = [(i, types[i]) for i in mixed]
+        coerced = []
+        for row in rows:
+            cells = list(row)
             for index, target in mixed_at:
                 cells[index] = coerce(cells[index], target)
-            rows.append(tuple(cells))
-        return cls(schema, rows, name=name)
+            coerced.append(tuple(cells))
+        return cls(schema, coerced, name=name)
 
     @classmethod
     def empty(cls, schema: RelationSchema, name: Optional[str] = None) -> "Relation":

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import xml.etree.ElementTree as ET
+from collections import abc
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 __all__ = [
@@ -180,30 +181,43 @@ def decode_csv(payload: str) -> List[Record]:
 # --------------------------------------------------------------------- #
 
 
+#: The exact value types a record may hold and still be flat already.
+_FLAT_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 def flatten_record(record: Mapping[str, Any], separator: str = "_") -> Record:
     """Flatten nested dicts into one level with joined keys.
 
     Lists of scalars are joined with ``|``; lists of dicts are indexed
     (``tags_0_name``).  The result satisfies the paper's 1NF assumption
-    for wrapper output.
+    for wrapper output.  A record that is flat already (``str`` keys,
+    scalar values of exactly the JSON types) comes back as a plain copy.
     """
-    flat: Record = {}
+    for key, value in record.items():
+        if type(key) is not str or type(value) not in _FLAT_TYPES:
+            flat: Record = {}
+            _flatten_into(flat, "", dict(record), separator)
+            return flat
+    return dict(record)
 
-    def walk(prefix: str, value: Any) -> None:
-        if isinstance(value, Mapping):
-            for key, sub in value.items():
-                walk(f"{prefix}{separator}{key}" if prefix else str(key), sub)
-        elif isinstance(value, (list, tuple)):
-            if all(not isinstance(v, (Mapping, list, tuple)) for v in value):
-                flat[prefix] = "|".join(_scalar_to_text(v) for v in value)
-            else:
-                for index, element in enumerate(value):
-                    walk(f"{prefix}{separator}{index}", element)
+
+def _flatten_into(flat: Record, prefix: str, value: Any, separator: str) -> None:
+    if isinstance(value, abc.Mapping):
+        for key, sub in value.items():
+            _flatten_into(
+                flat,
+                f"{prefix}{separator}{key}" if prefix else str(key),
+                sub,
+                separator,
+            )
+    elif isinstance(value, (list, tuple)):
+        if all(not isinstance(v, (abc.Mapping, list, tuple)) for v in value):
+            flat[prefix] = "|".join(_scalar_to_text(v) for v in value)
         else:
-            flat[prefix] = value
-
-    walk("", dict(record))
-    return flat
+            for index, element in enumerate(value):
+                _flatten_into(flat, f"{prefix}{separator}{index}", element, separator)
+    else:
+        flat[prefix] = value
 
 
 def flatten_records(records: Sequence[Mapping[str, Any]], separator: str = "_") -> List[Record]:

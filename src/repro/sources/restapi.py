@@ -180,7 +180,12 @@ class MockRestServer:
         return response
 
     def get_all_pages(self, path: str, params: Optional[Mapping[str, str]] = None) -> List[Response]:
-        """Fetch every page of a paginated endpoint."""
+        """Fetch every page of a paginated endpoint.
+
+        Pages are as long as the request's ``per_page`` when it sends
+        one, else the endpoint's ``page_size``; with neither there is
+        one page.  Paging stops at the first page shorter than that.
+        """
         endpoint = self._endpoints.get(path)
         responses: List[Response] = []
         page = 1
@@ -191,11 +196,12 @@ class MockRestServer:
             responses.append(response)
             if not response.ok:
                 break
-            if endpoint is None or endpoint.page_size is None:
+            size = self._page_size(merged, endpoint)
+            if size is None:
                 break
             # Stop once a short (or empty) page arrives.
             count = self._count_records(response, endpoint)
-            if count < endpoint.page_size:
+            if count < size:
                 break
             page += 1
         return responses
@@ -224,12 +230,17 @@ class MockRestServer:
         return filtered
 
     @staticmethod
-    def _apply_pagination(
-        records: List[Record], params: Mapping[str, str], endpoint: Endpoint
-    ) -> Tuple[List[Record], Optional[Dict[str, int]]]:
-        size = endpoint.page_size
+    def _page_size(params: Mapping[str, str], endpoint: Endpoint) -> Optional[int]:
+        """Records per page: the request's ``per_page``, else the endpoint's."""
         if "per_page" in params:
-            size = max(1, int(params["per_page"]))
+            return max(1, int(params["per_page"]))
+        return endpoint.page_size
+
+    @classmethod
+    def _apply_pagination(
+        cls, records: List[Record], params: Mapping[str, str], endpoint: Endpoint
+    ) -> Tuple[List[Record], Optional[Dict[str, int]]]:
+        size = cls._page_size(params, endpoint)
         if size is None:
             return records, None
         page = max(1, int(params.get("page", "1")))

@@ -18,10 +18,24 @@ scenario while MDM's LAV rewriting routes around it.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..chaos import clock as chaos_clock
 from ..chaos.failpoints import fire as _failpoint
@@ -43,6 +57,7 @@ __all__ = [
     "RetryPolicy",
     "AttributeSpec",
     "FetchResult",
+    "sharing_requests",
 ]
 
 Record = Dict[str, Any]
@@ -50,6 +65,31 @@ Record = Dict[str, Any]
 #: How a signature attribute is produced from one flattened payload record:
 #: a key (str) into the flattened record, or a function of it.
 AttributeSpec = Union[str, Callable[[Record], Any]]
+
+#: The decoded, flattened payloads already fetched in this context, keyed
+#: by request; ``None`` outside :func:`sharing_requests`.
+_SHARED_REQUESTS: contextvars.ContextVar[Optional[Dict[Hashable, List[Record]]]] = (
+    contextvars.ContextVar("mdm_shared_requests", default=None)
+)
+
+
+@contextmanager
+def sharing_requests() -> Iterator[None]:
+    """Let the REST wrappers fetched in this block share identical GETs.
+
+    Inside the block, a :class:`RestWrapper` that would send a request
+    another wrapper already sent successfully maps its attributes from
+    that decoded payload instead of asking the source again.  Only
+    successful decodes are shared, never a failure.  The memo lives in a
+    :mod:`contextvars` variable, so it is private to the block's context:
+    a thread started inside (a retry policy's per-attempt timeout) does
+    not inherit it and sends its own GET.
+    """
+    token = _SHARED_REQUESTS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_REQUESTS.reset(token)
 
 
 @dataclass(frozen=True)
@@ -186,6 +226,16 @@ class Wrapper:
     def fetch(self) -> List[Record]:
         """The current rows as dicts keyed exactly by the signature."""
         raise NotImplementedError
+
+    def endpoint(self) -> Optional[Hashable]:
+        """The identity of the source request this wrapper sends, or None.
+
+        Wrappers that declare the same endpoint read one source request,
+        so a query fetches them together and lets them share it (see
+        :func:`sharing_requests`).  ``None`` (the default) declares
+        nothing to share.
+        """
+        return None
 
     def capabilities(self) -> frozenset:
         """Pushdown capabilities this wrapper declares.
@@ -481,8 +531,10 @@ class RestWrapper(Wrapper):
             )
         return [flatten_record(r) for r in records]
 
-    def _responses(self, params: Optional[Mapping[str, str]] = None) -> List[Response]:
-        send = dict(self.params if params is None else params)
+    def endpoint(self) -> Optional[Hashable]:
+        return (self.server, self.path)
+
+    def _responses(self, send: Mapping[str, str]) -> List[Response]:
         if not self.paginate:
             return [self.server.get_or_raise(self.path, send)]
         responses = self.server.get_all_pages(self.path, send)
@@ -495,20 +547,45 @@ class RestWrapper(Wrapper):
         return self._fetch_with_params(None)
 
     def _fetch_with_params(self, params: Optional[Mapping[str, str]]) -> List[Record]:
-        try:
-            responses = self._responses(params)
-        except HttpError as exc:
-            raise WrapperSchemaError(
-                self.name, "*", f"endpoint {self.path} failed: {exc}"
-            ) from exc
-        decoded: List[Record] = []
-        for response in responses:
-            decoded.extend(self._decode(response))
+        send = dict(self.params if params is None else params)
+        shared = _SHARED_REQUESTS.get()
+        key = (self.server, self.path, tuple(sorted(send.items())), self.paginate)
+        decoded = None if shared is None else shared.get(key)
+        if decoded is None:
+            try:
+                responses = self._responses(send)
+            except HttpError as exc:
+                raise WrapperSchemaError(
+                    self.name, "*", f"endpoint {self.path} failed: {exc}"
+                ) from exc
+            decoded = []
+            for response in responses:
+                decoded.extend(self._decode(response))
+            if shared is not None:
+                shared[key] = decoded
+        return self._map_records(decoded)
+
+    def _map_records(self, decoded: List[Record]) -> List[Record]:
+        """Each decoded record as a row keyed by the signature.
+
+        When every spec is a plain key present in every record, the rows
+        are built in one pass; otherwise each attribute is produced and
+        checked one by one.  A computed spec gets a copy of the record,
+        since ``decoded`` may be shared with other wrappers.
+        """
+        specs = [self.attribute_map.get(a, a) for a in self.attributes]
+        if all(isinstance(spec, str) for spec in specs):
+            needed = set(specs)
+            if all(needed <= record.keys() for record in decoded):
+                pairs = list(zip(self.attributes, specs))
+                return [{a: record[k] for a, k in pairs} for record in decoded]
+        computed = any(callable(spec) for spec in specs)
         rows: List[Record] = []
         for record in decoded:
+            if computed:
+                record = dict(record)
             row: Record = {}
-            for attribute in self.attributes:
-                spec = self.attribute_map.get(attribute, attribute)
+            for attribute, spec in zip(self.attributes, specs):
                 if callable(spec):
                     try:
                         row[attribute] = spec(record)

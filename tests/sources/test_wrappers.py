@@ -185,6 +185,28 @@ class TestRestWrapper:
     def test_pagination_on_unpaginated_endpoint(self, server):
         w = RestWrapper("wp", ["id"], server, "/v1/players", paginate=True)
         assert len(w.fetch()) == 2
+        assert len(server.request_log) == 1
+
+    @pytest.mark.parametrize("page_size", [10, None])
+    def test_pagination_pages_by_the_per_page_sent(self, page_size):
+        s = MockRestServer()
+        records = [{"id": i} for i in range(12)]
+        s.register(Endpoint("things", 1, "json", lambda: records, page_size=page_size))
+        w = RestWrapper(
+            "w", ["id"], s, "/v1/things", paginate=True, params={"per_page": "5"}
+        )
+        assert w.fetch() == records
+        assert [r.params["page"] for r in s.request_log] == ["1", "2", "3"]
+
+    def test_pagination_full_last_page_ends_on_the_empty_page(self):
+        s = MockRestServer()
+        records = [{"id": i} for i in range(10)]
+        s.register(Endpoint("things", 1, "json", lambda: records))
+        w = RestWrapper(
+            "w", ["id"], s, "/v1/things", paginate=True, params={"per_page": "5"}
+        )
+        assert w.fetch() == records
+        assert [r.params["page"] for r in s.request_log] == ["1", "2", "3"]
 
     def test_nesting_change_breaks_old_wrapper(self, server):
         v1 = EndpointVersion("players", 1, "json", lambda: [dict(r) for r in RECORDS])
