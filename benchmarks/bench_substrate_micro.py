@@ -1,14 +1,12 @@
 """Ablation D — substrate micro-benchmarks backing the system numbers.
 
 The interactive behaviour of MDM rests on the substrates: triple-store
-insert/match throughput, SPARQL BGP evaluation, the document store's
-filtered scans and the relational hash join.  These micro-benchmarks
-characterize each at representative sizes.
+insert/match throughput, SPARQL BGP evaluation and the relational hash
+join.  These micro-benchmarks characterize each at representative sizes.
 """
 
 import pytest
 
-from repro.docstore.store import DocumentStore
 from repro.rdf.dataset import Dataset
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import EX, RDF
@@ -79,22 +77,6 @@ def test_relational_hash_join(benchmark, n):
 
     result = benchmark(lambda: executor.execute(plan))
     assert len(result) == n
-
-
-@pytest.mark.parametrize("n", [1_000, 10_000])
-def test_docstore_filtered_scan(benchmark, n):
-    store = DocumentStore()
-    releases = store.collection("releases")
-    releases.insert_many(
-        {"source": f"s{i % 20}", "version": i % 7, "breaking": i % 3 == 0}
-        for i in range(n)
-    )
-
-    def scan():
-        return releases.count({"source": "s3", "version": {"$gte": 3}})
-
-    count = benchmark(scan)
-    assert count > 0
 
 
 @pytest.mark.parametrize("n", [10_000])

@@ -7,11 +7,13 @@ schema rules and structure, the plan checker that applies them, the
 optimizer and executor that rewrite and run every plan, the wrappers
 and wrapper cache that answer its pushed Scans, the mock REST server,
 payload decoding and typed relations beneath them, the saved-query
-registry and impact analyzer that replay the saved queries, and the
-RDF terms, namespaces, graphs and compiled LAV views every governance
-step reads through are the pieces whose untested branches bite hardest — a silent hole in any shows up as a
-flaky production incident, a wrongly rejected plan or a wrong answer,
-not a failing assertion.  This gate reads a ``coverage.json`` report
+registry and impact analyzer that replay the saved queries, the
+document store that keeps the releases, saved queries and query log,
+and the RDF terms, namespaces, graphs and compiled LAV views every
+governance step reads through are the pieces whose untested branches
+bite hardest — a silent hole in any shows up as a flaky production
+incident, a wrongly rejected plan or a wrong answer, not a failing
+assertion.  This gate reads a ``coverage.json`` report
 (``pytest --cov=repro --cov-report=json:coverage.json``) and fails
 unless every measured file under ``src/repro/chaos/`` and each of
 :data:`GATED_FILES` has line coverage of at least 90%.
@@ -45,6 +47,7 @@ GATED_FILES = (
     "repro/core/lru.py",
     "repro/core/registry.py",
     "repro/core/wrapper_cache.py",
+    "repro/docstore/store.py",
     "repro/rdf/graph.py",
     "repro/rdf/namespaces.py",
     "repro/rdf/terms.py",

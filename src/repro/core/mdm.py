@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import contextvars
 import copy
-import os
 import threading
 import time
 import uuid
@@ -402,7 +401,6 @@ class MDM:
 
     def __init__(
         self,
-        metadata_path: Optional[os.PathLike] = None,
         *,
         max_fetch_workers: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -441,7 +439,7 @@ class MDM:
             self.dataset, self.global_graph, self.source_graph
         )
         self.rewriter = Rewriter(self.global_graph, self.mappings)
-        self.metadata = DocumentStore(metadata_path)
+        self.metadata = DocumentStore()
         self.governance = GovernanceLog(self.metadata)
         #: Runtime wrapper objects by name (the executable side of S:Wrapper).
         self.wrappers: Dict[str, Wrapper] = {}
@@ -620,13 +618,7 @@ class MDM:
         """Declare a data source; returns its IRI (idempotent)."""
         with self.metadata_lock.write_locked():
             self.bump_generation()
-            iri = self.source_graph.add_data_source(name, label)
-            self.metadata.collection("sources").replace_one(
-                {"name": name}, {"name": name, "iri": iri.value, "label": label or name}
-            ) or self.metadata.collection("sources").insert_one(
-                {"name": name, "iri": iri.value, "label": label or name}
-            )
-            return iri
+            return self.source_graph.add_data_source(name, label)
 
     def source_iri(self, name: str) -> IRI:
         """The IRI of a registered source (raises if unknown)."""
@@ -662,7 +654,9 @@ class MDM:
         reused across the source's previous wrappers; the release is
         recorded in the governance log.  ``kind`` defaults to
         ``new-source`` for the source's first wrapper and ``evolution``
-        afterwards.
+        afterwards.  A release the log cannot record (an unknown
+        ``kind``, a failed write) is not registered: the error propagates
+        and the source graph is left as it was.
 
         When ``config.impact_gate`` is not ``"off"`` the release is first
         run through :meth:`analyze_impact` against the *unmodified*
@@ -698,18 +692,28 @@ class MDM:
                         "before any metadata mutation",
                         report=impact_report,
                     )
+            graph = self.source_graph.graph
+            before = set(graph)
             registration = self.source_graph.register_wrapper(
                 source, wrapper.name, wrapper.attributes
             )
+            try:
+                self.governance.record(
+                    source_name,
+                    registration,
+                    resolved_kind,
+                    changes,
+                    impact=impact_report,
+                    gate=gate,
+                )
+            except BaseException:
+                # An unrecorded release must not stay registered. Only the
+                # triples this call added go: a retired wrapper's attribute
+                # IRI, minted again under its old name, keeps its triples.
+                for triple in set(graph) - before:
+                    graph.remove(triple)
+                raise
             self.wrappers[wrapper.name] = wrapper
-            self.governance.record(
-                source_name,
-                registration,
-                resolved_kind,
-                changes,
-                impact=impact_report,
-                gate=gate,
-            )
             self.bump_generation()
             return registration
 

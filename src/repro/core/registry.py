@@ -15,7 +15,7 @@ coverage a release broke.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from .errors import MdmError
 from .walks import Walk
@@ -41,6 +41,14 @@ class RevalidationEntry:
     ucq_size: int = 0
     rows: Optional[int] = None
     error: str = ""
+
+
+def _saved_query(document: Mapping[str, Any]) -> SavedQuery:
+    return SavedQuery(
+        name=document["name"],
+        walk=Walk.from_json_dict(document["walk"]),
+        description=document.get("description", ""),
+    )
 
 
 class QueryRegistry:
@@ -70,8 +78,7 @@ class QueryRegistry:
             "description": description,
             "walk": walk.to_json_dict(),
         }
-        if not self._collection.replace_one({"name": name}, document):
-            self._collection.insert_one(document)
+        self._collection.replace_one({"name": name}, document)
         return SavedQuery(name=name, walk=walk, description=description)
 
     def get(self, name: str) -> SavedQuery:
@@ -79,11 +86,7 @@ class QueryRegistry:
         document = self._collection.find_one({"name": name})
         if document is None:
             raise KeyError(f"no saved query named {name!r}")
-        return SavedQuery(
-            name=document["name"],
-            walk=Walk.from_json_dict(document["walk"]),
-            description=document.get("description", ""),
-        )
+        return _saved_query(document)
 
     def delete(self, name: str) -> bool:
         """Remove a saved query; True if it existed."""
@@ -91,15 +94,18 @@ class QueryRegistry:
 
     def names(self) -> List[str]:
         """All saved query names, sorted."""
-        return sorted(d["name"] for d in self._collection.find())
+        return [d["name"] for d in self._collection.find(sort="name")]
+
+    def all(self) -> List[SavedQuery]:
+        """Every saved query, read in one pass, sorted by name."""
+        return [_saved_query(d) for d in self._collection.find(sort="name")]
 
     def walks(self) -> Dict[str, Walk]:
         """Every saved walk, read once, by name in sorted order."""
-        documents = sorted(self._collection.find(), key=lambda d: d["name"])
-        return {d["name"]: Walk.from_json_dict(d["walk"]) for d in documents}
+        return {saved.name: saved.walk for saved in self.all()}
 
     def __len__(self) -> int:
-        return self._collection.count()
+        return len(self._collection)
 
     # ------------------------------------------------------------------ #
     # execution & governance

@@ -1,13 +1,5 @@
 """Embedded document store (MongoDB substitute) for MDM system metadata."""
 
-from .matching import FilterError, matches, resolve_path
 from .store import Collection, DocumentStore, DuplicateKeyError
 
-__all__ = [
-    "DocumentStore",
-    "Collection",
-    "DuplicateKeyError",
-    "matches",
-    "resolve_path",
-    "FilterError",
-]
+__all__ = ["DocumentStore", "Collection", "DuplicateKeyError"]

@@ -1,16 +1,25 @@
 """An embedded document store (MongoDB substitute).
 
-MDM persists its system metadata — data sources, wrapper registrations,
-releases, query logs — in MongoDB (paper §2.5).  :class:`DocumentStore`
-provides the same document/collection model with Mongo-style filters
-(:mod:`repro.docstore.matching`), update operators, and JSON-lines
-persistence so a store survives process restarts.
+MDM keeps its integration metadata — sources, wrappers, attributes — in
+the RDF graphs; only *system* metadata goes to MongoDB (paper §2.5):
+here the release log, the saved queries and the query log.  A
+:class:`Collection` answers what MDM asks of those collections: inserts,
+equality lookups on top-level fields, one atomic replace-or-insert,
+deletes and an optional sort, over documents kept in insertion order.
+:class:`DocumentStore` persists its collections as JSON lines so a store
+survives process restarts.
 
 Documents are plain dicts.  Every inserted document gets a string ``_id``
 (caller-provided or auto-minted, unique per collection).
 
+A query maps top-level fields to values; a document matches when it
+holds every field with an equal value, and an empty query matches every
+document.  A ``$`` field or a mapping value is rejected with
+:class:`ValueError`, so a query written for MongoDB's filter language
+fails loudly instead of matching nothing.
+
 Collections are thread-safe: the multi-client service records a query
-document per ``execute()`` and concurrent inserts would otherwise race
+document per ``execute()`` and concurrent writes would otherwise race
 on the id counter and the backing dict.  Reads return deep copies, so a
 caller never holds a reference a concurrent writer could mutate.
 """
@@ -23,16 +32,36 @@ import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..chaos.failpoints import fire as _failpoint
-from .matching import FilterError, matches, resolve_path
 
 __all__ = ["Collection", "DocumentStore", "DuplicateKeyError"]
+
+Query = Optional[Mapping[str, Any]]
 
 
 class DuplicateKeyError(ValueError):
     """Raised when inserting a document whose ``_id`` already exists."""
+
+
+def _checked(query: Query) -> Dict[str, Any]:
+    """``query`` as a dict of top-level fields to values, or ValueError."""
+    fields = dict(query or {})
+    for field, value in fields.items():
+        if field.startswith("$") or isinstance(value, Mapping):
+            raise ValueError(
+                f"unsupported query {{{field!r}: {value!r}}}: a query maps "
+                "top-level fields to values"
+            )
+    return fields
+
+
+def _matches(document: Mapping[str, Any], fields: Mapping[str, Any]) -> bool:
+    return all(
+        field in document and document[field] == value
+        for field, value in fields.items()
+    )
 
 
 class Collection:
@@ -51,6 +80,27 @@ class Collection:
             if candidate not in self._documents:
                 return candidate
 
+    def _put(self, doc: Dict[str, Any]) -> str:
+        """Store ``doc`` under its own or a minted ``_id``; lock held."""
+        doc_id = doc.get("_id")
+        if doc_id is None:
+            doc_id = self._mint_id()
+            doc["_id"] = doc_id
+        elif not isinstance(doc_id, str):
+            raise TypeError("_id must be a string")
+        if doc_id in self._documents:
+            raise DuplicateKeyError(f"duplicate _id {doc_id!r} in {self.name!r}")
+        self._documents[doc_id] = doc
+        return doc_id
+
+    def _first(self, fields: Mapping[str, Any]) -> Optional[str]:
+        """The ``_id`` of the first match in insertion order; lock held."""
+        return next(
+            (doc_id for doc_id, document in self._documents.items()
+             if _matches(document, fields)),
+            None,
+        )
+
     # ------------------------------------------------------------------ #
     # writes
     # ------------------------------------------------------------------ #
@@ -60,201 +110,71 @@ class Collection:
         doc = _failpoint("docstore.write", payload=copy.deepcopy(dict(document)),
                          key=self.name)
         with self._lock:
-            doc_id = doc.get("_id")
+            return self._put(doc)
+
+    def replace_one(self, query: Query, document: Mapping[str, Any]) -> int:
+        """Replace the first match wholesale, keeping its ``_id``, or insert
+        ``document`` when nothing matches (MongoDB's ``upsert=True``).
+
+        The lookup and the write hold the lock together, so two callers
+        replacing one key never both insert.  Returns 1 if it replaced and
+        0 if it inserted.
+        """
+        fields = _checked(query)
+        doc = _failpoint("docstore.write", payload=copy.deepcopy(dict(document)),
+                         key=self.name)
+        with self._lock:
+            doc_id = self._first(fields)
             if doc_id is None:
-                doc_id = self._mint_id()
-                doc["_id"] = doc_id
-            elif not isinstance(doc_id, str):
-                raise TypeError("_id must be a string")
-            if doc_id in self._documents:
-                raise DuplicateKeyError(
-                    f"duplicate _id {doc_id!r} in {self.name!r}"
-                )
+                self._put(doc)
+                return 0
+            doc["_id"] = doc_id
             self._documents[doc_id] = doc
-            return doc_id
+            return 1
 
-    def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> List[str]:
-        """Insert several documents; returns their ids."""
-        return [self.insert_one(d) for d in documents]
-
-    def replace_one(self, query: Mapping[str, Any], document: Mapping[str, Any]) -> int:
-        """Replace the first match wholesale (keeping its ``_id``)."""
+    def delete_one(self, query: Query) -> int:
+        """Delete the first match; returns 0 or 1."""
+        fields = _checked(query)
         _failpoint("docstore.write", key=self.name)
         with self._lock:
-            for doc_id, existing in self._documents.items():
-                if matches(existing, query):
-                    replacement = copy.deepcopy(dict(document))
-                    replacement["_id"] = doc_id
-                    self._documents[doc_id] = replacement
-                    return 1
-            return 0
-
-    def update_one(self, query: Mapping[str, Any], update: Mapping[str, Any]) -> int:
-        """Apply ``$set``/``$unset``/``$push``/``$inc`` to the first match."""
-        with self._lock:
-            for document in self._documents.values():
-                if matches(document, query):
-                    self._apply_update(document, update)
-                    return 1
-            return 0
-
-    def update_many(self, query: Mapping[str, Any], update: Mapping[str, Any]) -> int:
-        """Apply an update to every match; returns the count."""
-        with self._lock:
-            count = 0
-            for document in self._documents.values():
-                if matches(document, query):
-                    self._apply_update(document, update)
-                    count += 1
-            return count
-
-    @staticmethod
-    def _apply_update(document: Dict[str, Any], update: Mapping[str, Any]) -> None:
-        recognised = {"$set", "$unset", "$push", "$inc"}
-        unknown = set(update) - recognised
-        if unknown:
-            raise FilterError(f"unknown update operators {sorted(unknown)}")
-        for path, value in update.get("$set", {}).items():
-            _set_path(document, path, copy.deepcopy(value))
-        for path in update.get("$unset", {}):
-            _unset_path(document, path)
-        for path, value in update.get("$push", {}).items():
-            target = _get_path_container(document, path, create=True)
-            key = path.split(".")[-1]
-            existing = target.get(key)
-            if existing is None:
-                target[key] = [copy.deepcopy(value)]
-            elif isinstance(existing, list):
-                existing.append(copy.deepcopy(value))
-            else:
-                raise FilterError(f"$push target {path!r} is not a list")
-        for path, amount in update.get("$inc", {}).items():
-            target = _get_path_container(document, path, create=True)
-            key = path.split(".")[-1]
-            target[key] = target.get(key, 0) + amount
-
-    def delete_one(self, query: Mapping[str, Any]) -> int:
-        """Delete the first match; returns 0 or 1."""
-        with self._lock:
-            for doc_id, document in self._documents.items():
-                if matches(document, query):
-                    del self._documents[doc_id]
-                    return 1
-            return 0
-
-    def delete_many(self, query: Mapping[str, Any]) -> int:
-        """Delete every match; returns the count."""
-        with self._lock:
-            victims = [
-                doc_id
-                for doc_id, document in self._documents.items()
-                if matches(document, query)
-            ]
-            for doc_id in victims:
-                del self._documents[doc_id]
-            return len(victims)
+            doc_id = self._first(fields)
+            if doc_id is None:
+                return 0
+            del self._documents[doc_id]
+            return 1
 
     # ------------------------------------------------------------------ #
     # reads
     # ------------------------------------------------------------------ #
 
-    def find(
-        self,
-        query: Optional[Mapping[str, Any]] = None,
-        sort: Optional[str] = None,
-        descending: bool = False,
-        limit: Optional[int] = None,
-    ) -> List[Dict[str, Any]]:
-        """Copies of all matching documents (insertion order by default).
-
-        ``sort`` is a dot path; documents missing it sort first.
-        """
-        query = query or {}
+    def find(self, query: Query = None, sort: Optional[str] = None) -> List[Dict[str, Any]]:
+        """Copies of all matching documents, in insertion order or by the
+        top-level field ``sort``, which every match must hold."""
+        fields = _checked(query)
         with self._lock:
             results = [
                 copy.deepcopy(document)
                 for document in self._documents.values()
-                if matches(document, query)
+                if _matches(document, fields)
             ]
         if sort is not None:
-            def sort_key(document: Dict[str, Any]):
-                values = resolve_path(document, sort)
-                if not values:
-                    return (0, "")
-                value = values[0]
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    return (1, float(value))
-                return (2, str(value))
-
-            results.sort(key=sort_key, reverse=descending)
-        if limit is not None:
-            results = results[:limit]
+            results.sort(key=lambda document: document[sort])
         return results
 
-    def find_one(self, query: Optional[Mapping[str, Any]] = None) -> Optional[Dict[str, Any]]:
+    def find_one(self, query: Query) -> Optional[Dict[str, Any]]:
         """The first matching document (copy) or None."""
-        found = self.find(query, limit=1)
-        return found[0] if found else None
-
-    def get(self, doc_id: str) -> Optional[Dict[str, Any]]:
-        """Fetch by ``_id`` (copy) or None."""
+        fields = _checked(query)
         with self._lock:
-            document = self._documents.get(doc_id)
-            return copy.deepcopy(document) if document is not None else None
+            doc_id = self._first(fields)
+            return None if doc_id is None else copy.deepcopy(self._documents[doc_id])
 
-    def count(self, query: Optional[Mapping[str, Any]] = None) -> int:
-        """Number of matching documents."""
-        with self._lock:
-            if not query:
-                return len(self._documents)
-            return sum(
-                1 for d in self._documents.values() if matches(d, query)
-            )
-
-    def distinct(self, path: str, query: Optional[Mapping[str, Any]] = None) -> List[Any]:
-        """Distinct values at ``path`` across matching documents."""
-        seen: List[Any] = []
-        for document in self.find(query):
-            for value in resolve_path(document, path):
-                candidates = value if isinstance(value, list) else [value]
-                for candidate in candidates:
-                    if candidate not in seen:
-                        seen.append(candidate)
-        return seen
+    def count(self) -> int:
+        """Number of documents."""
+        return len(self)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._documents)
-
-    def __iter__(self) -> Iterator[Dict[str, Any]]:
-        return iter(self.find())
-
-
-def _set_path(document: Dict[str, Any], path: str, value: Any) -> None:
-    container = _get_path_container(document, path, create=True)
-    container[path.split(".")[-1]] = value
-
-
-def _unset_path(document: Dict[str, Any], path: str) -> None:
-    container = _get_path_container(document, path, create=False)
-    if container is not None:
-        container.pop(path.split(".")[-1], None)
-
-
-def _get_path_container(
-    document: Dict[str, Any], path: str, create: bool
-) -> Optional[Dict[str, Any]]:
-    segments = path.split(".")
-    current: Any = document
-    for segment in segments[:-1]:
-        if not isinstance(current, dict):
-            return None
-        if segment not in current:
-            if not create:
-                return None
-            current[segment] = {}
-        current = current[segment]
-    return current if isinstance(current, dict) else None
 
 
 class DocumentStore:
@@ -275,10 +195,6 @@ class DocumentStore:
                 existing = Collection(name)
                 self._collections[name] = existing
             return existing
-
-    def drop_collection(self, name: str) -> bool:
-        """Delete a collection entirely; True if it existed."""
-        return self._collections.pop(name, None) is not None
 
     def collection_names(self) -> List[str]:
         """Sorted names of existing collections."""

@@ -352,17 +352,14 @@ class MdmService:
         return {"name": saved.name, "walk": saved.walk.to_json_dict()}
 
     def _get_saved_queries(self, request: JsonRequest) -> List[Dict[str, Any]]:
-        out = []
-        for name in self.mdm.saved_queries.names():
-            saved = self.mdm.saved_queries.get(name)
-            out.append(
-                {
-                    "name": saved.name,
-                    "description": saved.description,
-                    "walk": saved.walk.to_json_dict(),
-                }
-            )
-        return out
+        return [
+            {
+                "name": saved.name,
+                "description": saved.description,
+                "walk": saved.walk.to_json_dict(),
+            }
+            for saved in self.mdm.saved_queries.all()
+        ]
 
     def _run_saved_query(self, request: JsonRequest) -> Dict[str, Any]:
         name = request.path_params["name"]

@@ -4,7 +4,9 @@ One MDM instance's metadata lives in two stores:
 
 - the RDF dataset (global graph, source graph, LAV named graphs), saved
   as a TriG document;
-- the document store (releases, sources, query log), saved as JSONL.
+- the document store (releases, saved queries, query log), saved as
+  JSONL.  Older snapshots also hold a ``sources`` collection; it loads
+  and is saved back unchanged, and nothing reads it.
 
 ``save`` writes both under a directory; ``load`` reconstructs an
 :class:`~repro.core.mdm.MDM` from them.  Runtime wrapper objects (live

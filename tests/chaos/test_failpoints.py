@@ -363,6 +363,46 @@ class TestCacheRewriteSite:
 
 
 # --------------------------------------------------------------------- #
+# docstore.write: every document insert, replace and delete
+# --------------------------------------------------------------------- #
+
+
+class TestDocstoreWriteSite:
+    def test_save_raises_and_leaves_the_collection(self, failpoints):
+        mdm, walk = football_with_saved_query()
+        saved = mdm.metadata.collection("saved_queries")
+        before = saved.find()
+        failpoints.arm_spec("docstore.write[saved_queries]=error")
+        for name in ("player-team", "new-name"):
+            with pytest.raises(FailpointError, match="docstore.write"):
+                mdm.saved_queries.save(name, walk, "changed")
+        assert saved.find() == before
+
+    def test_delete_raises_and_leaves_the_collection(self, failpoints):
+        mdm, _ = football_with_saved_query()
+        saved = mdm.metadata.collection("saved_queries")
+        before = saved.find()
+        failpoints.arm_spec("docstore.write[saved_queries]=error")
+        with pytest.raises(FailpointError, match="docstore.write"):
+            mdm.saved_queries.delete("player-team")
+        assert saved.find() == before
+        failpoints.disarm("docstore.write")
+        assert mdm.saved_queries.delete("player-team") is True
+
+    def test_execute_raises_and_logs_no_query_document(self, failpoints):
+        from repro.obs.querylog import get_query_log
+
+        mdm, walk = football_with_saved_query()
+        queries = mdm.metadata.collection("queries")
+        logged = queries.find()
+        failpoints.arm_spec("docstore.write[queries]=error")
+        with pytest.raises(FailpointError, match="docstore.write"):
+            mdm.execute(walk)
+        assert queries.find() == logged
+        assert get_query_log().recent(1)[0].status == "error"
+
+
+# --------------------------------------------------------------------- #
 # arming surfaces
 # --------------------------------------------------------------------- #
 

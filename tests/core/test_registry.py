@@ -1,5 +1,7 @@
 """Unit tests for the saved-query registry and revalidation."""
 
+import threading
+
 import pytest
 
 from repro.core.registry import QueryRegistry, RevalidationEntry
@@ -49,6 +51,51 @@ class TestCrud:
         registry.save("q", scenario.walk_player_team_names())
         assert registry.delete("q") is True
         assert registry.delete("q") is False
+
+    def test_concurrent_saves_of_one_name_keep_one_document(
+        self, scenario, monkeypatch
+    ):
+        from repro.docstore.store import Collection
+
+        registry = scenario.mdm.saved_queries
+        walk = scenario.walk_player_team_names()
+        replace_one = Collection.replace_one
+        barrier = threading.Barrier(2, timeout=10)
+
+        def replace_then_meet(self, query, document):
+            result = replace_one(self, query, document)
+            barrier.wait()
+            return result
+
+        monkeypatch.setattr(Collection, "replace_one", replace_then_meet)
+        errors = []
+
+        def save():
+            try:
+                registry.save("q", walk)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=save) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(registry) == 1
+        assert registry.names() == ["q"]
+        assert registry.delete("q") is True
+        assert registry.names() == []
+
+    def test_all_reads_every_saved_query_sorted(self, scenario):
+        registry = scenario.mdm.saved_queries
+        registry.save("zeta", scenario.walk_player_team_names(), "z")
+        registry.save("alpha", scenario.walk_single_concept())
+        saved = registry.all()
+        assert [(q.name, q.description) for q in saved] == [("alpha", ""), ("zeta", "z")]
+        assert saved == [registry.get("alpha"), registry.get("zeta")]
+        assert registry.walks() == {q.name: q.walk for q in saved}
 
     def test_names_sorted(self, scenario):
         registry = scenario.mdm.saved_queries

@@ -62,6 +62,65 @@ class TestGovernanceLog:
             log.record("players", registration, "bogus-kind")
 
 
+def _metadata_state(mdm):
+    return (
+        set(mdm.source_graph.graph),
+        dict(mdm.wrappers),
+        mdm.governance.history(),
+        mdm.generation,
+    )
+
+
+class TestUnrecordedRelease:
+    """A release the governance log cannot record is not registered."""
+
+    @pytest.fixture(params=["bad-kind", "log-write"])
+    def register_failing(self, request):
+        """Register a wrapper under ``players`` whose release record fails."""
+        from repro.chaos import FailpointError, FailpointRegistry, set_failpoints
+
+        registry = FailpointRegistry(seed=0)
+        set_failpoints(registry)
+
+        def register(mdm, wrapper):
+            if request.param == "bad-kind":
+                with pytest.raises(ValueError, match="unknown release kind"):
+                    mdm.register_wrapper("players", wrapper, kind="bogus")
+                return
+            registry.arm_spec("docstore.write[releases]=error")
+            with pytest.raises(FailpointError):
+                mdm.register_wrapper("players", wrapper)
+            registry.disarm("docstore.write")
+
+        yield register
+        set_failpoints(None)
+
+    def test_registration_is_undone(self, scenario, register_failing):
+        before = _metadata_state(scenario.mdm)
+        register_failing(scenario.mdm, StaticWrapper("wX", ["id", "fresh"], []))
+        assert _metadata_state(scenario.mdm) == before
+
+    def test_retired_wrappers_attribute_keeps_its_triples(
+        self, scenario, register_failing
+    ):
+        from repro.analysis.impact import WrapperRetirement, apply_change
+
+        mdm = scenario.mdm
+        apply_change(mdm, WrapperRetirement("w1n"))
+        before = _metadata_state(mdm)
+        # nationalityId was w1n's alone: the release mints its IRI again.
+        register_failing(mdm, StaticWrapper("wX", ["id", "nationalityId"], []))
+        assert _metadata_state(mdm) == before
+
+    def test_retry_records_one_release(self, scenario, register_failing):
+        mdm = scenario.mdm
+        wrapper = StaticWrapper("wX", ["id", "fresh"], [])
+        register_failing(mdm, wrapper)
+        mdm.register_wrapper("players", wrapper)
+        assert [r.wrapper_name for r in mdm.governance.history()][6:] == ["wX"]
+        assert mdm.wrappers["wX"] is wrapper
+
+
 class TestMappingSuggestion:
     def test_full_reuse_gives_complete_suggestion(self, scenario):
         scenario.server and scenario.release_players_v2()

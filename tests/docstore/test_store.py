@@ -1,21 +1,22 @@
 """Unit tests for the document store."""
 
+import sys
+import threading
+
 import pytest
 
-from repro.docstore.matching import FilterError
 from repro.docstore.store import Collection, DocumentStore, DuplicateKeyError
 
 
 @pytest.fixture
 def releases():
     c = Collection("releases")
-    c.insert_many(
-        [
-            {"source": "players", "version": 1, "breaking": False},
-            {"source": "players", "version": 2, "breaking": True},
-            {"source": "teams", "version": 1, "breaking": False},
-        ]
-    )
+    for document in (
+        {"source": "players", "version": 1, "breaking": False},
+        {"source": "players", "version": 2, "breaking": True},
+        {"source": "teams", "version": 1, "breaking": False},
+    ):
+        c.insert_one(document)
     return c
 
 
@@ -23,8 +24,8 @@ class TestInsert:
     def test_auto_id_minted(self):
         c = Collection("x")
         doc_id = c.insert_one({"a": 1})
-        assert doc_id.startswith("x-")
-        assert c.get(doc_id)["a"] == 1
+        assert doc_id == "x-000001"
+        assert c.find_one({"_id": doc_id})["a"] == 1
 
     def test_explicit_id_kept(self):
         c = Collection("x")
@@ -45,7 +46,7 @@ class TestInsert:
         original = {"nested": {"v": 1}}
         doc_id = c.insert_one(original)
         original["nested"]["v"] = 99
-        assert c.get(doc_id)["nested"]["v"] == 1
+        assert c.find_one({"_id": doc_id})["nested"]["v"] == 1
 
 
 class TestFind:
@@ -65,88 +66,87 @@ class TestFind:
     def test_find_returns_copies(self, releases):
         doc = releases.find_one({"version": 1})
         doc["version"] = 99
-        assert releases.count({"version": 99}) == 0
+        assert releases.find({"version": 99}) == []
 
     def test_sort_ascending(self, releases):
-        versions = [d["version"] for d in releases.find(sort="version")]
-        assert versions == sorted(versions)
-
-    def test_sort_descending(self, releases):
-        versions = [
-            d["version"] for d in releases.find(sort="version", descending=True)
-        ]
-        assert versions == sorted(versions, reverse=True)
-
-    def test_limit(self, releases):
-        assert len(releases.find(limit=2)) == 2
+        ordered = releases.find(sort="version")
+        assert [d["version"] for d in ordered] == [1, 1, 2]
+        # Stable: equal keys keep insertion order.
+        assert [d["source"] for d in ordered] == ["players", "teams", "players"]
 
     def test_count(self, releases):
-        assert releases.count() == 3
-        assert releases.count({"breaking": True}) == 1
-
-    def test_distinct(self, releases):
-        assert releases.distinct("source") == ["players", "teams"]
+        assert releases.count() == len(releases) == 3
 
     def test_iteration(self, releases):
-        assert len(list(releases)) == 3
+        # Documents come back in insertion order.
+        assert [(d["source"], d["version"]) for d in releases.find()] == [
+            ("players", 1), ("players", 2), ("teams", 1),
+        ]
 
 
 class TestUpdate:
-    def test_set(self, releases):
-        changed = releases.update_one({"version": 1, "source": "players"},
-                                      {"$set": {"breaking": True}})
-        assert changed == 1
-        assert releases.count({"breaking": True}) == 2
-
-    def test_set_nested_creates_path(self, releases):
-        releases.update_one({"source": "teams"}, {"$set": {"meta.checked": True}})
-        assert releases.count({"meta.checked": True}) == 1
-
-    def test_unset(self, releases):
-        releases.update_one({"source": "teams"}, {"$unset": {"breaking": ""}})
-        doc = releases.find_one({"source": "teams"})
-        assert "breaking" not in doc
-
-    def test_push(self, releases):
-        releases.update_one({"source": "teams"}, {"$push": {"tags": "xml"}})
-        releases.update_one({"source": "teams"}, {"$push": {"tags": "v1"}})
-        assert releases.find_one({"source": "teams"})["tags"] == ["xml", "v1"]
-
-    def test_push_to_non_list_rejected(self, releases):
-        with pytest.raises(FilterError):
-            releases.update_one({"source": "teams"}, {"$push": {"version": 2}})
-
-    def test_inc(self, releases):
-        releases.update_one({"source": "teams"}, {"$inc": {"version": 5}})
-        assert releases.find_one({"source": "teams"})["version"] == 6
-
-    def test_update_many(self, releases):
-        changed = releases.update_many(
-            {"source": "players"}, {"$set": {"archived": True}}
-        )
-        assert changed == 2
-
     def test_unknown_operator_rejected(self, releases):
-        with pytest.raises(FilterError):
-            releases.update_one({}, {"$rename": {"a": "b"}})
+        with pytest.raises(ValueError):
+            releases.replace_one({"$set": {"a": 1}}, {"a": 1})
+        assert len(releases) == 3
 
     def test_replace_one(self, releases):
+        doc_id = releases.find_one({"source": "teams"})["_id"]
         count = releases.replace_one({"source": "teams"}, {"source": "teams", "fresh": 1})
         assert count == 1
         doc = releases.find_one({"source": "teams"})
         assert doc["fresh"] == 1 and "version" not in doc
+        assert doc["_id"] == doc_id and len(releases) == 3
+
+    def test_update_many(self, releases):
+        # A replace touches only the first of several matches.
+        releases.replace_one({"source": "players"}, {"source": "players", "version": 9})
+        assert [d["version"] for d in releases.find({"source": "players"})] == [9, 2]
 
     def test_update_zero_matches(self, releases):
-        assert releases.update_one({"source": "nope"}, {"$set": {"x": 1}}) == 0
+        # With no match, replace_one inserts the document.
+        assert releases.replace_one({"source": "nope"}, {"source": "nope", "x": 1}) == 0
+        assert releases.find_one({"source": "nope"}) == {
+            "_id": "releases-000004", "source": "nope", "x": 1,
+        }
+        assert len(releases) == 4
+
+
+class TestConcurrency:
+    def test_concurrent_replaces_of_a_key_insert_it_once(self):
+        c = Collection("saved_queries")
+        start = threading.Barrier(8, timeout=30)
+
+        def replace(n):
+            start.wait()
+            for i in range(300):
+                c.replace_one({"name": f"q{i}"}, {"name": f"q{i}", "by": n})
+
+        threads = [threading.Thread(target=replace, args=(n,)) for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(d["name"] for d in c.find()) == sorted(f"q{i}" for i in range(300))
 
 
 class TestDelete:
     def test_delete_one(self, releases):
         assert releases.delete_one({"source": "players"}) == 1
-        assert releases.count({"source": "players"}) == 1
+        assert len(releases.find({"source": "players"})) == 1
 
     def test_delete_many(self, releases):
-        assert releases.delete_many({"source": "players"}) == 2
+        # Deletes go one match at a time, first match first.
+        assert releases.delete_one({"source": "players"}) == 1
+        assert [d["version"] for d in releases.find({"source": "players"})] == [2]
+        assert releases.delete_one({"source": "players"}) == 1
+        assert releases.delete_one({"source": "players"}) == 0
         assert releases.count() == 1
 
     def test_delete_zero(self, releases):
@@ -162,12 +162,6 @@ class TestDocumentStore:
     def test_same_collection_returned(self):
         store = DocumentStore()
         assert store.collection("a") is store.collection("a")
-
-    def test_drop_collection(self):
-        store = DocumentStore()
-        store.collection("a")
-        assert store.drop_collection("a") is True
-        assert store.drop_collection("a") is False
 
     def test_persistence_roundtrip(self, tmp_path):
         path = tmp_path / "meta.jsonl"
@@ -199,4 +193,4 @@ class TestDocumentStore:
         doc_id = store.collection("c").insert_one({"x": 1})
         store.save()
         restored = DocumentStore(path)
-        assert restored.collection("c").get(doc_id)["x"] == 1
+        assert restored.collection("c").find_one({"_id": doc_id})["x"] == 1

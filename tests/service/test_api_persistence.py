@@ -1,11 +1,18 @@
 """Unit tests for the MDM REST service and persistence layer."""
 
+import json
+
 import pytest
 
 from repro.rdf.namespaces import EX
 from repro.scenarios.football import PLAYER, FootballScenario
 from repro.service.api import MdmService
-from repro.service.persistence import attach_wrappers, load_mdm, save_mdm
+from repro.service.persistence import (
+    METADATA_FILE,
+    attach_wrappers,
+    load_mdm,
+    save_mdm,
+)
 
 
 @pytest.fixture
@@ -178,6 +185,35 @@ class TestSavedQueryEndpoints:
         assert listing.body[0]["name"] == "things-by-name"
         assert listing.body[0]["description"] == "all thing names"
 
+    def test_list_is_one_read_when_a_delete_lands_mid_listing(
+        self, service, monkeypatch
+    ):
+        from repro.docstore.store import Collection
+
+        for name in ("a", "b"):
+            body = {"name": name, "nodes": [EX.Thing.value, EX.thingName.value]}
+            assert service.request("POST", "/queries/saved", body).ok
+        find = Collection.find
+        reads = []
+
+        def find_then_delete_b(self, *args, **kwargs):
+            found = find(self, *args, **kwargs)
+            if self.name == "saved_queries" and not reads:
+                reads.append(found)
+                self.delete_one({"name": "b"})
+            return found
+
+        monkeypatch.setattr(Collection, "find", find_then_delete_b)
+        listing = service.request("GET", "/queries/saved")
+        assert listing.status == 200
+        assert [q["name"] for q in listing.body] == ["a", "b"]
+        assert listing.body[0] == {
+            "name": "a",
+            "description": "",
+            "walk": reads[0][0]["walk"],
+        }
+        assert [q["name"] for q in service.request("GET", "/queries/saved").body] == ["a"]
+
     def test_run_saved(self, service):
         self._save(service)
         response = service.request("POST", "/queries/saved/things-by-name/run")
@@ -289,6 +325,42 @@ class TestPersistence:
             list(walk.concepts | walk.features)
         )
         assert set(restored.execute(walk2).relation.rows) == expected
+
+    def test_snapshot_with_sources_documents_loads_and_resaves(self, tmp_path):
+        """Older snapshots also hold one ``sources`` document per source;
+        they load, and a re-save writes those documents back unchanged."""
+        scenario = FootballScenario.build(anchors_only=True)
+        walk = scenario.walk_player_team_names()
+        scenario.mdm.saved_queries.save("rosters", walk, "desc")
+        save_mdm(scenario.mdm, tmp_path)
+        metadata = tmp_path / METADATA_FILE
+        sources = [
+            json.dumps(
+                {
+                    "collection": "sources",
+                    "document": {
+                        "_id": f"sources-{n:06d}",
+                        "iri": iri.value,
+                        "label": name,
+                        "name": name,
+                    },
+                },
+                sort_keys=True,
+            )
+            for n, (name, iri) in enumerate(sorted(scenario.mdm.sources().items()), 1)
+        ]
+        lines = metadata.read_text().splitlines() + sources
+        assert any('"_id": "saved_queries-000001"' in line for line in lines)
+        metadata.write_text("\n".join(lines) + "\n")
+        old_text = metadata.read_text()
+
+        loaded = load_mdm(tmp_path)
+        assert loaded.governance.history() == scenario.mdm.governance.history()
+        assert loaded.saved_queries.get("rosters").description == "desc"
+        loaded.saved_queries.save("rosters", loaded.saved_queries.get("rosters").walk, "desc")
+        assert len(loaded.saved_queries) == 1
+        save_mdm(loaded, tmp_path)
+        assert metadata.read_text() == old_text
 
     def test_roundtrip_preserves_releases(self, tmp_path):
         scenario = FootballScenario.build(anchors_only=True)
