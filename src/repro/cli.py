@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from .core.mdm import MDM
@@ -132,7 +133,7 @@ def cmd_query(args) -> int:
     mdm = scenario.mdm
     _apply_execution_flags(mdm, args)
     if args.sparql or args.sparql_file:
-        text = args.sparql or open(args.sparql_file).read()
+        text = args.sparql or Path(args.sparql_file).read_text(encoding="utf-8")
         walk = walk_from_sparql(mdm.global_graph, text)
     elif args.nodes:
         walk = mdm.walk_from_nodes([IRI(n) for n in args.nodes])
@@ -277,7 +278,7 @@ def _default_walk(args, scenario):
     """The traced walk: explicit ``--nodes``/``--sparql`` or a scenario default."""
     mdm = scenario.mdm
     if args.sparql or args.sparql_file:
-        text = args.sparql or open(args.sparql_file).read()
+        text = args.sparql or Path(args.sparql_file).read_text(encoding="utf-8")
         return walk_from_sparql(mdm.global_graph, text)
     if args.nodes:
         return mdm.walk_from_nodes([IRI(n) for n in args.nodes])
@@ -511,7 +512,8 @@ def _add_execution_flags(parser) -> None:
     parser.add_argument(
         "--fetch-workers",
         type=int,
-        help="bound on concurrent source-endpoint fetches (default: "
+        help="bound on source endpoints fetched at once per query, the "
+        "calling thread included; 1 fetches serially (default: "
         "$MDM_FETCH_WORKERS or 4)",
     )
     parser.add_argument(

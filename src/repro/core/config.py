@@ -42,8 +42,10 @@ def env_capacity(name: str, environ: Mapping[str, str] = os.environ) -> int:
 class ExecutionConfig:
     """How queries execute; immutable — replace it to reconfigure."""
 
-    #: Upper bound on concurrent fetches per query, one per source
-    #: endpoint (1 = serial).
+    #: Upper bound on source endpoints fetched at once per query, the
+    #: calling thread included: it fetches them in turn, and up to this
+    #: many minus one shared helper threads take the ones it has not
+    #: reached while it waits on a source (1 = serial, no helper).
     max_fetch_workers: int = 4
     #: Retry policy applied to every wrapper fetch during execution.
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)

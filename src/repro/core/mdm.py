@@ -28,7 +28,7 @@ import threading
 import time
 import uuid
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -80,6 +80,27 @@ __all__ = ["MDM", "QueryOutcome"]
 
 #: One wrapper's fetch: ``(result, attempts)``, or the exception it raised.
 FetchOutcome = Union[Tuple[FetchResult, int], Exception]
+
+#: Threads in the process-wide fetch-helper pool: the standard library's
+#: own ceiling for the default size of a thread pool.
+_FETCH_HELPERS = 32
+_fetch_pool_lock = threading.Lock()
+_fetch_pool_instance: Optional[ThreadPoolExecutor] = None
+
+
+def _fetch_pool() -> ThreadPoolExecutor:
+    """The process-wide pool of fetch helpers, created on first use.
+
+    Every MDM and query shares it.  Its threads are long-lived; the idle
+    ones are joined at interpreter exit by :mod:`concurrent.futures`.
+    """
+    global _fetch_pool_instance
+    with _fetch_pool_lock:
+        if _fetch_pool_instance is None:
+            _fetch_pool_instance = ThreadPoolExecutor(
+                max_workers=_FETCH_HELPERS, thread_name_prefix="mdm-fetch"
+            )
+        return _fetch_pool_instance
 
 
 class QueryOutcome:
@@ -1047,12 +1068,16 @@ class MDM:
         instead of raising — useful while a source migration is in flight.
 
         Leaf wrappers of the UCQ are deduplicated (a wrapper shared by
-        several CQs is fetched once per query) and fetched concurrently
-        through a bounded thread pool of ``config.max_fetch_workers``
-        threads, each fetch governed by ``config.retry_policy``.  The pool
-        is used whether or not the process tracer is enabled: workers
-        run under a copy of the caller's context, so their fetch spans
-        parent correctly to this query's ``execute`` root.
+        several CQs is fetched once per query), each fetch governed by
+        ``config.retry_policy``.  The calling thread fetches the source
+        endpoints one after another; up to ``config.max_fetch_workers - 1``
+        long-lived helper threads take the endpoints it has not reached
+        while it waits on a source, so blocking sources overlap and
+        CPU-bound ones run as they would serially.  Helpers run under a
+        copy of the caller's context whether or not the process tracer
+        is enabled, so their fetch spans parent correctly to this
+        query's ``execute`` root, whose ``fetch_helpers`` tag counts the
+        endpoints they fetched.
 
         ``analyze=True`` (implied when this query's trace is being
         recorded) collects per-operator rows-in/rows-out/elapsed
@@ -1235,7 +1260,7 @@ class MDM:
                 pushed_plan, pushdown_stats = extracted
         requests, derived = self._scan_requests(pushed_plan, needed)
         with timer.phase("fetch"):
-            run.relations, run.attempts, errors, run.fetch_meta = (
+            run.relations, run.attempts, errors, run.fetch_meta, helped = (
                 self._fetch_requests(requests, ctx)
             )
         if errors and ctx.on_wrapper_error == "raise":
@@ -1302,6 +1327,7 @@ class MDM:
         root.set_tag("ucq_size", result.ucq_size)
         root.set_tag("rows", len(relation))
         root.set_tag("fetch_attempts", sum(run.attempts.values()))
+        root.set_tag("fetch_helpers", helped)
         if run.failed:
             root.set_tag("skipped_wrappers", run.failed)
         return QueryOutcome(
@@ -1456,22 +1482,27 @@ class MDM:
 
         The wrapper cache is probed serially (cheap, lock-bound) under a
         ``wrapper-cache`` span per wrapper.  The misses are grouped by
-        :meth:`~Wrapper.endpoint`: one task fetches a group's wrappers
-        in name order under :func:`sharing_requests`, so the source sees
-        one GET per endpoint (a wrapper without an endpoint is a group
-        of its own).  The groups run through a bounded
-        :class:`ThreadPoolExecutor` whenever more than one worker and
-        group are involved — tracing included: each task runs under a
-        copy of the caller's :mod:`contextvars` context (one copy per
-        task, since a single context cannot be entered concurrently),
-        so ``fetch:<name>`` spans opened inside the workers parent to
-        the caller's current span.
+        :meth:`~Wrapper.endpoint`: a group's wrappers are fetched in
+        name order under one :func:`sharing_requests` block, so the
+        source sees one GET per endpoint (a wrapper without an endpoint
+        is a group of its own).
 
-        Returns ``(relations, attempts, errors, meta)`` keyed by wrapper
-        name; cache hits report 0 attempts and 0 rows transferred;
-        ``errors`` holds the terminal exception per failed wrapper — any
-        ``Exception`` counts, because ``fetch()`` is source-side code
-        whose failures must be degradable to a partial result.
+        The calling thread fetches the groups one after another.  Up to
+        ``max_fetch_workers - 1`` helpers from the process-wide pool
+        take the groups it has not reached yet.  A helper needs the
+        interpreter lock to take one, so while the caller computes they
+        take nothing, and while it waits on a source they overlap the
+        wait.  Each helper runs under its own copy of the caller's
+        :mod:`contextvars` context, so ``fetch:<name>`` spans opened in
+        a helper parent to the caller's current span.
+
+        Returns ``(relations, attempts, errors, meta, helped)``: the
+        first four keyed by wrapper name, and the number of groups the
+        helpers fetched.  Cache hits report 0 attempts and 0 rows
+        transferred; ``errors`` holds the terminal exception per failed
+        wrapper — any ``Exception`` counts, because ``fetch()`` is
+        source-side code whose failures must be degradable to a partial
+        result.
         """
         names = sorted(requests)
         for name in names:
@@ -1525,34 +1556,44 @@ class MDM:
                 by_endpoint[endpoint] = [name]
                 groups.append(by_endpoint[endpoint])
 
-        def fetch_group(group: List[str]) -> Dict[str, FetchOutcome]:
-            """Each wrapper's ``(result, attempts)`` or exception."""
-            fetched: Dict[str, FetchOutcome] = {}
-            with sharing_requests():
-                for name in group:
-                    try:
-                        fetched[name] = self.wrappers[name].fetch_request(
-                            requests[name], policy
-                        )
-                    except Exception as exc:  # noqa: BLE001 — mode decides
-                        fetched[name] = exc
-            return fetched
+        pending = deque(groups)
 
-        workers = min(ctx.config.max_fetch_workers, len(groups))
-        outcomes: Dict[str, FetchOutcome] = {}
-        if workers <= 1:
-            for group in groups:
-                outcomes.update(fetch_group(group))
-        else:
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="mdm-fetch"
-            ) as pool:
-                futures = [
-                    pool.submit(contextvars.copy_context().run, fetch_group, group)
-                    for group in groups
-                ]
-                for future in futures:
-                    outcomes.update(future.result())
+        def drain() -> Tuple[int, Dict[str, FetchOutcome]]:
+            """Fetch groups until none is left: how many, and each
+            wrapper's ``(result, attempts)`` or exception."""
+            taken = 0
+            fetched: Dict[str, FetchOutcome] = {}
+            while True:
+                try:
+                    group = pending.popleft()
+                except IndexError:
+                    return taken, fetched
+                taken += 1
+                with sharing_requests():
+                    for name in group:
+                        try:
+                            fetched[name] = self.wrappers[name].fetch_request(
+                                requests[name], policy
+                            )
+                        except Exception as exc:  # noqa: BLE001 — mode decides
+                            fetched[name] = exc
+
+        helpers: List[Future] = []
+        try:
+            for _ in range(min(ctx.config.max_fetch_workers, len(groups)) - 1):
+                helpers.append(_fetch_pool().submit(contextvars.copy_context().run, drain))
+            _, outcomes = drain()
+        finally:
+            # No fetch outlives its query.  A helper that has not started
+            # is cancelled, never waited for: a saturated pool degrades
+            # to a serial fetch instead of a deadlock.
+            started = [helper for helper in helpers if not helper.cancel()]
+            wait(started)
+        helped = 0
+        for helper in started:
+            taken, fetched = helper.result()
+            helped += taken
+            outcomes.update(fetched)
         for name in to_fetch:
             outcome = outcomes[name]
             if isinstance(outcome, Exception):
@@ -1587,7 +1628,7 @@ class MDM:
                     "mdm_pushdown_rows_saved_total",
                     "Rows filtered out source-side before transfer.",
                 ).inc(int(source_rows) - int(entry["rows_transferred"]))
-        return relations, attempts, errors, meta
+        return relations, attempts, errors, meta, helped
 
     def _extract_pushdown(self, plan, needed: Iterable[str]):
         """Stage-A optimization: fold pushable work into the Scans.

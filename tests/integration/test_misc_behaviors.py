@@ -1,5 +1,7 @@
 """Edge-case tests across substrates that the main suites don't reach."""
 
+import warnings
+
 import pytest
 
 from repro.rdf.dataset import Dataset
@@ -158,17 +160,31 @@ class TestRestApiEdges:
 
 
 class TestCliSparqlFile:
+    QUERY = (
+        "PREFIX ex: <http://www.essi.upc.edu/example/>\n"
+        "SELECT ?playerName WHERE { ?p rdf:type ex:Player . "
+        "?p ex:playerName ?playerName }"
+    )
+
     def test_query_from_file(self, tmp_path, capsys):
         from repro.cli import main
 
         sparql_file = tmp_path / "q.rq"
-        sparql_file.write_text(
-            "PREFIX ex: <http://www.essi.upc.edu/example/>\n"
-            "SELECT ?playerName WHERE { ?p rdf:type ex:Player . "
-            "?p ex:playerName ?playerName }"
-        )
+        sparql_file.write_text(self.QUERY)
         assert main(["query", "--sparql-file", str(sparql_file)]) == 0
         assert "Lionel Messi" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["query", "trace"])
+    def test_sparql_file_is_closed(self, tmp_path, capsys, command):
+        from repro.cli import main
+
+        sparql_file = tmp_path / "q.rq"
+        sparql_file.write_text(self.QUERY, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main([command, "--sparql-file", str(sparql_file)]) == 0
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert "playerName" in capsys.readouterr().out
 
 
 class TestDocstoreSortEdge:

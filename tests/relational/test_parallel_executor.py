@@ -1,4 +1,4 @@
-"""Concurrent federated execution: pool fetches, retries, partial results.
+"""Concurrent federated execution: shared fetch helpers, retries, partial results.
 
 The doubles here simulate the three ways a real wrapper misbehaves —
 slowness (:class:`SlowWrapper`), transient failure (:class:`FlakyWrapper`)
@@ -13,16 +13,19 @@ schedule without spending wall time; only the doubles whose *point* is
 real concurrency (barriers, staggered completion order) touch real time.
 """
 
+import sys
 import threading
 import time
+from concurrent.futures import wait
 
 import pytest
 
 from repro.chaos import VirtualClock, use_clock
 from repro.chaos import clock as chaos_clock
+from repro.core import mdm as mdm_module
 from repro.core.errors import MdmError
 from repro.core.mdm import MDM
-from repro.obs import MetricsRegistry, set_metrics
+from repro.obs import MetricsRegistry, capture, set_metrics
 from repro.rdf.namespaces import EX
 from repro.sources.wrappers import (
     RetryPolicy,
@@ -267,6 +270,133 @@ class TestConcurrentFetch:
         mdm = union_mdm([StaticWrapper("w0", ["id", "name"], [])])
         with pytest.raises(ValueError):
             mdm.configure_execution(max_fetch_workers=-2)
+
+
+def barrier_wrappers(parties, wait_timeout=5.0):
+    barrier = threading.Barrier(parties)
+    return [
+        BarrierWrapper(
+            f"w{i}", ["id", "name"], rows_for(f"w{i}"), barrier, wait_timeout
+        )
+        for i in range(parties)
+    ]
+
+
+def static_wrappers(count):
+    return [
+        StaticWrapper(f"w{i}", ["id", "name"], rows_for(f"w{i}"))
+        for i in range(count)
+    ]
+
+
+class TestFetchScheduling:
+    """The calling thread fetches; shared helpers take what it has not
+    reached, and only a helper that has started is ever waited for."""
+
+    def test_every_query_overlaps_blocking_sources(self):
+        # Not only the first query: a scheduler that learned from earlier
+        # fetches to keep these sources on the calling thread would break
+        # the barrier on a later one.
+        mdm = union_mdm(barrier_wrappers(4, wait_timeout=2.0), max_fetch_workers=4)
+        walk = name_walk(mdm)
+        for _ in range(10):
+            outcome = mdm.execute(walk)
+            assert len(outcome.relation) == 8
+            assert not outcome.partial
+
+    def test_each_group_is_fetched_once_under_fast_switching(self):
+        # More drainers than cores pop one shared deque; a group taken
+        # twice or lost would move a fetch count off the query count.
+        wrappers = [
+            SlowWrapper(f"w{i:02d}", ["id", "name"], rows_for(f"w{i:02d}"))
+            for i in range(12)
+        ]
+        mdm = union_mdm(wrappers, max_fetch_workers=8)
+        walk = name_walk(mdm)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(20):
+                assert len(mdm.execute(walk).relation) == 24
+        finally:
+            sys.setswitchinterval(previous)
+        assert [w.fetch_count for w in wrappers] == [20] * 12
+
+    def test_query_never_waits_for_a_free_helper(self):
+        pool = mdm_module._fetch_pool()
+        release = threading.Event()
+        running = threading.Semaphore(0)
+
+        def occupy():
+            running.release()
+            release.wait(timeout=30.0)
+
+        blockers = [pool.submit(occupy) for _ in range(mdm_module._FETCH_HELPERS)]
+        try:
+            for _ in blockers:
+                assert running.acquire(timeout=5.0)
+            mdm = union_mdm(static_wrappers(4), max_fetch_workers=4)
+            outcomes = []
+            query = threading.Thread(
+                target=lambda: outcomes.append(mdm.execute(name_walk(mdm)))
+            )
+            query.start()
+            query.join(timeout=10.0)
+            # The helpers never started, so the caller fetched alone.
+            assert not query.is_alive()
+            assert len(outcomes[0].relation) == 8
+        finally:
+            release.set()
+            wait(blockers)
+
+    def test_no_fetch_outlives_a_query_that_raises(self):
+        class Abort(BaseException):
+            pass
+
+        caller = threading.current_thread()
+        barrier = threading.Barrier(2)
+        helper_done = threading.Event()
+
+        class SplitWrapper(StaticWrapper):
+            """Aborts on the calling thread; finishes late on a helper."""
+
+            def fetch(self):
+                barrier.wait(timeout=5.0)
+                if threading.current_thread() is caller:
+                    raise Abort()
+                time.sleep(0.1)
+                helper_done.set()
+                return super().fetch()
+
+        wrappers = [
+            SplitWrapper(f"w{i}", ["id", "name"], rows_for(f"w{i}")) for i in range(2)
+        ]
+        mdm = union_mdm(wrappers, max_fetch_workers=2)
+        with pytest.raises(Abort):
+            mdm.execute(name_walk(mdm))
+        assert helper_done.is_set()
+
+    def test_serial_config_submits_nothing(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("max_fetch_workers=1 asked for the helper pool")
+
+        monkeypatch.setattr(mdm_module, "_fetch_pool", no_pool)
+        mdm = union_mdm(static_wrappers(4), max_fetch_workers=1)
+        with capture() as (tracer, _registry):
+            outcome = mdm.execute(name_walk(mdm))
+            root = tracer.recent()[0]
+        assert len(outcome.relation) == 8
+        assert outcome.fetch_attempts == {f"w{i}": 1 for i in range(4)}
+        assert root.tags["fetch_helpers"] == 0
+
+    def test_root_span_counts_the_groups_helpers_fetched(self):
+        # Four barrier groups: the caller holds one at the barrier, so
+        # the three helpers must each have taken one.
+        mdm = union_mdm(barrier_wrappers(4), max_fetch_workers=4)
+        with capture() as (tracer, _registry):
+            mdm.execute(name_walk(mdm))
+            root = tracer.recent()[0]
+        assert root.tags["fetch_helpers"] == 3
 
 
 class TestDeterminism:
