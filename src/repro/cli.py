@@ -43,6 +43,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from .core.config import DEFAULT_MAX_IN_FLIGHT
 from .core.mdm import MDM
 from .core.sparql_frontend import walk_from_sparql
 from .rdf.terms import IRI
@@ -754,8 +755,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--max-in-flight",
         type=int,
-        default=32,
-        help="admission control: concurrent requests before 429 (default 32)",
+        default=DEFAULT_MAX_IN_FLIGHT,
+        help="admission control: concurrent requests before 429 "
+        f"(default {DEFAULT_MAX_IN_FLIGHT})",
     )
     p_serve.add_argument(
         "--retry-after",

@@ -16,13 +16,17 @@ from typing import Mapping
 
 from ..sources.wrappers import RetryPolicy
 
-__all__ = ["ExecutionConfig", "IMPACT_GATES", "env_capacity"]
+__all__ = ["DEFAULT_MAX_IN_FLIGHT", "ExecutionConfig", "IMPACT_GATES", "env_capacity"]
 
 #: Valid postures of the evolution-impact gate on wrapper releases:
 #: ``off`` (no pre-release analysis), ``advisory`` (analyze and record
 #: the verdict on the release document) or ``blocking`` (additionally
 #: refuse BROKEN releases before any metadata mutates).
 IMPACT_GATES = ("off", "advisory", "blocking")
+
+#: Requests the HTTP service executes at once before it bounces new ones
+#: with a 429 (the default admission bound of ``MdmHttpServer``).
+DEFAULT_MAX_IN_FLIGHT = 32
 
 #: Values (case-insensitive) that switch an ``MDM_*`` on/off variable off.
 _OFF_WORDS = ("0", "false", "no", "off")
@@ -45,7 +49,10 @@ class ExecutionConfig:
     #: Upper bound on source endpoints fetched at once per query, the
     #: calling thread included: it fetches them in turn, and up to this
     #: many minus one shared helper threads take the ones it has not
-    #: reached while it waits on a source (1 = serial, no helper).
+    #: reached while it waits on a source (1 = serial, no helper).  The
+    #: helpers come from one pool per process, sized for
+    #: ``DEFAULT_MAX_IN_FLIGHT`` queries at this default; a query fetches
+    #: itself what no free helper takes.
     max_fetch_workers: int = 4
     #: Retry policy applied to every wrapper fetch during execution.
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextvars
 import copy
+import itertools
 import threading
 import time
 import uuid
@@ -50,7 +51,7 @@ from ..relational.optimizer import OptimizationStats, PlanOptimizer
 from ..relational.relation import Relation
 from ..sources.wrappers import FetchResult, RetryPolicy, Wrapper, sharing_requests
 from ..sparql.evaluator import evaluate_text
-from .config import ExecutionConfig, env_capacity
+from .config import DEFAULT_MAX_IN_FLIGHT, ExecutionConfig, env_capacity
 from .errors import (
     ImpactGateError,
     MappingError,
@@ -81,26 +82,18 @@ __all__ = ["MDM", "QueryOutcome"]
 #: One wrapper's fetch: ``(result, attempts)``, or the exception it raised.
 FetchOutcome = Union[Tuple[FetchResult, int], Exception]
 
-#: Threads in the process-wide fetch-helper pool: the standard library's
-#: own ceiling for the default size of a thread pool.
-_FETCH_HELPERS = 32
-_fetch_pool_lock = threading.Lock()
-_fetch_pool_instance: Optional[ThreadPoolExecutor] = None
-
-
-def _fetch_pool() -> ThreadPoolExecutor:
-    """The process-wide pool of fetch helpers, created on first use.
-
-    Every MDM and query shares it.  Its threads are long-lived; the idle
-    ones are joined at interpreter exit by :mod:`concurrent.futures`.
-    """
-    global _fetch_pool_instance
-    with _fetch_pool_lock:
-        if _fetch_pool_instance is None:
-            _fetch_pool_instance = ThreadPoolExecutor(
-                max_workers=_FETCH_HELPERS, thread_name_prefix="mdm-fetch"
-            )
-        return _fetch_pool_instance
+#: Threads in the process-wide fetch-helper pool: enough for every query
+#: the HTTP service admits at once to fetch its endpoint groups in
+#: parallel at the default ``max_fetch_workers`` (32 queries x 3
+#: helpers).  Past that, a query gets the helpers that are free and
+#: fetches the other groups itself.
+_FETCH_HELPERS = DEFAULT_MAX_IN_FLIGHT * (ExecutionConfig.max_fetch_workers - 1)
+#: The fetch helpers every MDM and query shares.  Its threads start on
+#: demand and stay alive; the idle ones are joined at interpreter exit
+#: by :mod:`concurrent.futures`.
+_FETCH_POOL = ThreadPoolExecutor(
+    max_workers=_FETCH_HELPERS, thread_name_prefix="mdm-fetch"
+)
 
 
 class QueryOutcome:
@@ -1489,12 +1482,14 @@ class MDM:
 
         The calling thread fetches the groups one after another.  Up to
         ``max_fetch_workers - 1`` helpers from the process-wide pool
-        take the groups it has not reached yet.  A helper needs the
-        interpreter lock to take one, so while the caller computes they
-        take nothing, and while it waits on a source they overlap the
-        wait.  Each helper runs under its own copy of the caller's
-        :mod:`contextvars` context, so ``fetch:<name>`` spans opened in
-        a helper parent to the caller's current span.
+        take the groups it has not reached yet; each drainer, the caller
+        first, submits the next helper before it takes a group.  A
+        helper needs the interpreter lock to take one, so while the
+        caller computes they take nothing, and while it waits on a
+        source they overlap the wait.  Each helper runs under its own
+        copy of the caller's :mod:`contextvars` context, so
+        ``fetch:<name>`` spans opened in a helper parent to the caller's
+        current span.
 
         Returns ``(relations, attempts, errors, meta, helped)``: the
         first four keyed by wrapper name, and the number of groups the
@@ -1557,10 +1552,22 @@ class MDM:
                 groups.append(by_endpoint[endpoint])
 
         pending = deque(groups)
+        helpers: List[Future] = []
+        room = min(ctx.config.max_fetch_workers, len(groups)) - 1
+        turns = itertools.count()
 
         def drain() -> Tuple[int, Dict[str, FetchOutcome]]:
-            """Fetch groups until none is left: how many, and each
-            wrapper's ``(result, attempts)`` or exception."""
+            """Call one more helper while groups are left, then fetch
+            groups until none is: how many, and each wrapper's
+            ``(result, attempts)`` or exception."""
+            # Each drainer that starts, the caller first, calls the next
+            # helper, so a query whose caller never lets go of the
+            # interpreter lock queues one helper, not all of them.
+            # ``next`` on a count is atomic: at most ``room`` are called.
+            if pending and next(turns) < room:
+                helpers.append(
+                    _FETCH_POOL.submit(contextvars.copy_context().run, drain)
+                )
             taken = 0
             fetched: Dict[str, FetchOutcome] = {}
             while True:
@@ -1578,17 +1585,27 @@ class MDM:
                         except Exception as exc:  # noqa: BLE001 — mode decides
                             fetched[name] = exc
 
-        helpers: List[Future] = []
         try:
-            for _ in range(min(ctx.config.max_fetch_workers, len(groups)) - 1):
-                helpers.append(_fetch_pool().submit(contextvars.copy_context().run, drain))
             _, outcomes = drain()
         finally:
-            # No fetch outlives its query.  A helper that has not started
-            # is cancelled, never waited for: a saturated pool degrades
-            # to a serial fetch instead of a deadlock.
-            started = [helper for helper in helpers if not helper.cancel()]
-            wait(started)
+            # No fetch outlives its query: once the deque is empty no
+            # drainer takes a group or calls a helper.  A helper that
+            # has not started is cancelled, never waited for, so a
+            # saturated pool degrades to a serial fetch instead of a
+            # deadlock.  One that has started is waited for before the
+            # list is read further: it appends the helper it called
+            # before it returns, so this pass reaches every helper.
+            pending.clear()
+            started = []
+            for helper in helpers:
+                if not helper.cancel():
+                    wait((helper,))
+                    started.append(helper)
+            # ``drain`` calls itself on helpers; dropping the name breaks
+            # that reference cycle, so the query's futures and fetched
+            # relations are freed by reference counting, not left for
+            # the cycle collector.
+            del drain
         helped = 0
         for helper in started:
             taken, fetched = helper.result()

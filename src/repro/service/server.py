@@ -34,13 +34,12 @@ from urllib.parse import parse_qsl, urlparse
 
 from ..chaos.failpoints import FailpointError
 from ..chaos.failpoints import fire as _failpoint
+from ..core.config import DEFAULT_MAX_IN_FLIGHT
 from ..obs import get_metrics
 from .api import MdmService
 
 __all__ = ["MdmHttpServer", "serve"]
 
-#: Requests already executing before new ones are bounced with a 429.
-DEFAULT_MAX_IN_FLIGHT = 32
 #: Seconds suggested to rejected clients via the ``Retry-After`` header.
 DEFAULT_RETRY_AFTER_S = 1
 

@@ -13,6 +13,7 @@ schedule without spending wall time; only the doubles whose *point* is
 real concurrency (barriers, staggered completion order) touch real time.
 """
 
+import gc
 import sys
 import threading
 import time
@@ -322,8 +323,57 @@ class TestFetchScheduling:
             sys.setswitchinterval(previous)
         assert [w.fetch_count for w in wrappers] == [20] * 12
 
+    def test_fetches_in_flight_stay_within_the_bound(self):
+        # Each drainer calls the next helper; however they interleave,
+        # a query never has more than max_fetch_workers groups in flight.
+        lock = threading.Lock()
+        in_flight = [0]
+        peak = [0]
+
+        class CountingWrapper(StaticWrapper):
+            def fetch(self):
+                with lock:
+                    in_flight[0] += 1
+                    peak[0] = max(peak[0], in_flight[0])
+                time.sleep(0.02)
+                with lock:
+                    in_flight[0] -= 1
+                return super().fetch()
+
+        wrappers = [
+            CountingWrapper(f"w{i}", ["id", "name"], rows_for(f"w{i}")) for i in range(6)
+        ]
+        mdm = union_mdm(wrappers, max_fetch_workers=2)
+        walk = name_walk(mdm)
+        for _ in range(5):
+            assert len(mdm.execute(walk).relation) == 12
+        assert peak[0] == 2
+
+    def test_query_leaves_no_reference_cycle(self):
+        # drain calls itself on helpers; the finished query must still
+        # free it, and the futures holding its fetched relations, by
+        # reference counting alone.
+        mdm = union_mdm(barrier_wrappers(4), max_fetch_workers=4)
+        walk = name_walk(mdm)
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            mdm.execute(walk)
+            gc.collect()
+            leaked = [
+                obj
+                for obj in gc.garbage
+                if getattr(obj, "__qualname__", "").endswith("_fetch_requests.<locals>.drain")
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == []
+
     def test_query_never_waits_for_a_free_helper(self):
-        pool = mdm_module._fetch_pool()
+        pool = mdm_module._FETCH_POOL
         release = threading.Event()
         running = threading.Semaphore(0)
 
@@ -356,11 +406,13 @@ class TestFetchScheduling:
         caller = threading.current_thread()
         barrier = threading.Barrier(2)
         helper_done = threading.Event()
+        fetched = []
 
         class SplitWrapper(StaticWrapper):
             """Aborts on the calling thread; finishes late on a helper."""
 
             def fetch(self):
+                fetched.append(self.name)
                 barrier.wait(timeout=5.0)
                 if threading.current_thread() is caller:
                     raise Abort()
@@ -369,18 +421,21 @@ class TestFetchScheduling:
                 return super().fetch()
 
         wrappers = [
-            SplitWrapper(f"w{i}", ["id", "name"], rows_for(f"w{i}")) for i in range(2)
+            SplitWrapper(f"w{i}", ["id", "name"], rows_for(f"w{i}")) for i in range(3)
         ]
         mdm = union_mdm(wrappers, max_fetch_workers=2)
         with pytest.raises(Abort):
             mdm.execute(name_walk(mdm))
         assert helper_done.is_set()
+        # The helper finished its group after the abort but took no other.
+        assert sorted(fetched) == ["w0", "w1"]
 
     def test_serial_config_submits_nothing(self, monkeypatch):
-        def no_pool():
-            raise AssertionError("max_fetch_workers=1 asked for the helper pool")
+        class NoPool:
+            def submit(self, *args):
+                raise AssertionError("max_fetch_workers=1 submitted a helper")
 
-        monkeypatch.setattr(mdm_module, "_fetch_pool", no_pool)
+        monkeypatch.setattr(mdm_module, "_FETCH_POOL", NoPool())
         mdm = union_mdm(static_wrappers(4), max_fetch_workers=1)
         with capture() as (tracer, _registry):
             outcome = mdm.execute(name_walk(mdm))
