@@ -4,13 +4,14 @@ The optimizer's promise for the evolution story: as sources accumulate
 wrapper versions, the UCQ over a concept grows one branch per version,
 and the naive left-deep plan re-joins the shared dimension wrappers and
 drags every source column through every join.  With selection pushdown,
-projection pruning, join reordering and shared-subplan memoization the
-same UCQ should answer at least 2× faster.  This bench measures both
-modes at 2–8 alternative wrappers per concept on pre-fetched relations
-(so wrapper latency does not pollute the plan-quality signal), records
-rows-scanned from the EXPLAIN ANALYZE operator tree, times the
-union-sort decorate-sort-undecorate rewrite against the old per-cell
-key, and persists everything to ``benchmarks/BENCH_optimizer.json``.
+projection pruning and shared-subplan memoization (the join order stays
+as written) the same UCQ should answer at least 2× faster.  This bench
+measures both modes at 2–8 alternative wrappers per concept on
+pre-fetched relations (so wrapper latency does not pollute the
+plan-quality signal), records rows-scanned from the EXPLAIN ANALYZE
+operator tree, times the union-sort decorate-sort-undecorate rewrite
+against the old per-cell key, and persists everything to
+``benchmarks/BENCH_optimizer.json``.
 
 The ≥2× speedup expectation is *logged*, not asserted — wall-clock under
 CI load is not a correctness property.  Result equality is asserted.
@@ -122,8 +123,7 @@ def bench_one_width(n_wrappers):
     plan = build_ucq(n_wrappers)
 
     optimizer = PlanOptimizer(
-        {name: rel.schema for name, rel in relations.items()},
-        {name: len(rel) for name, rel in relations.items()},
+        {name: rel.schema for name, rel in relations.items()}
     )
     started = time.perf_counter()
     optimized_plan, optimization = optimizer.optimize(plan)

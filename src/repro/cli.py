@@ -181,7 +181,7 @@ def cmd_impact(args) -> int:
     if args.propose or args.propose_file:
         from .analysis.impact import change_from_json_text
 
-        text = args.propose or open(args.propose_file).read()
+        text = args.propose or Path(args.propose_file).read_text(encoding="utf-8")
         proposals.append(change_from_json_text(text))
 
     if proposals:

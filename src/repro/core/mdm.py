@@ -343,11 +343,7 @@ def _merge_optimization_stats(
     stage_a: Optional[OptimizationStats],
     stage_b: Optional[OptimizationStats],
 ) -> Optional[OptimizationStats]:
-    """One summary covering pushdown extraction plus the logical pass.
-
-    Row estimates come from the typed stage-B pass (stage A is
-    type-blind and never estimates).
-    """
+    """One summary covering pushdown extraction plus the logical pass."""
     if stage_a is None:
         return stage_b
     if stage_b is None:
@@ -356,8 +352,6 @@ def _merge_optimization_stats(
         rules=dict(stage_a.rules),
         passes=stage_a.passes + stage_b.passes,
         elapsed_s=stage_a.elapsed_s + stage_b.elapsed_s,
-        estimated_rows_before=stage_b.estimated_rows_before,
-        estimated_rows_after=stage_b.estimated_rows_after,
     )
     for rule, count in stage_b.rules.items():
         merged.count(rule, count)
@@ -1288,11 +1282,7 @@ class MDM:
         optimization = pushdown_stats
         if ctx.config.optimize:
             with timer.phase("optimize"):
-                plan, stage_b = self._optimize_plan(
-                    plan,
-                    executor,
-                    {name: len(rel) for name, rel in registered.items()},
-                )
+                plan, stage_b = self._optimize_plan(plan, executor)
                 optimization = _merge_optimization_stats(pushdown_stats, stage_b)
         plan_findings: Tuple = ()
         if ctx.config.validate_plans:
@@ -1443,11 +1433,7 @@ class MDM:
         return tuple(findings)
 
     @staticmethod
-    def _optimize_plan(
-        plan,
-        executor: Executor,
-        row_counts: Mapping[str, int],
-    ):
+    def _optimize_plan(plan, executor: Executor):
         """Run the logical optimizer; fall back to the naive plan on error.
 
         An optimizer bug must degrade to the unoptimized (correct) plan
@@ -1455,7 +1441,7 @@ class MDM:
         visible in /metrics instead of silent.
         """
         try:
-            optimizer = PlanOptimizer(executor.catalog, row_counts)
+            optimizer = PlanOptimizer(executor.catalog)
             return optimizer.optimize(plan)
         except Exception:  # noqa: BLE001 — optimization is best-effort
             _count_optimizer_failure()

@@ -218,7 +218,7 @@ class DocumentStore:
         target.parent.mkdir(parents=True, exist_ok=True)
         fd, temp_name = tempfile.mkstemp(dir=str(target.parent), suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write("\n".join(lines) + ("\n" if lines else ""))
             os.replace(temp_name, target)
         except BaseException:
@@ -229,7 +229,7 @@ class DocumentStore:
 
     def _load(self) -> None:
         assert self._path is not None
-        with open(self._path) as handle:
+        with open(self._path, encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:

@@ -43,7 +43,6 @@ from .expressions import (
     rename_columns,
 )
 from .optimizer import (
-    CardinalityEstimator,
     OptimizationStats,
     PlanOptimizer,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "rename_columns",
     "PlanOptimizer",
     "OptimizationStats",
-    "CardinalityEstimator",
     "plan_key",
     "flatten_union",
     "to_sql",

@@ -3,26 +3,24 @@
 The LAV rewriting (paper §2.4, Figure 8) emits a union of conjunctive
 queries whose size grows multiplicatively with the wrappers per concept.
 The emitted trees are *correct* but naive: selections sit at the top,
-every wrapper column survives to the union even when the walk projects
-it away, and join order is whatever the walk traversal produced.  This
-module closes that gap with a classic three-stage logical optimizer:
+and every wrapper column survives to the union even when the walk
+projects it away.  This module closes that gap with a two-stage logical
+optimizer:
 
 1. **Fixpoint rewriting** — local algebraic rules applied bottom-up until
    none fires: selection-conjunction splitting, selection pushdown
    through π/ρ/∪/δ/ε/γ and into the matching join side, rename fusion,
    project fusion, noop elimination, and Distinct/Union flattening with
    duplicate-branch elimination at the UCQ root.
-2. **Join reordering** — maximal natural-join clusters are flattened and
-   greedily reordered (smallest estimated relation first, always
-   preferring a joinable leaf over a cross product) using a
-   :class:`CardinalityEstimator` fed from registered base-relation row
-   counts.  Reordering is gated by a value-provenance check so the bag
-   of *byte-identical* rows is preserved (the lenient join equates 25
-   with ``"25"``, and shared columns take the first provider's raw
-   value — see :meth:`PlanOptimizer._reorder_acceptable`).
-3. **Projection pruning** — a top-down pass that narrows every subtree
+2. **Projection pruning** — a top-down pass that narrows every subtree
    to the columns its ancestors actually consume, so unused wrapper
    columns are cut at the Scan instead of being carried through joins.
+
+Join order stays as the rewriter emits it.  A CQ joins the walk's
+concepts along its edges on identifier columns, attaching a concept
+only when it shares a column with what is already joined, so no join
+is a cross product; keeping the order also keeps the first provider of
+every shared column, and with it the output bytes.
 
 All rewrites preserve the result as a bag of rows up to row order (and
 byte-identically after the canonical UCQ-root sort that
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..obs import get_metrics
 from .algebra import (
@@ -58,112 +56,13 @@ from .algebra import (
 )
 from .expressions import Expr, conjuncts, rename_columns
 from .schema import SchemaError
-from .types import AttrType
 
 __all__ = [
-    "CardinalityEstimator",
     "OptimizationStats",
     "PlanOptimizer",
     "flatten_union",
     "plan_key",
 ]
-
-
-# --------------------------------------------------------------------- #
-# cardinality estimation
-# --------------------------------------------------------------------- #
-
-
-class CardinalityEstimator:
-    """Textbook selectivity-based row estimates for plan costing.
-
-    ``row_counts`` maps scan names to known base cardinalities (the MDM
-    feeds these from the relations it registers); unknown scans get
-    ``default_rows``.  The estimates only need to *rank* join orders, so
-    the selectivity constants are the classic System-R style guesses.
-    """
-
-    def __init__(
-        self,
-        catalog: Optional[Catalog] = None,
-        row_counts: Optional[Mapping[str, int]] = None,
-        default_rows: float = 1000.0,
-    ):
-        self.catalog: Catalog = dict(catalog or {})
-        self.row_counts: Dict[str, float] = {
-            name: float(count) for name, count in (row_counts or {}).items()
-        }
-        self.default_rows = float(default_rows)
-
-    def rows(self, plan: PlanNode) -> float:
-        """Estimated output cardinality of ``plan``."""
-        if isinstance(plan, Scan):
-            if plan.is_pushed():
-                bound = self.row_counts.get(plan.binding_name())
-                if bound is not None:
-                    return bound
-            base = self.row_counts.get(plan.relation_name, self.default_rows)
-            for _column, op, _value in plan.filters:
-                base *= 0.1 if op == "=" else (0.9 if op == "!=" else 0.3)
-            return base
-        if isinstance(plan, Select):
-            return self.rows(plan.child) * self.selectivity(plan.predicate)
-        if isinstance(plan, (Project, Rename, Extend)):
-            return self.rows(plan.child)
-        if isinstance(plan, Distinct):
-            return self.rows(plan.child)
-        if isinstance(plan, Union):
-            return self.rows(plan.left) + self.rows(plan.right)
-        if isinstance(plan, NaturalJoin):
-            left = self.rows(plan.left)
-            right = self.rows(plan.right)
-            if self._is_cross(plan):
-                return left * right
-            return left * right / max(left, right, 1.0)
-        if isinstance(plan, EquiJoin):
-            left = self.rows(plan.left)
-            right = self.rows(plan.right)
-            return left * right / max(left, right, 1.0)
-        if isinstance(plan, Aggregate):
-            return max(1.0, self.rows(plan.child) * 0.5)
-        kids = plan.children()
-        return self.rows(kids[0]) if kids else self.default_rows
-
-    def _is_cross(self, plan: NaturalJoin) -> bool:
-        """True when the natural join has no shared columns (cartesian)."""
-        try:
-            left_names = set(plan.left.output_schema(self.catalog).names)
-            right_names = set(plan.right.output_schema(self.catalog).names)
-        except SchemaError:
-            return False
-        return not (left_names & right_names)
-
-    def selectivity(self, expr: Expr) -> float:
-        """Estimated fraction of rows a predicate keeps."""
-        from .expressions import And, Cmp, Col, Const, IsNull, NotExpr, Or
-
-        if isinstance(expr, And):
-            return self.selectivity(expr.left) * self.selectivity(expr.right)
-        if isinstance(expr, Or):
-            a = self.selectivity(expr.left)
-            b = self.selectivity(expr.right)
-            return min(1.0, a + b - a * b)
-        if isinstance(expr, NotExpr):
-            return max(0.0, 1.0 - self.selectivity(expr.operand))
-        if isinstance(expr, IsNull):
-            return 0.9 if expr.negated else 0.1
-        if isinstance(expr, Cmp):
-            const_side = isinstance(expr.left, Const) or isinstance(
-                expr.right, Const
-            )
-            if expr.op == "=":
-                return 0.1 if const_side else 0.25
-            if expr.op == "!=":
-                return 0.9
-            return 0.3
-        if isinstance(expr, (Col, Const)):
-            return 0.5
-        return 0.25
 
 
 # --------------------------------------------------------------------- #
@@ -178,8 +77,6 @@ class OptimizationStats:
     rules: Dict[str, int] = field(default_factory=dict)
     passes: int = 0
     elapsed_s: float = 0.0
-    estimated_rows_before: float = 0.0
-    estimated_rows_after: float = 0.0
 
     def count(self, rule: str, n: int = 1) -> None:
         """Record ``n`` applications of ``rule``."""
@@ -197,8 +94,6 @@ class OptimizationStats:
             "total_rules_applied": self.total,
             "passes": self.passes,
             "elapsed_ms": round(self.elapsed_s * 1000.0, 6),
-            "estimated_rows_before": round(self.estimated_rows_before, 3),
-            "estimated_rows_after": round(self.estimated_rows_after, 3),
         }
 
 
@@ -206,21 +101,15 @@ class OptimizationStats:
 # the optimizer
 # --------------------------------------------------------------------- #
 
-#: Join-key types whose raw values are guaranteed identical whenever the
-#: lenient join equates them — the only types for which swapping the
-#: "first provider" of a shared column cannot change output bytes.
-_EXACT_TYPES = (AttrType.INTEGER, AttrType.BOOLEAN)
-
 
 class PlanOptimizer:
-    """Fixpoint rewriter + join reorderer + projection pruner.
+    """Fixpoint rewriter + projection pruner.
 
     ``catalog`` gives scan schemas (needed for pushdown side tests and
-    pruning); ``row_counts`` feeds the cardinality estimator.  The
-    optimizer never raises on a plan it cannot improve — any rule whose
-    precondition fails (e.g. a schema lookup error on a malformed tree)
-    simply does not fire, and the pruning pass bails out wholesale on
-    :class:`SchemaError`, returning the unpruned plan.
+    pruning).  The optimizer never raises on a plan it cannot improve —
+    any rule whose precondition fails (e.g. a schema lookup error on a
+    malformed tree) simply does not fire, and the pruning pass bails out
+    wholesale on :class:`SchemaError`, returning the unpruned plan.
     """
 
     MAX_PASSES = 50
@@ -228,13 +117,11 @@ class PlanOptimizer:
     def __init__(
         self,
         catalog: Optional[Catalog] = None,
-        row_counts: Optional[Mapping[str, int]] = None,
         *,
         pushdown_capabilities: Optional[Mapping[str, frozenset]] = None,
         type_aware: bool = True,
     ):
         self.catalog: Catalog = dict(catalog or {})
-        self.estimator = CardinalityEstimator(self.catalog, row_counts)
         #: scan name → wrapper capability set ("filters"/"projection"/
         #: "limit").  When set, σ/π nodes sitting on a capable Scan fold
         #: into the scan itself (the pushdown-extraction rules).
@@ -253,38 +140,29 @@ class PlanOptimizer:
 
     def optimize(self, plan: PlanNode) -> Tuple[PlanNode, OptimizationStats]:
         """Optimized plan plus a record of every rule that fired."""
-        stats = OptimizationStats()
-        started = time.perf_counter()
-        stats.estimated_rows_before = self.estimator.rows(plan)
-        plan = self._fixpoint(plan, stats)
-        plan = self._reorder_everywhere(plan, stats)
-        pruned = self._try_prune(plan, stats)
-        if pruned is not None:
-            plan = pruned
-            # Pruning inserts Projects that may now fuse or be noops.
-            plan = self._fixpoint(plan, stats)
-        stats.estimated_rows_after = self.estimator.rows(plan)
-        stats.elapsed_s = time.perf_counter() - started
-        self._emit_metrics(stats)
-        return plan, stats
+        return self._run(plan)
 
     def extract_pushdown(
         self, plan: PlanNode
     ) -> Tuple[PlanNode, OptimizationStats]:
         """The pre-fetch pushdown pass: fold σ/π into capable scans.
 
-        Runs the fixpoint rules (with the fold rules armed via
-        ``pushdown_capabilities``) plus projection pruning — but *not*
-        join reordering, which needs real row counts that do not exist
-        before the fetch.  Meant to be called with a signature-derived
-        (ANY-typed) catalog and ``type_aware=False``; every rule that
-        fires under those settings is name-based and result-preserving.
+        The same passes as :meth:`optimize`, with the fold rules armed
+        via ``pushdown_capabilities``; a method of its own so traces tell
+        the pre-fetch pass from the typed one.  Meant to be called with a
+        signature-derived (ANY-typed) catalog and ``type_aware=False``;
+        every rule that fires under those settings is name-based and
+        result-preserving.
         """
+        return self._run(plan)
+
+    def _run(self, plan: PlanNode) -> Tuple[PlanNode, OptimizationStats]:
         stats = OptimizationStats()
         started = time.perf_counter()
         plan = self._fixpoint(plan, stats)
         pruned = self._try_prune(plan, stats)
         if pruned is not None:
+            # Pruning inserts Projects that may now fuse or be noops.
             plan = self._fixpoint(pruned, stats)
         stats.elapsed_s = time.perf_counter() - started
         self._emit_metrics(stats)
@@ -678,113 +556,7 @@ class PlanOptimizer:
                 return rebuilt
         return None
 
-    # -- stage 2: join reordering -------------------------------------- #
-
-    def _reorder_everywhere(
-        self, plan: PlanNode, stats: OptimizationStats
-    ) -> PlanNode:
-        """Reorder every maximal NaturalJoin cluster, bottom-up."""
-        kids = plan.children()
-        if kids:
-            new_kids = [self._reorder_everywhere(k, stats) for k in kids]
-            if any(n is not o for n, o in zip(new_kids, kids)):
-                plan = plan.with_children(new_kids)
-        if isinstance(plan, NaturalJoin):
-            return self._reorder_cluster(plan, stats)
-        return plan
-
-    def _reorder_cluster(
-        self, cluster: NaturalJoin, stats: OptimizationStats
-    ) -> PlanNode:
-        leaves = flatten_union(cluster, NaturalJoin)
-        if len(leaves) < 3:
-            return cluster
-        try:
-            original_names = cluster.output_schema(self.catalog).names
-            leaf_names = [
-                tuple(leaf.output_schema(self.catalog).names) for leaf in leaves
-            ]
-            leaf_types = [
-                {a.name: a.type for a in leaf.output_schema(self.catalog)}
-                for leaf in leaves
-            ]
-        except SchemaError:
-            return cluster
-        order = self._greedy_order(leaves, leaf_names)
-        if order == list(range(len(leaves))):
-            return cluster
-        if not self._reorder_acceptable(order, leaf_names, leaf_types):
-            return cluster
-        new_tree: PlanNode = leaves[order[0]]
-        for index in order[1:]:
-            new_tree = NaturalJoin(new_tree, leaves[index])
-        if self._chain_cost(new_tree) >= self._chain_cost(cluster):
-            return cluster
-        stats.count("joins_reordered")
-        # Restore the original column order so parents see the same schema.
-        return Project(new_tree, original_names)
-
-    def _greedy_order(
-        self,
-        leaves: Sequence[PlanNode],
-        leaf_names: Sequence[Tuple[str, ...]],
-    ) -> List[int]:
-        """Greedy join order: smallest first, joinable before cross."""
-        sizes = [self.estimator.rows(leaf) for leaf in leaves]
-        remaining = list(range(len(leaves)))
-        start = min(remaining, key=lambda i: (sizes[i], i))
-        order = [start]
-        remaining.remove(start)
-        bound: Set[str] = set(leaf_names[start])
-        while remaining:
-            joinable = [
-                i for i in remaining if bound & set(leaf_names[i])
-            ]
-            pool = joinable if joinable else remaining
-            nxt = min(pool, key=lambda i: (sizes[i], i))
-            order.append(nxt)
-            remaining.remove(nxt)
-            bound |= set(leaf_names[nxt])
-        return order
-
-    @staticmethod
-    def _reorder_acceptable(
-        order: Sequence[int],
-        leaf_names: Sequence[Tuple[str, ...]],
-        leaf_types: Sequence[Dict[str, "AttrType"]],
-    ) -> bool:
-        """Can this reorder change output bytes?  Reject if it might.
-
-        In a left-deep chain a column shared by several leaves takes the
-        *first* provider's raw value.  The reorder is value-preserving
-        for a multi-provider column when either (a) all providers carry
-        an exact-representation type (INTEGER/BOOLEAN, where lenient join
-        equality implies identical raw values), or (b) the first provider
-        is the same leaf before and after.
-        """
-        providers: Dict[str, List[int]] = {}
-        for index, names in enumerate(leaf_names):
-            for name in names:
-                providers.setdefault(name, []).append(index)
-        for name, owner_list in providers.items():
-            if len(owner_list) < 2:
-                continue
-            types = {leaf_types[i].get(name) for i in owner_list}
-            if len(types) == 1 and next(iter(types)) in _EXACT_TYPES:
-                continue
-            original_first = min(owner_list)
-            new_first = min(owner_list, key=order.index)
-            if new_first != original_first:
-                return False
-        return True
-
-    def _chain_cost(self, plan: PlanNode) -> float:
-        """Sum of estimated intermediate sizes across a join chain."""
-        if not isinstance(plan, NaturalJoin):
-            return self.estimator.rows(plan)
-        return self._chain_cost(plan.left) + self.estimator.rows(plan)
-
-    # -- stage 3: projection pruning ----------------------------------- #
+    # -- stage 2: projection pruning ----------------------------------- #
 
     def _try_prune(
         self, plan: PlanNode, stats: OptimizationStats

@@ -61,7 +61,7 @@ def _stage_text(target_dir: Path, text: str, mid_site: str) -> str:
     """
     fd, temp_name = tempfile.mkstemp(dir=str(target_dir), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             half = len(text) // 2
             handle.write(text[:half])
             _failpoint(mid_site)
@@ -123,7 +123,10 @@ def load_mdm(directory: os.PathLike) -> MDM:
     if not dataset_path.exists():
         raise SnapshotMissingError(dataset_path, "no dataset snapshot")
     mdm = MDM()
-    text = _failpoint("persistence.load.dataset", payload=dataset_path.read_text())
+    text = _failpoint(
+        "persistence.load.dataset",
+        payload=dataset_path.read_text(encoding="utf-8"),
+    )
     try:
         parse_trig(text, mdm.dataset)
     except Exception as exc:

@@ -180,6 +180,9 @@ class MdmHttpServer(ThreadingHTTPServer):
     ):
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+        # listen() runs inside super().__init__(): queue as many pending
+        # connections as the server admits, not socketserver's 5.
+        self.request_queue_size = max_in_flight
         super().__init__((host, port), _MdmRequestHandler)
         self.service = service
         self.max_in_flight = max_in_flight

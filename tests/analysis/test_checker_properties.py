@@ -34,7 +34,7 @@ def test_optimized_chain_plans_pass_checker(n_concepts, seed):
     rewrite = mdm.rewriter.rewrite(walk)
     assert_plan_clean(mdm, rewrite.plan)
 
-    optimizer = PlanOptimizer(wrapper_catalog(mdm), {})
+    optimizer = PlanOptimizer(wrapper_catalog(mdm))
     optimized, _ = optimizer.optimize(rewrite.plan)
     assert_plan_clean(mdm, optimized)
 
@@ -52,7 +52,7 @@ def test_versioned_union_plans_pass_checker(n_versions, seed):
     assert rewrite.ucq_size == n_versions
     assert_plan_clean(mdm, rewrite.plan)
 
-    optimizer = PlanOptimizer(wrapper_catalog(mdm), {})
+    optimizer = PlanOptimizer(wrapper_catalog(mdm))
     optimized, _ = optimizer.optimize(rewrite.plan)
     assert_plan_clean(mdm, optimized)
 

@@ -187,6 +187,24 @@ class TestCliSparqlFile:
         assert "playerName" in capsys.readouterr().out
 
 
+class TestCliProposeFile:
+    def test_propose_file_matches_retire_and_is_closed(self, tmp_path, capsys):
+        from repro.cli import main
+
+        proposal = tmp_path / "retire.json"
+        proposal.write_text('{"retire": "w1"}', encoding="utf-8")
+        expected = main(["impact", "--scenario", "football", "--retire", "w1"])
+        expected_out = capsys.readouterr().out
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code = main(
+                ["impact", "--scenario", "football", "--propose-file", str(proposal)]
+            )
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert code == expected
+        assert capsys.readouterr().out == expected_out
+
+
 class TestDocstoreSortEdge:
     """``find(sort=…)`` needs the field, comparable, in every match."""
 

@@ -15,6 +15,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.lint import wrapper_catalog
 from repro.core.mdm import MDM
 from repro.core.rewriting import Rewriter
 from repro.core.walks import FilterCondition
@@ -27,6 +28,8 @@ from repro.relational.algebra import (
     plan_key,
 )
 from repro.relational.executor import Executor
+from repro.scenarios.football import FootballScenario
+from repro.scenarios.supersede import SupersedeScenario
 from repro.sources.wrappers import StaticWrapper
 
 NS = Namespace("http://prop.test/")
@@ -409,6 +412,26 @@ def build_lav_chain_mdm(n_concepts: int, rows: int, seed: int):
     return mdm, concepts
 
 
+def _random_walk(mdm, concepts, seed):
+    """A walk over a random stretch of the chain: some features, and
+    sometimes a filter on an identifier, all drawn from ``seed``."""
+    rng = random.Random(seed + 1)
+    first = rng.randrange(len(concepts))
+    last = rng.randrange(first, len(concepts))
+    nodes = list(concepts[first : last + 1])
+    for i in range(first, last + 1):
+        if rng.random() < 0.5:
+            nodes.append(NS[f"val{i}"])
+        if rng.random() < 0.3:
+            nodes.append(NS[f"id{i}"])
+    walk = mdm.walk_from_nodes(nodes)
+    if rng.random() < 0.4:
+        feature = NS[f"id{rng.randrange(first, last + 1)}"]
+        op = rng.choice([">=", "=", "!="])
+        walk = walk.with_filters(FilterCondition(feature, op, rng.randrange(3)))
+    return walk
+
+
 def _answer_bytes(mdm, result):
     """The UCQ's answer as (schema, sorted row reprs): byte-level."""
     executor = Executor()
@@ -458,20 +481,7 @@ def test_minimized_ucq_answers_byte_identically(n_concepts, rows, seed):
     included) nor the raw bytes of any answer row, and leaves no kept
     CQ contained in another kept CQ."""
     mdm, concepts = build_lav_chain_mdm(n_concepts, rows, seed)
-    rng = random.Random(seed + 1)
-    first = rng.randrange(n_concepts)
-    last = rng.randrange(first, n_concepts)
-    nodes = list(concepts[first : last + 1])
-    for i in range(first, last + 1):
-        if rng.random() < 0.5:
-            nodes.append(NS[f"val{i}"])
-        if rng.random() < 0.3:
-            nodes.append(NS[f"id{i}"])
-    walk = mdm.walk_from_nodes(nodes)
-    if rng.random() < 0.4:
-        feature = NS[f"id{rng.randrange(first, last + 1)}"]
-        op = rng.choice([">=", "=", "!="])
-        walk = walk.with_filters(FilterCondition(feature, op, rng.randrange(3)))
+    walk = _random_walk(mdm, concepts, seed)
     minimized = Rewriter(mdm.global_graph, mdm.mappings).rewrite(walk)
     reference = Rewriter(mdm.global_graph, mdm.mappings, minimize=False).rewrite(walk)
     assert minimized.ucq_size <= reference.ucq_size
@@ -484,3 +494,73 @@ def test_minimized_ucq_answers_byte_identically(n_concepts, rows, seed):
             minimized.queries[i].describe(),
             minimized.queries[j].describe(),
         )
+
+
+# --------------------------------------------------------------------- #
+# the rewriter never joins disjoint schemas
+# --------------------------------------------------------------------- #
+
+
+def _joins(mdm, walk):
+    """``(joins, disjoint)`` over every CQ of the minimized and the full
+    rewriting: how many NaturalJoins there are, and a description of
+    each whose children share no column under the wrapper catalog."""
+    catalog = wrapper_catalog(mdm)
+    joins, disjoint = 0, []
+    for minimize in (True, False):
+        rewriter = Rewriter(mdm.global_graph, mdm.mappings, minimize=minimize)
+        for query in rewriter.rewrite(walk).queries:
+            for node in query.plan.nodes():
+                if not isinstance(node, NaturalJoin):
+                    continue
+                joins += 1
+                left = set(node.left.output_schema(catalog).names)
+                right = set(node.right.output_schema(catalog).names)
+                if not left & right:
+                    disjoint.append((minimize, query.describe(), left, right))
+    return joins, disjoint
+
+
+@given(
+    n_concepts=st.integers(min_value=1, max_value=4),
+    rows=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=100, deadline=None)
+def test_rewritten_joins_share_a_column(n_concepts, rows, seed):
+    """Every join the rewriter emits is on a shared column: the
+    executed plan keeps the rewriter's join order, so a cross product
+    here would run as one."""
+    mdm, concepts = build_lav_chain_mdm(n_concepts, rows, seed)
+    _, disjoint = _joins(mdm, _random_walk(mdm, concepts, seed))
+    assert disjoint == []
+
+
+def test_scenario_joins_share_a_column():
+    """The same over the football walks, before and after the breaking
+    Players API v2 release, and the SUPERSEDE walks."""
+    checked = []
+    for anchors_only in (True, False):
+        football = FootballScenario.build(anchors_only=anchors_only)
+        for released in (False, True):
+            if released:
+                football.release_players_v2()
+            checked += [
+                _joins(football.mdm, walk)
+                for walk in (
+                    football.walk_player_team_names(),
+                    football.walk_league_nationality(),
+                    football.walk_single_concept(),
+                )
+            ]
+    supersede = SupersedeScenario.build()
+    checked += [
+        _joins(supersede.mdm, walk)
+        for walk in (
+            supersede.walk_feedback_by_product(),
+            supersede.walk_metrics_by_product(),
+            supersede.walk_reviews(),
+        )
+    ]
+    assert [disjoint for _, disjoint in checked if disjoint] == []
+    assert sum(joins for joins, _ in checked) > 0

@@ -26,7 +26,6 @@ from repro.relational.expressions import (
     rename_columns,
 )
 from repro.relational.optimizer import (
-    CardinalityEstimator,
     PlanOptimizer,
     flatten_union,
     plan_key,
@@ -54,11 +53,8 @@ def executor():
     )
 
 
-def optimize(executor, plan, row_counts=None):
-    counts = row_counts or {
-        name: len(executor.relation(name)) for name in executor.catalog
-    }
-    return PlanOptimizer(executor.catalog, counts).optimize(plan)
+def optimize(executor, plan):
+    return PlanOptimizer(executor.catalog).optimize(plan)
 
 
 def assert_equivalent(executor, naive, optimized):
@@ -127,33 +123,6 @@ def test_flatten_union():
     branches = [Scan("A"), Scan("B"), Scan("C")]
     assert flatten_union(union_all(branches)) == branches
     assert flatten_union(Scan("A")) == [Scan("A")]
-
-
-# --------------------------------------------------------------------- #
-# cardinality estimation
-# --------------------------------------------------------------------- #
-
-
-def test_estimator_uses_row_counts_and_selectivity():
-    est = CardinalityEstimator(row_counts={"A": 100, "B": 10})
-    assert est.rows(Scan("A")) == 100.0
-    assert est.rows(Scan("unknown")) == est.default_rows
-    selected = Select(Scan("A"), Cmp("=", Col("x"), Const(1)))
-    assert est.rows(selected) == pytest.approx(10.0)
-    assert est.rows(Union(Scan("A"), Scan("B"))) == 110.0
-
-
-def test_estimator_join_vs_cross(executor):
-    est = CardinalityEstimator(
-        executor.catalog, {"A": 100, "B": 10, "C": 40}
-    )
-    joined = est.rows(NaturalJoin(Scan("A"), Scan("B")))
-    assert joined == pytest.approx(10.0)  # 100*10/max
-    # A cross product (no shared columns) multiplies.
-    crossed = est.rows(
-        NaturalJoin(Project(Scan("A"), ("x",)), Project(Scan("B"), ("y",)))
-    )
-    assert crossed == pytest.approx(1000.0)
 
 
 # --------------------------------------------------------------------- #
@@ -319,66 +288,6 @@ def test_union_flattened_to_left_deep(executor):
     # The three identical branches collapse to one.
     assert stats.rules.get("union_branch_deduped", 0) == 2
     assert_equivalent(executor, plan, optimized)
-
-
-# --------------------------------------------------------------------- #
-# join reordering
-# --------------------------------------------------------------------- #
-
-
-def test_join_reorder_smallest_first(executor):
-    plan = NaturalJoin(NaturalJoin(Scan("A"), Scan("C")), Scan("B"))
-    optimized, stats = optimize(executor, plan)
-    assert stats.rules.get("joins_reordered", 0) == 1
-    # The compensating π restores the original column order.
-    assert (
-        optimized.output_schema(executor.catalog).names
-        == plan.output_schema(executor.catalog).names
-    )
-    assert_equivalent(executor, plan, optimized)
-
-
-def test_join_reorder_avoids_cross_product(executor):
-    # D shares nothing with B; a naive size-only greedy would cross them.
-    executor.register(
-        "D", rel([{"z": i, "w": i} for i in range(3)], ["z", "w"])
-    )
-    plan = NaturalJoin(NaturalJoin(Scan("A"), Scan("C")), Scan("D"))
-    optimized, stats = optimize(executor, plan)
-    assert_equivalent(executor, plan, optimized)
-
-    def has_cross(node):
-        if isinstance(node, NaturalJoin):
-            left = set(node.left.output_schema(executor.catalog).names)
-            right = set(node.right.output_schema(executor.catalog).names)
-            if not (left & right):
-                return True
-            return has_cross(node.left) or has_cross(node.right)
-        return False
-
-    assert not has_cross(
-        optimized.child if isinstance(optimized, Project) else optimized
-    )
-
-
-def test_join_reorder_rejected_when_provenance_could_change():
-    # "id" is STRING on every side with *different* spellings that the
-    # lenient join equates ("5" vs "5 ") — moving the first provider
-    # would change output bytes, so the reorder must not happen.
-    ex = Executor(
-        {
-            "P": rel([{"id": "5 ", "p": i} for i in range(9)], ["id", "p"]),
-            "Q": rel([{"id": "5", "q": 1}], ["id", "q"]),
-            "R": rel([{"id": " 5", "r": 1}, {"id": "5", "r": 2}], ["id", "r"]),
-        }
-    )
-    plan = NaturalJoin(NaturalJoin(Scan("P"), Scan("Q")), Scan("R"))
-    optimized, stats = optimize(ex, plan, {"P": 9, "Q": 1, "R": 2})
-    assert stats.rules.get("joins_reordered", 0) == 0
-    naive = Executor(
-        {n: ex.relation(n) for n in ex.catalog}, memoize_shared=False
-    ).execute(plan)
-    assert naive.rows == ex.execute(optimized).rows
 
 
 # --------------------------------------------------------------------- #

@@ -137,8 +137,7 @@ def ucq_cases(draw):
 def run_both(relations, plan):
     naive = Executor(dict(relations), memoize_shared=False).execute(plan)
     optimizer = PlanOptimizer(
-        {name: rel.schema for name, rel in relations.items()},
-        {name: len(rel) for name, rel in relations.items()},
+        {name: rel.schema for name, rel in relations.items()}
     )
     optimized_plan, _ = optimizer.optimize(plan)
     optimized = Executor(dict(relations)).execute(optimized_plan)
@@ -168,7 +167,7 @@ def test_optimized_single_branch_same_bag(relations, data):
 @given(base_relations(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_selection_over_join_same_bag(relations, data):
-    """Selections above multi-relation joins survive pushdown/reorder."""
+    """Selections above multi-relation joins survive pushdown."""
     names = list(relations)
     plan = Scan(names[0])
     visible = list(relations[names[0]].schema.names)

@@ -1,13 +1,19 @@
 """Unit tests for the MDM REST service and persistence layer."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.rdf.namespaces import EX
 from repro.scenarios.football import PLAYER, FootballScenario
 from repro.service.api import MdmService
 from repro.service.persistence import (
+    DATASET_FILE,
     METADATA_FILE,
     attach_wrappers,
     load_mdm,
@@ -410,6 +416,51 @@ class TestPersistence:
         restored = load_mdm(tmp_path)
         assert restored.global_graph.concepts() == [concept]
         assert restored.to_trig() == live.to_trig()
+
+    def test_snapshot_is_utf8_whatever_the_locale(self, tmp_path):
+        """A process whose locale encoding is ASCII saves and reloads a
+        non-ASCII label, loads a snapshot a UTF-8 process wrote, and
+        writes the same bytes that process did."""
+        from repro.core.mdm import MDM
+
+        label = "Thomas M\u00fcller \u65e5\u672c"
+        live = MDM()
+        live.add_concept(EX.Player, label)
+        save_mdm(live, tmp_path / "utf8")
+        # The script stays ASCII: under the C locale argv is decoded as
+        # ASCII too.
+        code = (
+            "import codecs, locale, sys\n"
+            "from repro.core.mdm import MDM\n"
+            "from repro.rdf.namespaces import EX\n"
+            "from repro.service.persistence import load_mdm, save_mdm\n"
+            "utf8_dir, c_dir = sys.argv[1:]\n"
+            "print(codecs.lookup(locale.getpreferredencoding(False)).name)\n"
+            "live = MDM()\n"
+            f"live.add_concept(EX.Player, {label!a})\n"
+            "save_mdm(live, c_dir)\n"
+            "assert load_mdm(c_dir).to_trig() == live.to_trig()\n"
+            "assert load_mdm(utf8_dir).to_trig() == live.to_trig()\n"
+        )
+        env = dict(
+            os.environ,
+            LC_ALL="C",
+            PYTHONUTF8="0",
+            PYTHONCOERCECLOCALE="0",
+            PYTHONPATH=str(Path(repro.__file__).resolve().parent.parent),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "utf8"), str(tmp_path / "c")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["ascii"]
+        written = (tmp_path / "c" / DATASET_FILE).read_bytes()
+        assert written == (tmp_path / "utf8" / DATASET_FILE).read_bytes()
+        assert label.encode("utf-8") in written
 
     def test_load_missing_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

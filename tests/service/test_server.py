@@ -9,6 +9,7 @@ wherever possible — the server must add transport, never behavior.
 """
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -151,6 +152,25 @@ class TestAdmissionControl:
     def test_rejects_bad_max_in_flight(self, service):
         with pytest.raises(ValueError):
             MdmHttpServer(service, port=0, max_in_flight=0)
+
+    def test_listen_backlog_holds_every_admitted_request(self, service):
+        """With the accept loop not running, ``max_in_flight`` clients
+        still connect: the kernel queues them instead of dropping SYNs
+        past socketserver's default backlog of 5."""
+        instance = MdmHttpServer(service, port=0)
+        connected = []
+        try:
+            for _ in range(instance.max_in_flight):
+                connected.append(
+                    socket.create_connection(
+                        instance.server_address[:2], timeout=0.2
+                    )
+                )
+        finally:
+            for sock in connected:
+                sock.close()
+            instance.server_close()
+        assert len(connected) == instance.max_in_flight
 
 
 class TestLifecycle:
