@@ -11,8 +11,6 @@ re-query); assertions pin the before/after behaviour for both MDM (LAV)
 and the GAV baseline.
 """
 
-import pytest
-
 from benchmarks.conftest import emit
 from repro.core.errors import GavUnfoldingError
 from repro.scenarios.football import FootballScenario

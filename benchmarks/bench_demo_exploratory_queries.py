@@ -11,7 +11,7 @@ truth.
 from benchmarks.conftest import emit
 from repro.core.walks import FilterCondition
 from repro.rdf.namespaces import EX
-from repro.scenarios.football import PLAYER, FootballScenario
+from repro.scenarios.football import PLAYER
 
 SPARQL_TALL_LEFTIES = """
 PREFIX ex: <http://www.essi.upc.edu/example/>

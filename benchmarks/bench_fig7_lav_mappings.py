@@ -10,8 +10,8 @@ intersection, and benchmark mapping definition + validation.
 """
 
 from benchmarks.conftest import emit
-from repro.rdf.namespaces import EX, SC
-from repro.scenarios.football import PLAYER, TEAM, FootballScenario
+from repro.rdf.namespaces import EX
+from repro.scenarios.football import PLAYER, TEAM
 
 
 def render_mapping(mdm, wrapper_name: str) -> str:

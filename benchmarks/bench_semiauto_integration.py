@@ -12,12 +12,8 @@ assists this reproduction implements beyond attribute reuse:
 - **rename detection** in signature diffs under value-overlap evidence.
 """
 
-import pytest
-
 from benchmarks.conftest import emit
 from repro.core.diffing import diff_signatures
-from repro.core.matching import suggest_links
-from repro.scenarios.football import COUNTRY, LEAGUE, PLAYER, TEAM, FootballScenario
 from repro.sources.evolution import EndpointVersion, release_version
 from repro.sources.inference import infer_signature
 

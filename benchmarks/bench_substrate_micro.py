@@ -10,7 +10,7 @@ import pytest
 from repro.rdf.dataset import Dataset
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import EX, RDF
-from repro.rdf.terms import IRI, Literal
+from repro.rdf.terms import Literal
 from repro.relational.algebra import EquiJoin, Scan
 from repro.relational.executor import Executor
 from repro.relational.relation import Relation

@@ -55,7 +55,7 @@ import random
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..obs import current_span, get_metrics
 from . import clock as chaos_clock

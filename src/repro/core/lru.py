@@ -1,8 +1,8 @@
 """The one LRU primitive behind every generation-keyed cache.
 
-The rewrite cache, result cache, wrapper data cache and stage-A pushdown
-memo key their entries by the metadata generation, so a stale entry is
-never looked up again and simply ages out.  What they share lives here:
+The rewrite cache, result cache and wrapper data cache key their
+entries by the metadata generation, so a stale entry is never looked up
+again and simply ages out.  What they share lives here:
 the ordered map and its lock, LRU eviction and resizing, cumulative
 counts and the ``mdm_<prefix>_{hits,misses,evictions}_total`` /
 ``mdm_<prefix>_size`` metric series.

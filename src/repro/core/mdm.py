@@ -31,6 +31,7 @@ import uuid
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..docstore.store import DocumentStore
@@ -45,7 +46,7 @@ from ..obs.querylog import QueryLogRecord, get_query_log
 from ..rdf.dataset import Dataset
 from ..rdf.namespaces import RDF
 from ..rdf.terms import IRI, Triple
-from ..relational.algebra import Scan
+from ..relational.algebra import PlanNode, Scan
 from ..relational.executor import Executor, OperatorStats, apply_pushdown
 from ..relational.optimizer import OptimizationStats, PlanOptimizer
 from ..relational.relation import Relation
@@ -62,7 +63,6 @@ from .errors import (
 from .global_graph import GlobalGraph, UmlModel
 from .lav import LavMappingStore, MappingView
 from .locking import ReadWriteLock
-from .lru import GenerationLRU
 from .registry import QueryRegistry
 from .releases import (
     KIND_EVOLUTION,
@@ -71,7 +71,7 @@ from .releases import (
     MappingSuggestion,
     suggest_mapping,
 )
-from .rewrite_cache import walk_cache_key
+from .rewrite_cache import RewriteEntry
 from .rewriting import Rewriter, RewriteResult
 from .source_graph import SourceGraph, WrapperRegistration
 from .vocabulary import G, M, S, mdm_namespace_manager, mint_local
@@ -386,6 +386,23 @@ class QueryContext:
     on_wrapper_error: str
 
 
+@dataclass(frozen=True)
+class _QueryPlan:
+    """What one rewrite plans before the fetch, for one pushdown setting.
+
+    Kept on the walk's :class:`~repro.core.rewrite_cache.RewriteEntry`,
+    so it is planned once per walk, generation and setting.  ``plan`` and
+    ``stats`` are stage A's (the rewritten plan and None with pushdown
+    off); ``requests`` and ``derived`` are :meth:`MDM._scan_requests`'s,
+    keyed by the entry's ``wrappers``.
+    """
+
+    plan: PlanNode
+    stats: Optional[OptimizationStats]
+    requests: Mapping[str, Scan]
+    derived: Mapping[str, Tuple[Scan, ...]]
+
+
 @dataclass
 class _QueryRun:
     """What one query has produced so far; its query-log record is
@@ -393,6 +410,8 @@ class _QueryRun:
 
     started_wall: float = field(default_factory=time.time)
     result: Optional[RewriteResult] = None
+    #: The walk's description, once the query has reached its rewrite.
+    walk_text: Optional[str] = None
     rewrite_cache: str = "bypass"
     result_cache: str = "off"
     relations: Dict[str, Relation] = field(default_factory=dict)
@@ -480,7 +499,9 @@ class MDM:
         self.metadata_lock = ReadWriteLock()
         from .rewrite_cache import RewriteCache
 
-        #: LRU cache of rewrite plans keyed by (canonical walk, generation).
+        #: LRU cache of rewrites keyed by (canonical walk, generation); an
+        #: entry also keeps what each query of the walk plans before it
+        #: fetches.
         self.rewrite_cache = RewriteCache(rewrite_cache_size)
         from .result_cache import ResultCache
 
@@ -500,12 +521,6 @@ class MDM:
             if wrapper_cache_size is None
             else wrapper_cache_size
         )
-        #: Memoized stage-A pushdown extractions keyed by
-        #: (canonical walk, generation) — the extraction is a pure
-        #: function of the rewritten plan and the wrapper capabilities,
-        #: both frozen within a generation (any metadata mutation bumps
-        #: it under the write lock), so repeated queries skip it.
-        self._pushdown_plans = GenerationLRU(256, "pushdown_plan_cache")
 
     @property
     def saved_queries(self):
@@ -989,9 +1004,9 @@ class MDM:
         runs never exercised the code path users actually run).
         """
         with self.metadata_lock.read_locked():
-            result, _ = self._rewrite_with_status(walk, use_cache)
-            self._log_posed(walk, result)
-            return result
+            entry, _ = self._rewrite_with_status(walk, use_cache)
+            self._log_posed(entry)
+            return entry.result
 
     def replay(self, walks: Iterable[Walk]) -> List[Union[RewriteResult, MdmError]]:
         """Rewrite walks to check them, not pose them: per walk, its
@@ -1006,37 +1021,40 @@ class MDM:
         with self.metadata_lock.read_locked():
             for walk in walks:
                 try:
-                    results.append(self._rewrite_with_status(walk)[0])
+                    results.append(self._rewrite_with_status(walk)[0].result)
                 except MdmError as exc:
                     results.append(exc)
         return results
 
     def _rewrite_with_status(
         self, walk: Walk, use_cache: bool = True
-    ) -> Tuple[RewriteResult, str]:
-        """The rewrite and its cache disposition (hit/miss/bypass)."""
+    ) -> Tuple[RewriteEntry, str]:
+        """The rewrite-cache entry and its disposition (hit/miss/bypass).
+
+        With ``use_cache=False`` the entry is a fresh one that no other
+        query sees, so whatever is planned on it is planned again next
+        time.
+        """
         with get_tracer().span("rewrite-cache") as cache_span:
-            result = None
+            entry = None
             status = "bypass"
             if use_cache:
-                result = self.rewrite_cache.get(walk, self._generation)
-                status = "hit" if result is not None else "miss"
-            if result is None:
-                result = self.rewriter.rewrite(walk)
+                entry = self.rewrite_cache.get(walk, self._generation)
+                status = "hit" if entry is not None else "miss"
+            if entry is None:
+                entry = RewriteEntry(self.rewriter.rewrite(walk))
                 if use_cache:
-                    self.rewrite_cache.put(walk, self._generation, result)
+                    self.rewrite_cache.put(walk, self._generation, entry)
             cache_span.set_tag("cache", status)
-        return result, status
+        return entry, status
 
-    def _log_posed(self, walk: Walk, result: RewriteResult) -> None:
+    def _log_posed(self, entry: RewriteEntry) -> None:
         """Append a posed query to the metadata ``queries`` collection."""
         self.metadata.collection("queries").insert_one(
             {
-                "walk": walk.describe(self.global_graph),
-                "ucq_size": result.ucq_size,
-                "wrappers": sorted(
-                    {name for q in result.queries for name in q.wrapper_names}
-                ),
+                "walk": entry.describe(self.global_graph),
+                "ucq_size": entry.result.ucq_size,
+                "wrappers": list(entry.wrappers),
             }
         )
 
@@ -1218,34 +1236,34 @@ class MDM:
     ) -> QueryOutcome:
         """Rewrite, fetch, optimize, validate and execute one query.
 
+        What a query plans before it fetches depends only on the walk,
+        the metadata generation and the pushdown setting, so it is
+        planned once per rewrite-cache entry and setting
+        (:meth:`_query_plan`): stage A, the fetch requests and, with the
+        entry, the walk's description.  Stage B and plan validation run
+        on every query, after the fetch, because they read the column
+        types the fetch produced.  A partial answer rebuilds its plans
+        from the entry's stage-A plan.
+
         Returns the outcome without its profile and pushdown summary,
         which need the finished timer and memory watch.
         """
         with timer.phase("rewrite"):
-            result, run.rewrite_cache = self._rewrite_with_status(
+            entry, run.rewrite_cache = self._rewrite_with_status(
                 ctx.walk, ctx.use_cache
             )
-            self._log_posed(ctx.walk, result)
-        run.result = result
+            self._log_posed(entry)
+        result = run.result = entry.result
+        run.walk_text = entry.describe(self.global_graph)
         root.set_tag("cache", run.rewrite_cache)
         executor = Executor()
-        needed = {name for q in result.queries for name in q.wrapper_names}
-        # Stage A (pre-fetch): fold eligible predicates and projections
-        # into the Scans so the fetch requests below carry them across
-        # the wrapper boundary.  Runs over a type-blind signature catalog
-        # — real types exist only after fetching, which is exactly what
-        # pushdown avoids — and is memoized per (walk, generation).
-        pushed_plan = result.plan
-        pushdown_stats: Optional[OptimizationStats] = None
         if ctx.config.pushdown:
             with timer.phase("optimize"):
-                key = (walk_cache_key(ctx.walk), ctx.generation)
-                extracted = self._pushdown_plans.probe(key)
-                if extracted is None:
-                    extracted = self._extract_pushdown(result.plan, needed)
-                    self._pushdown_plans.store(key, extracted)
-                pushed_plan, pushdown_stats = extracted
-        requests, derived = self._scan_requests(pushed_plan, needed)
+                planned = self._query_plan(entry, True)
+        else:
+            planned = self._query_plan(entry, False)
+        pushed_plan, pushdown_stats = planned.plan, planned.stats
+        requests, derived = planned.requests, planned.derived
         with timer.phase("fetch"):
             run.relations, run.attempts, errors, run.fetch_meta, helped = (
                 self._fetch_requests(requests, ctx)
@@ -1376,10 +1394,12 @@ class MDM:
                 decision = "deferred"
             else:
                 decision = "dropped"
-        try:
-            walk_text = ctx.walk.describe(self.global_graph)
-        except Exception:  # noqa: BLE001 — logging must not mask errors
-            walk_text = repr(ctx.walk)
+        walk_text = run.walk_text
+        if walk_text is None:
+            try:
+                walk_text = ctx.walk.describe(self.global_graph)
+            except Exception:  # noqa: BLE001 — logging must not mask errors
+                walk_text = repr(ctx.walk)
         if error is not None:
             status = "error"
         else:
@@ -1632,6 +1652,25 @@ class MDM:
                     "Rows filtered out source-side before transfer.",
                 ).inc(int(source_rows) - int(entry["rows_transferred"]))
         return relations, attempts, errors, meta, helped
+
+    def _query_plan(self, entry: RewriteEntry, pushdown: bool) -> _QueryPlan:
+        """The entry's plan for this pushdown setting, planned on first use.
+
+        The slot is filled by one assignment of the finished plan, so a
+        query that races another on a fresh entry plans too, and neither
+        reads a half-built plan.
+        """
+        planned = entry.plans.get(pushdown)
+        if planned is None:
+            plan, stats = entry.result.plan, None
+            if pushdown:
+                plan, stats = self._extract_pushdown(plan, entry.wrappers)
+            requests, derived = self._scan_requests(plan, entry.wrappers)
+            planned = _QueryPlan(
+                plan, stats, MappingProxyType(requests), MappingProxyType(derived)
+            )
+            entry.plans[pushdown] = planned
+        return planned
 
     def _extract_pushdown(self, plan, needed: Iterable[str]):
         """Stage-A optimization: fold pushable work into the Scans.

@@ -10,6 +10,12 @@ while the metadata that produced it is still current, so evolution can
 never serve a stale UCQ (the governance guarantee this repo exists to
 demonstrate).
 
+Within a generation everything MDM plans for a walk before it fetches
+is a function of the rewrite too, so an entry (:class:`RewriteEntry`)
+also carries the walk's description and, per pushdown setting, the
+plan of :meth:`MDM._answer <repro.core.mdm.MDM._answer>`: a warm query
+reads them instead of planning again.
+
 The LRU itself is the shared :class:`~repro.core.lru.GenerationLRU`:
 hit/miss/eviction counts flow into the process metrics registry
 (``mdm_rewrite_cache_*``) so ``report --metrics`` and the
@@ -19,13 +25,17 @@ hit/miss/eviction counts flow into the process metrics registry
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from ..chaos.failpoints import fire as _failpoint
 from .lru import GenerationLRU
 from .walks import Walk
 
-__all__ = ["RewriteCache"]
+if TYPE_CHECKING:
+    from .global_graph import GlobalGraph
+    from .rewriting import RewriteResult
+
+__all__ = ["RewriteCache", "RewriteEntry"]
 
 
 def walk_cache_key(walk: Walk) -> str:
@@ -40,8 +50,39 @@ def walk_cache_key(walk: Walk) -> str:
     )
 
 
+class RewriteEntry:
+    """One walk's rewrite at one generation, and what is planned from it.
+
+    ``result`` is the rewriter's output, unchanged, and ``wrappers``
+    the sorted names of the wrappers its UCQ reads.  The walk's
+    description and the per-pushdown-setting plans are filled on first
+    use, each by one assignment of a finished, immutable value: two
+    queries racing on a fresh entry may both compute one, but neither
+    reads half of it.  Checks that only replay a walk read ``result``
+    and fill nothing.
+    """
+
+    __slots__ = ("result", "wrappers", "_walk_text", "plans")
+
+    def __init__(self, result: "RewriteResult"):
+        self.result = result
+        self.wrappers: Tuple[str, ...] = tuple(
+            sorted({name for q in result.queries for name in q.wrapper_names})
+        )
+        self._walk_text: Optional[str] = None
+        #: ``pushdown`` flag -> the plan MDM derived for that setting.
+        self.plans: Dict[bool, Any] = {}
+
+    def describe(self, global_graph: "GlobalGraph") -> str:
+        """``walk.describe(global_graph)``, rendered once per entry."""
+        text = self._walk_text
+        if text is None:
+            text = self._walk_text = self.result.walk.describe(global_graph)
+        return text
+
+
 class RewriteCache(GenerationLRU):
-    """Bounded LRU of ``(walk, generation) -> RewriteResult``.
+    """Bounded LRU of ``(walk, generation) -> RewriteEntry``.
 
     Thread-safe: concurrent queries through the service layer may probe
     and fill the cache from multiple threads.  Always enabled.
@@ -52,11 +93,11 @@ class RewriteCache(GenerationLRU):
     def __init__(self, capacity: int = 128):
         super().__init__(capacity, "rewrite_cache")
 
-    def get(self, walk: Walk, generation: int) -> Optional[Any]:
-        """The cached rewrite for ``walk`` at ``generation``, or None."""
+    def get(self, walk: Walk, generation: int) -> Optional[RewriteEntry]:
+        """The cached entry for ``walk`` at ``generation``, or None."""
         _failpoint("cache.rewrite")
         return self.probe((walk_cache_key(walk), generation))
 
-    def put(self, walk: Walk, generation: int, result: Any) -> None:
-        """Cache ``result`` for ``walk`` at ``generation`` (LRU-evicting)."""
-        self.store((walk_cache_key(walk), generation), result)
+    def put(self, walk: Walk, generation: int, entry: RewriteEntry) -> None:
+        """Cache ``entry`` for ``walk`` at ``generation`` (LRU-evicting)."""
+        self.store((walk_cache_key(walk), generation), entry)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs import get_metrics, get_tracer
 from .algebra import (
@@ -53,6 +54,22 @@ def pushdown_predicate(filters: Iterable[Tuple[str, str, Any]]) -> Expr:
     return conjoin([Cmp(op, Col(column), Const(value)) for column, op, value in filters])
 
 
+def row_getter(keys: Sequence[Any]) -> Callable[[Any], Tuple[Any, ...]]:
+    """A function taking the items at ``keys`` of a row, as a tuple.
+
+    Works on tuple rows (``keys`` are indices) and on dict records.
+    ``itemgetter`` over two or more keys already returns a tuple; over
+    one it returns the bare item and over none it cannot be built, so
+    those two cases get their own function.
+    """
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    if keys:
+        (key,) = keys
+        return lambda row: (row[key],)
+    return lambda row: ()
+
+
 def apply_pushdown(relation: Relation, scan: Scan) -> Relation:
     """Apply a Scan's pushed work to its full relation, with executor semantics.
 
@@ -75,11 +92,11 @@ def apply_pushdown(relation: Relation, scan: Scan) -> Relation:
         ]
         result = Relation(result.schema, kept)
     if scan.limit is not None:
-        result = Relation(result.schema, list(result.rows)[: scan.limit])
+        result = Relation(result.schema, result.rows[: scan.limit])
     if scan.columns is not None:
-        indices = [result.schema.index_of(n) for n in scan.columns]
+        getter = row_getter([result.schema.index_of(n) for n in scan.columns])
         schema = result.schema.project(scan.columns)
-        result = Relation(schema, [tuple(row[i] for i in indices) for row in result])
+        result = Relation(schema, map(getter, result.rows))
     return result
 
 
@@ -493,9 +510,8 @@ class Executor:
     def _project(self, plan: Project) -> Relation:
         child = self.execute(plan.child)
         schema = plan.derive(child.schema)
-        indices = [child.schema.index_of(n) for n in plan.names]
-        rows = [tuple(row[i] for i in indices) for row in child]
-        return Relation(schema, rows)
+        getter = row_getter([child.schema.index_of(n) for n in plan.names])
+        return Relation(schema, map(getter, child.rows))
 
     def _select(self, plan: Select) -> Relation:
         child = self.execute(plan.child)
@@ -540,6 +556,23 @@ class Executor:
                 return ("s", value)
         return ("x", value)
 
+    def _join_keys(self, relation: Relation, indices: Sequence[int]) -> List[Any]:
+        """Each row's join key over the cells at ``indices``, in row order.
+
+        A row with a NULL key cell gets None: it joins nothing.  Any
+        other gets its cells normalized by :meth:`_join_key` -- the
+        normalized cell itself when there is one key column, which saves
+        a tuple per row, and their tuple when there are several.
+        """
+        join_key = self._join_key
+        if len(indices) == 1:
+            cells = map(itemgetter(indices[0]), relation.rows)
+            return [None if cell is None else join_key(cell) for cell in cells]
+        return [
+            None if None in cells else tuple(map(join_key, cells))
+            for cells in map(row_getter(indices), relation.rows)
+        ]
+
     def _hash_join(
         self,
         left: Relation,
@@ -547,42 +580,38 @@ class Executor:
         pairs: Tuple[Tuple[str, str], ...],
         schema: RelationSchema,
     ) -> Relation:
-        left_indices = [left.schema.index_of(l) for l, _ in pairs]
-        right_indices = [right.schema.index_of(r) for _, r in pairs]
-        keep_right = [
-            i
-            for i, attr in enumerate(right.schema.attributes)
-            if attr.name not in left.schema
-        ]
-        # Build on the smaller side.
+        left_keys = self._join_keys(left, [left.schema.index_of(l) for l, _ in pairs])
+        right_keys = self._join_keys(
+            right, [right.schema.index_of(r) for _, r in pairs]
+        )
+        kept = row_getter(
+            [
+                i
+                for i, attr in enumerate(right.schema.attributes)
+                if attr.name not in left.schema
+            ]
+        )
+        # Build on the smaller side.  An output row is the left row and
+        # the right row's kept cells, in probe order, then build order.
         build_left = len(left) <= len(right)
-        table: Dict[Tuple, List[Tuple]] = {}
         if build_left:
-            for row in left:
-                key = tuple(self._join_key(row[i]) for i in left_indices)
-                if any(row[i] is None for i in left_indices):
-                    continue
-                table.setdefault(key, []).append(row)
-            rows = []
-            for row in right:
-                if any(row[i] is None for i in right_indices):
-                    continue
-                key = tuple(self._join_key(row[i]) for i in right_indices)
-                for match in table.get(key, ()):
-                    rows.append(match + tuple(row[i] for i in keep_right))
+            build, build_keys, probe, probe_keys = left, left_keys, right, right_keys
         else:
-            for row in right:
-                if any(row[i] is None for i in right_indices):
-                    continue
-                key = tuple(self._join_key(row[i]) for i in right_indices)
+            build, build_keys, probe, probe_keys = right, right_keys, left, left_keys
+        table: Dict[Any, List[Tuple]] = {}
+        for row, key in zip(build.rows, build_keys):
+            if key is not None:
                 table.setdefault(key, []).append(row)
-            rows = []
-            for row in left:
-                if any(row[i] is None for i in left_indices):
-                    continue
-                key = tuple(self._join_key(row[i]) for i in left_indices)
-                for match in table.get(key, ()):
-                    rows.append(row + tuple(match[i] for i in keep_right))
+        rows: List[Tuple] = []
+        for row, key in zip(probe.rows, probe_keys):
+            matches = table.get(key)
+            if not matches:
+                continue
+            if build_left:
+                tail = kept(row)
+                rows.extend([match + tail for match in matches])
+            else:
+                rows.extend([row + kept(match) for match in matches])
         return Relation(schema, rows)
 
     def _rename(self, plan: Rename) -> Relation:

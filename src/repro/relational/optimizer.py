@@ -25,6 +25,14 @@ every shared column, and with it the output bytes.
 All rewrites preserve the result as a bag of rows up to row order (and
 byte-identically after the canonical UCQ-root sort that
 ``MDM.execute`` applies).
+
+The rules test schemas all the time: which join side provides a
+column, whether a Project is a noop, what a Rename exposes.  One run
+derives each node's schema once, from its children's, and reuses it
+(:meth:`PlanOptimizer._schema`), so a left-deep chain of *n* joins
+costs *n* schema derivations rather than *n²*.  Pruning returns the
+subtrees it leaves unchanged as they were, so the fixpoint after it
+reuses their schemas too.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ from .algebra import (
     union_all,
 )
 from .expressions import Expr, conjuncts, rename_columns
-from .schema import SchemaError
+from .schema import RelationSchema, SchemaError
 
 __all__ = [
     "OptimizationStats",
@@ -135,6 +143,9 @@ class PlanOptimizer:
         #: Disables the one rewrite whose safety test inspects attribute
         #: types (σ-through-∪), which would vacuously pass on ANY.
         self.type_aware = type_aware
+        #: ``id(node) -> (node, schema)`` for the run in progress; holding
+        #: the node keeps its id from being reused while the entry lives.
+        self._schemas: Dict[int, Tuple[PlanNode, RelationSchema]] = {}
 
     # -- public entry points ------------------------------------------- #
 
@@ -159,14 +170,36 @@ class PlanOptimizer:
     def _run(self, plan: PlanNode) -> Tuple[PlanNode, OptimizationStats]:
         stats = OptimizationStats()
         started = time.perf_counter()
-        plan = self._fixpoint(plan, stats)
-        pruned = self._try_prune(plan, stats)
-        if pruned is not None:
-            # Pruning inserts Projects that may now fuse or be noops.
-            plan = self._fixpoint(pruned, stats)
+        self._schemas = {}
+        try:
+            plan = self._fixpoint(plan, stats)
+            pruned = self._try_prune(plan, stats)
+            if pruned is not None:
+                # Pruning inserts Projects that may now fuse or be noops.
+                plan = self._fixpoint(pruned, stats)
+        finally:
+            self._schemas = {}
         stats.elapsed_s = time.perf_counter() - started
         self._emit_metrics(stats)
         return plan, stats
+
+    def _schema(self, node: PlanNode) -> RelationSchema:
+        """``node.output_schema(self.catalog)``, derived once per run.
+
+        A Scan reads the catalog; any other node applies its own
+        ``derive`` to its children's memoized schemas.  A
+        :class:`SchemaError` propagates and is never memoized, so a rule
+        whose schema check fails still does not fire.
+        """
+        hit = self._schemas.get(id(node))
+        if hit is not None:
+            return hit[1]
+        if isinstance(node, Scan):
+            schema = node.output_schema(self.catalog)
+        else:
+            schema = node.derive(*map(self._schema, node.children()))
+        self._schemas[id(node)] = (node, schema)
+        return schema
 
     @staticmethod
     def _emit_metrics(stats: OptimizationStats) -> None:
@@ -251,7 +284,7 @@ class PlanOptimizer:
             return None
         if isinstance(child, Rename):
             try:
-                visible = set(child.output_schema(self.catalog).names)
+                visible = set(self._schema(child).names)
             except SchemaError:
                 return None
             if not refs <= visible:
@@ -339,7 +372,7 @@ class PlanOptimizer:
         if conjunct is None:
             return None
         try:
-            visible = set(child.output_schema(self.catalog).names)
+            visible = set(self._schema(child).names)
         except SchemaError:
             return None
         if conjunct[0] not in visible:
@@ -355,7 +388,7 @@ class PlanOptimizer:
         if not self._capable(child, CAP_PROJECTION):
             return None
         try:
-            current = child.output_schema(self.catalog).names
+            current = self._schema(child).names
         except SchemaError:
             return None
         if plan.names == current:
@@ -384,8 +417,8 @@ class PlanOptimizer:
             return None
         refs = plan.predicate.references()
         try:
-            left_schema = child.left.output_schema(self.catalog)
-            right_schema = child.right.output_schema(self.catalog)
+            left_schema = self._schema(child.left)
+            right_schema = self._schema(child.right)
             widened = child.derive(left_schema, right_schema)
             for name in refs:
                 attr = widened.attribute(name)
@@ -420,8 +453,8 @@ class PlanOptimizer:
         if not refs:
             return None
         try:
-            left_names = set(child.left.output_schema(self.catalog).names)
-            right_names = set(child.right.output_schema(self.catalog).names)
+            left_names = set(self._schema(child.left).names)
+            right_names = set(self._schema(child.right).names)
         except SchemaError:
             return None
         if refs <= left_names:
@@ -450,7 +483,7 @@ class PlanOptimizer:
             # computed against the child's actual schema so renames of
             # renamed-away names cannot sneak in.
             try:
-                base = child.child.output_schema(self.catalog)
+                base = self._schema(child.child)
             except SchemaError:
                 return None
             inner = child.mapping_dict()
@@ -481,7 +514,7 @@ class PlanOptimizer:
             if folded is not None:
                 return folded
         try:
-            if plan.names == child.output_schema(self.catalog).names:
+            if plan.names == self._schema(child).names:
                 stats.count("project_noop_dropped")
                 return child
         except SchemaError:
@@ -504,7 +537,7 @@ class PlanOptimizer:
         if not self._capable(scan, CAP_PROJECTION):
             return None
         try:
-            renamed_visible = child.output_schema(self.catalog).names
+            renamed_visible = self._schema(child).names
         except SchemaError:
             return None
         if not set(plan.names) <= set(renamed_visible):
@@ -578,11 +611,30 @@ class PlanOptimizer:
         original; with a set, the output keeps original column order and
         satisfies ``needed ∩ original ⊆ output ⊆ original``.  Values of
         surviving columns are byte-identical to the naive plan's.
+
+        A subtree that pruning leaves as it was is returned as the same
+        object, so the fixpoint after pruning finds its schema memoized.
         """
+        pruned = self._narrow(plan, needed, stats)
+        if (
+            type(pruned) is type(plan)
+            and all(a is b for a, b in zip(pruned.children(), plan.children()))
+            and pruned == plan
+        ):
+            return plan
+        return pruned
+
+    def _narrow(
+        self,
+        plan: PlanNode,
+        needed: Optional[Set[str]],
+        stats: OptimizationStats,
+    ) -> PlanNode:
+        """One step of :meth:`_prune`: ``plan`` over its pruned children."""
         if isinstance(plan, Scan):
             if needed is None:
                 return plan
-            names = plan.output_schema(self.catalog).names
+            names = self._schema(plan).names
             keep = tuple(n for n in names if n in needed)
             if not keep or keep == names:
                 return plan
@@ -616,7 +668,7 @@ class PlanOptimizer:
                 inverse = {new: old for old, new in plan.mapping}
                 child_needed = {inverse.get(n, n) for n in needed}
             child = self._prune(plan.child, child_needed, stats)
-            surviving = set(child.output_schema(self.catalog).names)
+            surviving = set(self._schema(child).names)
             kept_mapping = {
                 old: new for old, new in mapping.items() if old in surviving
             }
@@ -640,8 +692,8 @@ class PlanOptimizer:
         if isinstance(plan, Union):
             left = self._prune(plan.left, needed, stats)
             right = self._prune(plan.right, needed, stats)
-            left_names = left.output_schema(self.catalog).names
-            right_names = right.output_schema(self.catalog).names
+            left_names = self._schema(left).names
+            right_names = self._schema(right).names
             if left_names == right_names:
                 return Union(left, right)
             # Realign independently pruned branches on their common columns.
@@ -655,8 +707,8 @@ class PlanOptimizer:
                 right = Project(right, target)
             return Union(left, right)
         if isinstance(plan, NaturalJoin):
-            left_names = plan.left.output_schema(self.catalog).names
-            right_names = plan.right.output_schema(self.catalog).names
+            left_names = self._schema(plan.left).names
+            right_names = self._schema(plan.right).names
             shared = set(left_names) & set(right_names)
             if needed is None:
                 left_needed = None
@@ -669,8 +721,8 @@ class PlanOptimizer:
                 self._prune(plan.right, right_needed, stats),
             )
         if isinstance(plan, EquiJoin):
-            left_names = plan.left.output_schema(self.catalog).names
-            right_names = plan.right.output_schema(self.catalog).names
+            left_names = self._schema(plan.left).names
+            right_names = self._schema(plan.right).names
             collisions = set(left_names) & set(right_names)
             if needed is None:
                 left_needed = None

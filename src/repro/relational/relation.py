@@ -126,6 +126,23 @@ class Relation:
             attribute_order = seen
         names = list(attribute_order)
         rows = [tuple(map(record.get, names)) for record in records]
+        return cls.from_rows(names, rows, name=name)
+
+    @classmethod
+    def from_rows(
+        cls,
+        names: Sequence[str],
+        rows: List[Row],
+        name: Optional[str] = None,
+    ) -> "Relation":
+        """Build a relation from tuple rows aligned with ``names``,
+        inferring column types.
+
+        Every column is typed from its values; a column holding several
+        concrete types is coerced to their common type.  An unsupported
+        value raises :class:`TypeError`, naming the first such value in
+        row order.
+        """
         types, mixed = _column_types(rows, len(names))
         schema = RelationSchema(Attribute(n, t) for n, t in zip(names, types))
         if not mixed:

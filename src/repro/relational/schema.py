@@ -96,12 +96,13 @@ class RelationSchema:
 
     def __init__(self, attributes: Iterable[Attribute]):
         self._attributes: Tuple[Attribute, ...] = tuple(attributes)
-        names = [a.name for a in self._attributes]
+        names = tuple([a.name for a in self._attributes])
         if len(set(names)) != len(names):
             duplicates = sorted({n for n in names if names.count(n) > 1})
             message = f"duplicate attribute names: {duplicates}"
             raise SchemaError(failures=[(DUPLICATE_COLUMN, message, "")])
-        self._index: Dict[str, int] = {a.name: i for i, a in enumerate(self._attributes)}
+        self._names = names
+        self._index: Dict[str, int] = {name: i for i, name in enumerate(names)}
 
     @classmethod
     def of(cls, *names: str) -> "RelationSchema":
@@ -116,7 +117,7 @@ class RelationSchema:
     @property
     def names(self) -> Tuple[str, ...]:
         """Attribute names in order."""
-        return tuple(a.name for a in self._attributes)
+        return self._names
 
     @property
     def attributes(self) -> Tuple[Attribute, ...]:

@@ -41,7 +41,7 @@ from ..chaos import clock as chaos_clock
 from ..chaos.failpoints import fire as _failpoint
 from ..obs import get_metrics, get_tracer
 from ..relational.algebra import CAP_FILTERS, CAP_LIMIT, CAP_PROJECTION, Scan
-from ..relational.executor import apply_pushdown
+from ..relational.executor import apply_pushdown, row_getter
 from ..relational.relation import Relation
 from ..relational.types import AttrType
 from .formats import decode_csv, decode_json, decode_xml, flatten_record
@@ -544,9 +544,16 @@ class RestWrapper(Wrapper):
         return responses
 
     def fetch(self) -> List[Record]:
-        return self._fetch_with_params(None)
+        decoded = self._decoded(None)
+        return self._map_records(decoded, self._plain_keys(decoded))
 
-    def _fetch_with_params(self, params: Optional[Mapping[str, str]]) -> List[Record]:
+    def _decoded(self, params: Optional[Mapping[str, str]]) -> List[Record]:
+        """The decoded, flattened records one request returns.
+
+        Inside :func:`sharing_requests` a request another wrapper already
+        sent is answered from its records; they may be shared, so callers
+        never modify them.
+        """
         send = dict(self.params if params is None else params)
         shared = _SHARED_REQUESTS.get()
         key = (self.server, self.path, tuple(sorted(send.items())), self.paginate)
@@ -563,22 +570,34 @@ class RestWrapper(Wrapper):
                 decoded.extend(self._decode(response))
             if shared is not None:
                 shared[key] = decoded
-        return self._map_records(decoded)
+        return decoded
 
-    def _map_records(self, decoded: List[Record]) -> List[Record]:
+    def _plain_keys(self, decoded: List[Record]) -> Optional[List[str]]:
+        """Each signature attribute's payload key, when every spec is a
+        plain key present in every record; otherwise None."""
+        specs = [self.attribute_map.get(a, a) for a in self.attributes]
+        keys = [spec for spec in specs if isinstance(spec, str)]
+        if len(keys) == len(specs):
+            needed = set(keys)
+            if all(needed <= record.keys() for record in decoded):
+                return keys
+        return None
+
+    def _map_records(
+        self, decoded: List[Record], keys: Optional[List[str]]
+    ) -> List[Record]:
         """Each decoded record as a row keyed by the signature.
 
-        When every spec is a plain key present in every record, the rows
-        are built in one pass; otherwise each attribute is produced and
-        checked one by one.  A computed spec gets a copy of the record,
-        since ``decoded`` may be shared with other wrappers.
+        ``keys`` is what :meth:`_plain_keys` returned for ``decoded``.
+        When it is a list, the rows are built in one pass; when None,
+        each attribute is produced and checked one by one.  A computed
+        spec gets a copy of the record, since ``decoded`` may be shared
+        with other wrappers.
         """
+        if keys is not None:
+            pairs = list(zip(self.attributes, keys))
+            return [{a: record[k] for a, k in pairs} for record in decoded]
         specs = [self.attribute_map.get(a, a) for a in self.attributes]
-        if all(isinstance(spec, str) for spec in specs):
-            needed = set(specs)
-            if all(needed <= record.keys() for record in decoded):
-                pairs = list(zip(self.attributes, specs))
-                return [{a: record[k] for a, k in pairs} for record in decoded]
         computed = any(callable(spec) for spec in specs)
         rows: List[Record] = []
         for record in decoded:
@@ -640,33 +659,49 @@ class RestWrapper(Wrapper):
             sent = True
         return params if sent else None
 
+    def _relation(self, params: Optional[Mapping[str, str]]) -> Relation:
+        """One request's records as a typed relation over the signature.
+
+        When every spec is a plain key present in every record, each
+        row is one tuple taken straight from its decoded record;
+        otherwise the records are mapped (and strict-checked) as by
+        :meth:`fetch` first.  Typed the same way either way.
+        """
+        decoded = self._decoded(params)
+        keys = self._plain_keys(decoded)
+        if keys is None:
+            return Relation.from_dicts(
+                self._map_records(decoded, None),
+                attribute_order=list(self.attributes),
+                name=self.name,
+            )
+        return Relation.from_rows(
+            self.attributes, list(map(row_getter(keys), decoded)), name=self.name
+        )
+
     def _fetch_push(self, scan: Scan) -> FetchResult:
         """Prefilter at the endpoint, then apply the exact request.
 
         Every signature attribute is still mapped (and strict-checked)
         for every returned record, so a schema break surfaces exactly as
-        on the unpushed path.  If the prefiltered subset types a column
-        as ANY (all-null slice) or comes back empty, the full payload is
-        re-fetched.  A subset whose types are narrower than the full
-        payload's is not detected (see the class docstring).
+        on the unpushed path; the rows are built once, as tuples, from
+        the decoded records (:meth:`_relation`).  If the prefiltered
+        subset types a column as ANY (all-null slice) or comes back
+        empty, the full payload is re-fetched.  A subset whose types are
+        narrower than the full payload's is not detected (see the class
+        docstring).
         """
         params = self._prefilter_params(scan)
-        rows = self._fetch_with_params(params)
+        relation = self._relation(params)
         prefiltered = params is not None
-        relation = Relation.from_dicts(
-            rows, attribute_order=list(self.attributes), name=self.name
-        )
         if prefiltered and (
-            not rows
+            not relation
             or any(a.type is AttrType.ANY for a in relation.schema.attributes)
         ):
-            rows = self._fetch_with_params(None)
-            relation = Relation.from_dicts(
-                rows, attribute_order=list(self.attributes), name=self.name
-            )
+            relation = self._relation(None)
             prefiltered = False  # the full payload crossed after all
         return FetchResult(
             relation=apply_pushdown(relation, scan),
-            rows_transferred=len(rows),
-            rows_source=None if prefiltered else len(rows),
+            rows_transferred=len(relation),
+            rows_source=None if prefiltered else len(relation),
         )

@@ -1,11 +1,15 @@
 """The failpoint registry: grammar, trigger modes, determinism, overhead."""
 
+import os
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.chaos import (
     SITES,
@@ -441,11 +445,14 @@ class TestArmingSurfaces:
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={
-                "PYTHONPATH": "src",
-                "MDM_FAILPOINTS": "wrapper.fetch=error:nth(2)",
-                "MDM_FAILPOINT_SEED": "77",
-            },
+            # The caller's environment (PYTHONDONTWRITEBYTECODE among it)
+            # plus the package's own source root, wherever pytest runs.
+            env=dict(
+                os.environ,
+                PYTHONPATH=str(Path(repro.__file__).resolve().parent.parent),
+                MDM_FAILPOINTS="wrapper.fetch=error:nth(2)",
+                MDM_FAILPOINT_SEED="77",
+            ),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["77", "wrapper.fetch"]

@@ -6,8 +6,8 @@ import pytest
 from repro.core.errors import WalkError
 from repro.core.sparql_frontend import walk_from_sparql
 from repro.core.walks import FilterCondition, Walk
-from repro.rdf.namespaces import EX, SC
-from repro.scenarios.football import PLAYER, TEAM, FootballScenario
+from repro.rdf.namespaces import EX
+from repro.scenarios.football import PLAYER, FootballScenario
 
 PREFIXES = (
     "PREFIX ex: <http://www.essi.upc.edu/example/>\n"

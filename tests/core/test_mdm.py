@@ -5,7 +5,7 @@ import pytest
 from repro.core.errors import MappingError, MdmError, SourceGraphError
 from repro.core.mdm import MDM
 from repro.rdf.namespaces import EX
-from repro.scenarios.football import PLAYER, TEAM, FootballScenario
+from repro.scenarios.football import PLAYER, FootballScenario
 from repro.sources.wrappers import StaticWrapper
 
 

@@ -6,7 +6,7 @@ from repro.core.errors import WalkError
 from repro.core.mdm import MDM
 from repro.core.walks import FilterCondition, Walk
 from repro.rdf.namespaces import EX
-from repro.scenarios.football import PLAYER, TEAM, FootballScenario
+from repro.scenarios.football import PLAYER, FootballScenario
 from repro.sources.wrappers import StaticWrapper
 
 

@@ -4,10 +4,9 @@ import threading
 
 import pytest
 
-from repro.core.registry import QueryRegistry, RevalidationEntry
 from repro.core.walks import FilterCondition, Walk
 from repro.rdf.namespaces import EX
-from repro.scenarios.football import PLAYER, FootballScenario
+from repro.scenarios.football import FootballScenario
 from repro.service.persistence import attach_wrappers, load_mdm, save_mdm
 
 

@@ -6,7 +6,7 @@ from repro.core.errors import GavUnfoldingError
 from repro.core.releases import KIND_EVOLUTION, KIND_NEW_SOURCE
 from repro.docstore.store import DocumentStore
 from repro.rdf.namespaces import EX
-from repro.scenarios.football import PLAYER, TEAM, FootballScenario
+from repro.scenarios.football import PLAYER, FootballScenario
 from repro.sources.wrappers import StaticWrapper
 
 

@@ -18,7 +18,6 @@ from repro.scenarios.football import (
     COUNTRY,
     LEAGUE,
     PLAYER,
-    RELATIONS,
     TEAM,
     FootballScenario,
 )

@@ -4,7 +4,7 @@ name-based link suggestions and schema-version diffing."""
 import pytest
 
 from repro.core.diffing import SignatureDiff, diff_signatures
-from repro.core.matching import name_similarity, suggest_links
+from repro.core.matching import name_similarity
 from repro.rdf.namespaces import EX
 from repro.relational.types import AttrType
 from repro.scenarios.football import TEAM, FootballScenario

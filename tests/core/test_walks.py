@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.errors import DisconnectedWalkError, WalkError
 from repro.core.walks import Walk, concept_variable_names, feature_column_names
-from repro.rdf.namespaces import EX, SC
-from repro.scenarios.football import PLAYER, RELATIONS, TEAM, football_uml
+from repro.rdf.namespaces import EX
+from repro.scenarios.football import PLAYER, TEAM, football_uml
 from repro.sparql.parser import parse_query
 
 

@@ -5,8 +5,6 @@ import pytest
 from repro.core.errors import GavUnfoldingError
 from repro.rdf.namespaces import EX
 from repro.scenarios.football import (
-    COUNTRY,
-    LEAGUE,
     PLAYER,
     TEAM,
     FootballScenario,

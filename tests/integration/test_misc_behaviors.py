@@ -6,8 +6,8 @@ import pytest
 
 from repro.rdf.dataset import Dataset
 from repro.rdf.graph import Graph
-from repro.rdf.namespaces import EX, RDF, XSD
-from repro.rdf.terms import IRI, Literal, Variable
+from repro.rdf.namespaces import EX, XSD
+from repro.rdf.terms import Literal
 from repro.sparql.evaluator import evaluate_text
 from repro.sparql.functions import ExpressionError
 

@@ -13,7 +13,7 @@ from repro.rdf.ntriples import (
     serialize_ntriples,
     unescape_string,
 )
-from repro.rdf.terms import BNode, IRI, Literal, Quad, Triple
+from repro.rdf.terms import BNode, IRI, Literal
 from repro.rdf.trig import parse_trig, serialize_trig
 from repro.rdf.turtle import TurtleParseError, parse_turtle, serialize_turtle
 

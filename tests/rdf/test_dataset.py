@@ -4,7 +4,7 @@ import pytest
 
 from repro.rdf.dataset import Dataset
 from repro.rdf.namespaces import EX
-from repro.rdf.terms import IRI, Literal, Quad, Triple
+from repro.rdf.terms import Quad, Triple
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import pytest
 
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import EX, RDF, SC
-from repro.rdf.terms import BNode, IRI, Literal, Triple
+from repro.rdf.terms import BNode, IRI, Literal
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from repro.rdf.terms import (
     Triple,
     Variable,
     XSD_BOOLEAN,
-    XSD_DECIMAL,
     XSD_DOUBLE,
     XSD_INTEGER,
     XSD_STRING,

@@ -20,7 +20,7 @@ from repro.relational.algebra import (
 from repro.relational.executor import ExecutionError, Executor, apply_pushdown
 from repro.relational.expressions import And, Cmp, Col, Const, IsNull, NotExpr, Or
 from repro.relational.relation import Relation
-from repro.relational.schema import RelationSchema, SchemaError
+from repro.relational.schema import SchemaError
 from repro.relational.sql import to_sql
 
 

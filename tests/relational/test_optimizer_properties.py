@@ -15,7 +15,6 @@ from repro.relational.algebra import (
     Extend,
     NaturalJoin,
     Project,
-    Rename,
     Scan,
     Select,
     union_all,

@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro.rdf.namespaces import EX
-from repro.scenarios.football import PLAYER, FootballScenario
+from repro.scenarios.football import FootballScenario
 from repro.service.api import MdmService
 from repro.service.persistence import (
     DATASET_FILE,

@@ -1,7 +1,5 @@
 """Unit tests for the SPARQL algebra lowering (ToAlgebra)."""
 
-import pytest
-
 from repro.sparql.algebra import (
     AlgebraFilter,
     AlgebraGraph,

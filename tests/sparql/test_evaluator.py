@@ -5,9 +5,8 @@ import pytest
 from repro.rdf.dataset import Dataset
 from repro.rdf.graph import Graph
 from repro.rdf.namespaces import EX, RDF, SC
-from repro.rdf.terms import IRI, Literal, Variable
-from repro.sparql.evaluator import QueryEvaluator, evaluate_text
-from repro.sparql.results import SolutionSequence
+from repro.rdf.terms import Literal
+from repro.sparql.evaluator import evaluate_text
 
 
 @pytest.fixture
