@@ -2,9 +2,10 @@
 """Coverage gate for the most failure-prone modules (CI ``coverage`` job).
 
 The failpoint registry, the readers-writer lock, the LRU behind every
-generation-keyed cache, the execution configuration, the operators'
-schema rules and structure, the plan checker that applies them, the
-optimizer and executor that rewrite and run every plan, the wrappers
+generation-keyed cache, the rewrite cache and its rewriter-inputs map,
+the execution configuration, the operators' schema rules and
+structure, the plan checker that applies them, the optimizer and
+executor that rewrite and run every plan, the wrappers
 and wrapper cache that answer its pushed Scans, the mock REST server,
 payload decoding and typed relations beneath them, the saved-query
 registry and impact analyzer that replay the saved queries, the
@@ -46,6 +47,7 @@ GATED_FILES = (
     "repro/core/locking.py",
     "repro/core/lru.py",
     "repro/core/registry.py",
+    "repro/core/rewrite_cache.py",
     "repro/core/wrapper_cache.py",
     "repro/docstore/store.py",
     "repro/rdf/graph.py",

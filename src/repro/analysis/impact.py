@@ -23,7 +23,9 @@ The shadow is a deep copy of the RDF dataset only; its runtime wrappers
 are no-fetch proxies, so any code path that tried to touch a source
 during analysis raises instead of fetching.  The real MDM is only ever
 *read* — zero generation bumps, zero mutations — bar the rewrite-cache
-entries its replayed saved queries store at the current generation.
+entries its replayed saved queries store at the current generation and
+the rewrites both sides store in the rewrite cache's inputs map, which
+the shadow shares.
 
 :func:`apply_change` is the shared "make it real" primitive: the
 analyzer runs it against the shadow, the governance workflow (and the
@@ -307,17 +309,24 @@ def shadow_mdm(mdm: "MDM") -> "MDM":
 
     Only the RDF dataset, all analysis reads, is copied; the graph stack
     (global graph, source graph, LAV store, rewriter) is rebuilt over
-    the copy; runtime wrappers become no-fetch proxies; the impact gate
-    is off (the shadow must accept the proposal so its consequences can
-    be measured).  The shadow keeps its own empty document store and
-    rewrite cache: its generation starts at the live one and bumps as
-    the live one would, so a shared cache could serve its plans to live
-    queries.  The caller is expected to hold the real MDM's read lock so
-    the copy is a consistent snapshot.
+    the copy, the rewriter with the live one's settings so both sides of
+    an analysis rewrite alike; runtime wrappers become no-fetch proxies;
+    the impact gate is off (the shadow must accept the proposal so its
+    consequences can be measured).  The shadow keeps its own empty
+    document store.  Its rewrite cache shares the live one's inputs map
+    (:attr:`~repro.core.rewrite_cache.RewriteCache.by_inputs`): the
+    copied graphs keep their stamps, so once the analysed change is
+    applied to the live MDM, the live replays find the shadow's
+    rewrites there.  Its generation-keyed entries stay its own: its
+    generation starts at the live one and bumps as the live one would,
+    so shared entries could serve its plans to live queries.  The
+    caller is expected to hold the real MDM's read lock so the copy is
+    a consistent snapshot.
     """
     from ..core.global_graph import GlobalGraph
     from ..core.lav import LavMappingStore
     from ..core.mdm import MDM
+    from ..core.rewrite_cache import RewriteCache
     from ..core.rewriting import Rewriter
     from ..core.source_graph import SourceGraph
     from ..core.vocabulary import M
@@ -334,7 +343,15 @@ def shadow_mdm(mdm: "MDM") -> "MDM":
     shadow.mappings = LavMappingStore(
         shadow.dataset, shadow.global_graph, shadow.source_graph
     )
-    shadow.rewriter = Rewriter(shadow.global_graph, shadow.mappings)
+    shadow.rewriter = Rewriter(
+        shadow.global_graph,
+        shadow.mappings,
+        mdm.rewriter.max_cover_size,
+        mdm.rewriter.minimize,
+    )
+    shadow.rewrite_cache = RewriteCache(
+        mdm.rewrite_cache.capacity, mdm.rewrite_cache.by_inputs
+    )
     shadow._generation = mdm._generation
     shadow.wrappers = {
         name: _NoFetchWrapper(w) for name, w in mdm.wrappers.items()

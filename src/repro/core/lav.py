@@ -90,7 +90,9 @@ class LavMappingStore:
     dataset's named graphs (:attr:`repro.rdf.graph.Graph.stamp`), and
     recompiled when any of those differ.  Staleness is read from the
     graphs themselves, so an edit that bypasses the MDM mutators (and
-    the generation) is never served a stale view.
+    the generation) is never served a stale view.  Each compile also
+    computes the views' hashable value (:meth:`views_value`), which
+    the rewrite cache keys on.
     """
 
     def __init__(
@@ -102,9 +104,9 @@ class LavMappingStore:
         self.dataset = dataset
         self.global_graph = global_graph
         self.source_graph = source_graph
-        #: ``(stamps, {wrapper: view})``, replaced whole so concurrent
-        #: readers always see a matching pair.
-        self._compiled: Tuple[tuple, Dict[IRI, MappingView]] = ((), {})
+        #: ``(stamps, {wrapper: view}, views value)``, replaced whole so
+        #: concurrent readers never pair parts of two compiles.
+        self._compiled: Tuple[tuple, Dict[IRI, MappingView], tuple] = ((), {}, ())
 
     # ------------------------------------------------------------------ #
     # definition
@@ -405,27 +407,47 @@ class LavMappingStore:
 
     def view(self, wrapper: IRI) -> MappingView:
         """The query-ready :class:`MappingView` for ``wrapper``."""
-        view = self._views().get(wrapper)
+        view = self._current()[1].get(wrapper)
         if view is None:
             raise MappingError(f"no LAV mapping defined for {wrapper}")
         return view
 
     def views(self) -> List[MappingView]:
         """Views for every mapped wrapper, sorted by wrapper IRI."""
-        return list(self._views().values())
+        return list(self._current()[1].values())
 
-    def _views(self) -> Dict[IRI, MappingView]:
-        """The compiled views, recompiled if the metadata changed."""
+    def views_value(self) -> tuple:
+        """The views of :meth:`views`, in order, as one hashable value.
+
+        Per view: the wrapper, its name, its concepts, the items of
+        ``feature_attributes`` and its edges.  Equal values mean equal
+        views, whatever graphs they were compiled from.
+        """
+        return self._current()[2]
+
+    def _current(self) -> Tuple[tuple, Dict[IRI, MappingView], tuple]:
+        """``(stamps, views, views value)``, recompiled first if the
+        metadata changed."""
         stamps = (
             self.global_graph.graph.stamp,
             self.source_graph.graph.stamp,
             self.dataset.stamps(),
         )
-        compiled_under, views = self._compiled
-        if compiled_under != stamps:
+        compiled = self._compiled
+        if compiled[0] != stamps:
             views = {w: self._compile(w) for w in self.mapped_wrappers()}
-            self._compiled = (stamps, views)
-        return views
+            value = tuple(
+                (
+                    view.wrapper,
+                    view.wrapper_name,
+                    view.concepts,
+                    frozenset(view.feature_attributes.items()),
+                    view.edges,
+                )
+                for view in views.values()
+            )
+            compiled = self._compiled = (stamps, views, value)
+        return compiled
 
     def _compile(self, wrapper: IRI) -> MappingView:
         named = self.dataset.graph(wrapper)

@@ -71,7 +71,7 @@ from .releases import (
     MappingSuggestion,
     suggest_mapping,
 )
-from .rewrite_cache import RewriteEntry
+from .rewrite_cache import RewriteEntry, walk_cache_key
 from .rewriting import Rewriter, RewriteResult
 from .source_graph import SourceGraph, WrapperRegistration
 from .vocabulary import G, M, S, mdm_namespace_manager, mint_local
@@ -1031,20 +1031,29 @@ class MDM:
     ) -> Tuple[RewriteEntry, str]:
         """The rewrite-cache entry and its disposition (hit/miss/bypass).
 
-        With ``use_cache=False`` the entry is a fresh one that no other
-        query sees, so whatever is planned on it is planned again next
-        time.
+        A miss takes the rewriter's result from the cache's inputs map
+        when the rewriter's inputs are unchanged since it was stored,
+        and rewrites otherwise; either way the new entry's plan slots
+        start empty.  With ``use_cache=False`` neither map is read or
+        filled: the entry is a fresh one that no other query sees, so
+        whatever is planned on it is planned again next time.
         """
         with get_tracer().span("rewrite-cache") as cache_span:
-            entry = None
-            status = "bypass"
-            if use_cache:
-                entry = self.rewrite_cache.get(walk, self._generation)
-                status = "hit" if entry is not None else "miss"
-            if entry is None:
-                entry = RewriteEntry(self.rewriter.rewrite(walk))
-                if use_cache:
-                    self.rewrite_cache.put(walk, self._generation, entry)
+            if not use_cache:
+                entry, status = RewriteEntry(self.rewriter.rewrite(walk)), "bypass"
+            else:
+                key = walk_cache_key(walk)
+                entry = self.rewrite_cache.get(key, self._generation)
+                status = "hit"
+                if entry is None:
+                    status = "miss"
+                    inputs = (key, self.rewriter.inputs())
+                    result = self.rewrite_cache.by_inputs.probe(inputs)
+                    if result is None:
+                        result = self.rewriter.rewrite(walk)
+                        self.rewrite_cache.by_inputs.store(inputs, result)
+                    entry = RewriteEntry(result)
+                    self.rewrite_cache.put(key, self._generation, entry)
             cache_span.set_tag("cache", status)
         return entry, status
 

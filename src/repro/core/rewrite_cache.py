@@ -16,10 +16,26 @@ also carries the walk's description and, per pushdown setting, the
 plan of :meth:`MDM._answer <repro.core.mdm.MDM._answer>`: a warm query
 reads them instead of planning again.
 
-The LRU itself is the shared :class:`~repro.core.lru.GenerationLRU`:
+Beneath the entries sits a second map, :attr:`RewriteCache.by_inputs`,
+from exactly what the rewriter reads to what it returned: the
+canonical walk plus :meth:`Rewriter.inputs
+<repro.core.rewriting.Rewriter.inputs>` (the global graph's stamp and
+namespace bindings, the mapped views by value and the rewriter's two
+settings) ``-> RewriteResult``.  A miss at ``(walk, generation)``
+consults it before the rewriter runs, so a generation bump that leaves
+the rewriter's inputs alone (a new data source, say) costs no rewrite.
+The map holds no graph and no generation, so it can be shared: an
+impact-analysis shadow's cache shares the live one's map (one object,
+lock included), and applying the change the shadow analysed finds the
+shadow's rewrites there.  The entries stay per MDM and per generation,
+because plans read the runtime wrappers, which are not rewriter inputs,
+and a shadow's generations collide with the live ones.
+
+Both LRUs are the shared :class:`~repro.core.lru.GenerationLRU`:
 hit/miss/eviction counts flow into the process metrics registry
-(``mdm_rewrite_cache_*``) so ``report --metrics`` and the
-``GET /metrics`` endpoint expose the hit ratio.
+(``mdm_rewrite_cache_*`` and ``mdm_rewrite_inputs_*``) so
+``report --metrics`` and the ``GET /metrics`` endpoint expose the hit
+ratios.
 """
 
 from __future__ import annotations
@@ -82,22 +98,47 @@ class RewriteEntry:
 
 
 class RewriteCache(GenerationLRU):
-    """Bounded LRU of ``(walk, generation) -> RewriteEntry``.
+    """Bounded LRU of ``(walk key, generation) -> RewriteEntry``, over
+    the rewriter-inputs map :attr:`by_inputs`.
 
     Thread-safe: concurrent queries through the service layer may probe
     and fill the cache from multiple threads.  Always enabled.
+    :meth:`resize` and :meth:`clear` apply to both maps, so the inputs
+    map never holds more results than the capacity.
     """
 
     min_capacity = 1
 
-    def __init__(self, capacity: int = 128):
+    def __init__(
+        self, capacity: int = 128, by_inputs: Optional[GenerationLRU] = None
+    ):
         super().__init__(capacity, "rewrite_cache")
+        #: ``(walk key, Rewriter.inputs()) -> RewriteResult``; passed in
+        #: to share it by reference (the impact shadow's cache does).
+        self.by_inputs = (
+            by_inputs
+            if by_inputs is not None
+            else GenerationLRU(capacity, "rewrite_inputs")
+        )
 
-    def get(self, walk: Walk, generation: int) -> Optional[RewriteEntry]:
-        """The cached entry for ``walk`` at ``generation``, or None."""
+    def get(self, key: str, generation: int) -> Optional[RewriteEntry]:
+        """The cached entry for the walk ``key`` at ``generation``, or None.
+
+        ``key`` is :func:`walk_cache_key` of the walk.
+        """
         _failpoint("cache.rewrite")
-        return self.probe((walk_cache_key(walk), generation))
+        return self.probe((key, generation))
 
-    def put(self, walk: Walk, generation: int, entry: RewriteEntry) -> None:
-        """Cache ``entry`` for ``walk`` at ``generation`` (LRU-evicting)."""
-        self.store((walk_cache_key(walk), generation), entry)
+    def put(self, key: str, generation: int, entry: RewriteEntry) -> None:
+        """Cache ``entry`` for the walk ``key`` at ``generation`` (LRU-evicting)."""
+        self.store((key, generation), entry)
+
+    def resize(self, capacity: int) -> None:
+        """Change both maps' capacity in place (trimming LRU-first)."""
+        super().resize(capacity)
+        self.by_inputs.resize(capacity)
+
+    def clear(self) -> None:
+        """Drop every entry and every result (stats are kept)."""
+        super().clear()
+        self.by_inputs.clear()

@@ -164,6 +164,26 @@ class Rewriter:
     # entry point
     # ------------------------------------------------------------------ #
 
+    def inputs(self) -> tuple:
+        """Everything :meth:`rewrite` reads besides the walk, as one
+        hashable value.
+
+        That is the global graph's triples (by stamp) and namespace
+        bindings (the SPARQL text compacts IRIs with them), the mapped
+        views by value (:meth:`LavMappingStore.views_value`) and the two
+        settings.  Rewriters with equal inputs rewrite a walk to equal
+        results, so the rewrite cache keys on it; a change to what
+        :meth:`rewrite` reads must change it too.
+        """
+        graph = self.global_graph.graph
+        return (
+            graph.stamp,
+            graph.namespaces.bindings(),
+            self.mappings.views_value(),
+            self.max_cover_size,
+            self.minimize,
+        )
+
     def rewrite(self, walk: Walk) -> RewriteResult:
         """Run the three phases and return the UCQ plan.
 

@@ -45,6 +45,11 @@ def _index_add(index: _Index, a: Term, b: Term, c: Term) -> bool:
     return True
 
 
+def _index_copy(index: _Index) -> _Index:
+    """A copy of a nested index that shares no dict or set with it."""
+    return {a: {b: c.copy() for b, c in level2.items()} for a, level2 in index.items()}
+
+
 def _index_remove(index: _Index, a: Term, b: Term, c: Term) -> bool:
     """Remove ``(a, b, c)`` from a nested index; True if it was present."""
     level2 = index.get(a)
@@ -89,12 +94,15 @@ class Graph:
 
     @property
     def stamp(self) -> int:
-        """A process-unique token for this graph object in its current state.
+        """A token for the triples this graph holds: equal stamps mean
+        the same triples.
 
-        A fresh graph takes a new stamp, and so does every ``add``,
-        ``remove`` or ``clear`` that changes the triples.  Equal stamps
-        therefore mean the same graph object holding the same triples:
-        caches derived from a graph key on it.
+        A fresh graph takes a new stamp from one process-wide counter,
+        and so does every ``add``, ``remove`` or ``clear`` that changes
+        the triples.  :meth:`copy` keeps the stamp, since the copy holds
+        the same triples; the first change to either graph draws a fresh
+        stamp, which no other graph holds.  Caches derived from a
+        graph's triples key on it.
         """
         return self._stamp
 
@@ -305,9 +313,19 @@ class Graph:
     # ------------------------------------------------------------------ #
 
     def copy(self) -> "Graph":
-        """A structural copy (shares no index state, shares terms)."""
+        """A structural copy with this graph's stamp.
+
+        The indexes are cloned as they are (the terms, already valid,
+        are shared, not re-added), and the namespace bindings copied.
+        The copy holds the same triples, so it keeps the stamp until
+        either graph changes (see :attr:`stamp`).
+        """
         clone = Graph(identifier=self.identifier, namespaces=self.namespaces.copy())
-        clone.add_all(iter(self))
+        clone._spo = _index_copy(self._spo)
+        clone._pos = _index_copy(self._pos)
+        clone._osp = _index_copy(self._osp)
+        clone._size = self._size
+        clone._stamp = self._stamp
         return clone
 
     def __or__(self, other: "Graph") -> "Graph":

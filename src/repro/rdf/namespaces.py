@@ -140,6 +140,15 @@ class NamespaceManager:
         """Iterate ``(prefix, base)`` pairs in sorted prefix order."""
         return iter(sorted(self._by_prefix.items()))
 
+    def bindings(self) -> Tuple[Tuple[str, str], ...]:
+        """Every ``(prefix, base)`` pair in binding order.
+
+        Equal results mean every expansion and compaction agrees: the
+        order matters because :meth:`compact` breaks a tie between two
+        prefixes of one base by binding order.
+        """
+        return tuple(self._by_prefix.items())
+
     def expand(self, qname: str) -> IRI:
         """Expand a QName like ``"sc:SportsTeam"`` to an :class:`IRI`.
 

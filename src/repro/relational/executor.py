@@ -44,6 +44,9 @@ __all__ = [
     "pushdown_predicate",
 ]
 
+#: Floats hold every integer of smaller magnitude exactly, and no more.
+_EXACT_FLOATS = 2.0**53
+
 
 class ExecutionError(RuntimeError):
     """Raised when a plan cannot be executed (unknown scan, bad schema...)."""
@@ -543,17 +546,30 @@ class Executor:
     @staticmethod
     def _join_key(value: Any) -> Any:
         """Normalize join keys so 25 and "25" and 25.0 meet (REST payloads
-        stringify numbers inconsistently across API versions)."""
+        stringify numbers inconsistently across API versions).
+
+        Numbers stay as they are: equal ints and floats are one key to
+        ``==`` and ``hash`` already, and only an exact comparison keeps
+        2**53 and 2**53 + 1 apart.  A numeric string is read as a float,
+        and read again as an int when the float cannot hold every
+        integer of its size (an integral text of 2**53 or more).
+        """
         if isinstance(value, bool):
             return ("b", value)
         if isinstance(value, (int, float)):
-            return ("n", float(value))
+            return ("n", value)
         if isinstance(value, str):
             stripped = value.strip()
             try:
-                return ("n", float(stripped))
+                number = float(stripped)
             except ValueError:
                 return ("s", value)
+            if abs(number) < _EXACT_FLOATS:
+                return ("n", number)
+            try:
+                return ("n", int(stripped))
+            except ValueError:  # "1e400", "inf", "nan"
+                return ("n", number)
         return ("x", value)
 
     def _join_keys(self, relation: Relation, indices: Sequence[int]) -> List[Any]:
@@ -616,7 +632,7 @@ class Executor:
 
     def _rename(self, plan: Rename) -> Relation:
         child = self.execute(plan.child)
-        return Relation(plan.derive(child.schema), child.rows)
+        return Relation.of_checked(plan.derive(child.schema), child.rows)
 
     def _union(self, plan: Union) -> Relation:
         left = self.execute(plan.left)

@@ -103,6 +103,21 @@ class Relation:
     # ------------------------------------------------------------------ #
 
     @classmethod
+    def of_checked(cls, schema: RelationSchema, rows: Tuple[Row, ...]) -> "Relation":
+        """A relation over rows another relation has already checked.
+
+        ``rows`` is such a relation's :attr:`rows` (a tuple of tuples)
+        and ``schema`` has its width, so the rows are shared as they
+        are: nothing is copied or checked again.  Rows from anywhere
+        else go through the constructor.
+        """
+        relation = cls.__new__(cls)
+        relation.schema = schema
+        relation.name = None
+        relation._rows = rows
+        return relation
+
+    @classmethod
     def from_dicts(
         cls,
         records: Sequence[Dict[str, Any]],

@@ -62,11 +62,24 @@ class TestMutation:
 
 
 class TestStamp:
-    """Equal stamps mean the same graph object holding the same triples."""
+    """Equal stamps mean the same triples: a copy keeps its original's
+    stamp until either graph changes."""
 
     def test_every_graph_starts_with_its_own_stamp(self, graph):
-        assert len({Graph().stamp, Graph().stamp, graph.stamp}) == 3
-        assert graph.copy().stamp != graph.stamp
+        seen = {Graph().stamp, Graph().stamp, graph.stamp}
+        assert len(seen) == 3
+        # A copy keeps the stamp; the first change to either graph draws
+        # a stamp that the other, and every graph before, never held.
+        copy = graph.copy()
+        assert copy.stamp == graph.stamp
+        copy.add((EX.new, EX.p, EX.b))
+        assert copy.stamp not in seen
+        seen.add(copy.stamp)
+        copy = graph.copy()
+        assert copy.stamp == graph.stamp
+        graph.remove((EX.messi, RDF.type, EX.Player))
+        assert graph.stamp not in seen
+        assert graph.stamp != copy.stamp
 
     def test_changing_mutations_take_a_new_stamp(self, graph):
         seen = [graph.stamp]

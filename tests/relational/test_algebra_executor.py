@@ -135,6 +135,30 @@ class TestOperators:
         rel = ex.execute(EquiJoin(Scan("l"), Scan("r"), (("id", "ref"),)))
         assert len(rel) == 1
 
+    @staticmethod
+    def _natural_join(left_id, right_id):
+        left = Relation.from_dicts([{"id": left_id, "n": "a"}], name="l")
+        right = Relation.from_dicts([{"id": right_id, "m": "b"}], name="r")
+        return Executor({"l": left, "r": right}).execute(
+            NaturalJoin(Scan("l"), Scan("r"))
+        )
+
+    def test_join_keys_beyond_float_precision_stay_apart(self):
+        assert len(self._natural_join(2**53, 2**53 + 1)) == 0
+        assert len(self._natural_join(2**53 + 1, 2**53 + 1)) == 1
+        # A numeric string past 2**53 is read exactly, as an int.
+        assert len(self._natural_join(2**53 + 1, "9007199254740993")) == 1
+        assert len(self._natural_join(2**53, "9007199254740993")) == 0
+        # Below 2**53, and for floats, numbers still meet their text.
+        assert len(self._natural_join(25.0, " 25 ")) == 1
+        assert len(self._natural_join(2.0**60, str(2**60))) == 1
+
+    def test_join_keys_too_large_for_a_float(self):
+        assert len(self._natural_join(10**400, 10**400)) == 1
+        assert len(self._natural_join(10**400, 10**400 + 1)) == 0
+        assert len(self._natural_join(10**400, str(10**400))) == 1
+        assert len(self._natural_join("1e400", "2e400")) == 1  # both inf
+
     def test_join_drops_null_keys(self):
         left = Relation.from_dicts([{"id": None, "n": "a"}], name="l")
         right = Relation.from_dicts([{"id": None, "m": "b"}], name="r")
