@@ -1,6 +1,6 @@
 """Cost of the static diagnostics: lint sweeps and per-query plan checks.
 
-Lint is meant to run in CI on every merge and (as ``validate_plans``)
+Lint is meant to run in CI on every merge and (as the plan check)
 inside every ``MDM.execute`` call, so its cost matters twice: the
 whole-system sweep must stay interactive on realistic metadata sizes,
 and the per-plan schema check must be negligible next to rewriting and

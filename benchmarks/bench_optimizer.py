@@ -3,9 +3,9 @@
 The optimizer's promise for the evolution story: as sources accumulate
 wrapper versions, the UCQ over a concept grows one branch per version,
 and the naive left-deep plan re-joins the shared dimension wrappers and
-drags every source column through every join.  With selection pushdown,
-projection pruning and shared-subplan memoization (the join order stays
-as written) the same UCQ should answer at least 2× faster.  This bench
+drags every source column through every join.  With selection pushdown
+and projection pruning (the join order stays as written) the same UCQ
+should answer at least 2× faster.  This bench
 measures both modes at 2–8 alternative wrappers per concept on
 pre-fetched relations (so wrapper latency does not pollute the
 plan-quality signal), records rows-scanned from the EXPLAIN ANALYZE
@@ -97,25 +97,23 @@ def build_ucq(n_wrappers):
 
 
 def rows_scanned(stats):
-    """Total rows produced across the operator tree (memo hits are free)."""
-    return sum(
-        node.rows_out for node in stats.iter_nodes() if not node.memoized
-    )
+    """Total rows produced across the operator tree."""
+    return sum(node.rows_out for node in stats.iter_nodes())
 
 
-def timed_run(relations, plan, memoize_shared):
+def timed_run(relations, plan):
     """Best-of-``REPETITIONS`` analyzed execution on a fresh executor."""
     best_s, kept = float("inf"), None
     for _ in range(REPETITIONS):
-        executor = Executor(dict(relations), memoize_shared=memoize_shared)
+        executor = Executor(dict(relations))
         started = time.perf_counter()
         relation, stats = executor.execute_analyzed(plan)
         elapsed = time.perf_counter() - started
         if elapsed < best_s:
             best_s = elapsed
-            kept = (relation, stats, executor.subplan_hits)
-    relation, stats, memo_hits = kept
-    return best_s, relation, stats, memo_hits
+            kept = (relation, stats)
+    relation, stats = kept
+    return best_s, relation, stats
 
 
 def bench_one_width(n_wrappers):
@@ -129,12 +127,8 @@ def bench_one_width(n_wrappers):
     optimized_plan, optimization = optimizer.optimize(plan)
     optimize_s = time.perf_counter() - started
 
-    naive_s, naive_rel, naive_stats, _ = timed_run(
-        relations, plan, memoize_shared=False
-    )
-    opt_s, opt_rel, opt_stats, memo_hits = timed_run(
-        relations, optimized_plan, memoize_shared=True
-    )
+    naive_s, naive_rel, naive_stats = timed_run(relations, plan)
+    opt_s, opt_rel, opt_stats = timed_run(relations, optimized_plan)
 
     # Same Distinct-rooted UCQ ⇒ identical bags; canonical sort ⇒ bytes.
     assert naive_rel.schema.names == opt_rel.schema.names
@@ -149,7 +143,6 @@ def bench_one_width(n_wrappers):
         "optimize_s": round(optimize_s, 6),
         "speedup": round(naive_s / opt_s, 3) if opt_s else float("inf"),
         "rules_applied": optimization.total,
-        "memo_hits": memo_hits,
         "naive_rows_scanned": naive_scanned,
         "optimized_rows_scanned": opt_scanned,
         "rows_scanned_ratio": (
@@ -221,8 +214,7 @@ def test_optimizer_beats_naive_ucq():
         f"optimized {w['optimized_s'] * 1000:.1f}ms "
         f"(+{w['optimize_s'] * 1000:.1f}ms optimize) = {w['speedup']:.2f}x; "
         f"rows scanned {w['naive_rows_scanned']} → "
-        f"{w['optimized_rows_scanned']}; {w['memo_hits']} memo hits; "
-        f"{w['rules_applied']} rule applications"
+        f"{w['optimized_rows_scanned']}; {w['rules_applied']} rule applications"
         for w in widths
     ]
     lines.append(

@@ -3,18 +3,19 @@
 
 The failpoint registry, the readers-writer lock, the LRU behind every
 generation-keyed cache, the rewrite cache and its rewriter-inputs map,
-the execution configuration, the operators' schema rules and
-structure, the plan checker that applies them, the optimizer and
-executor that rewrite and run every plan, the wrappers
+the result cache, the MDM facade that runs every query and mutation,
+the query log it writes, the execution configuration, the operators'
+schema rules and structure, the plan checker that applies them, the
+optimizer and executor that rewrite and run every plan, the wrappers
 and wrapper cache that answer its pushed Scans, the mock REST server,
 payload decoding and typed relations beneath them, the saved-query
 registry and impact analyzer that replay the saved queries, the
 document store that keeps the releases, saved queries and query log,
-and the RDF terms, namespaces, graphs and compiled LAV views every
-governance step reads through are the pieces whose untested branches
-bite hardest — a silent hole in any shows up as a flaky production
-incident, a wrongly rejected plan or a wrong answer, not a failing
-assertion.  This gate reads a ``coverage.json`` report
+and the RDF terms, namespaces, graphs, datasets and compiled LAV views
+every governance step reads through are the pieces whose untested
+branches bite hardest — a silent hole in any shows up as a flaky
+production incident, a wrongly rejected plan or a wrong answer, not a
+failing assertion.  This gate reads a ``coverage.json`` report
 (``pytest --cov=repro --cov-report=json:coverage.json``) and fails
 unless every measured file under ``src/repro/chaos/`` and each of
 :data:`GATED_FILES` has line coverage of at least 90%.
@@ -46,10 +47,14 @@ GATED_FILES = (
     "repro/core/lav.py",
     "repro/core/locking.py",
     "repro/core/lru.py",
+    "repro/core/mdm.py",
     "repro/core/registry.py",
+    "repro/core/result_cache.py",
     "repro/core/rewrite_cache.py",
     "repro/core/wrapper_cache.py",
     "repro/docstore/store.py",
+    "repro/obs/querylog.py",
+    "repro/rdf/dataset.py",
     "repro/rdf/graph.py",
     "repro/rdf/namespaces.py",
     "repro/rdf/terms.py",

@@ -14,8 +14,8 @@ for MDM's metadata and plans:
   schema rule (``PlanNode.derive``) bottom-up over
   :mod:`repro.relational.algebra` plans, reporting every failed check,
   plus type diagnostics on predicates and joins; used standalone by
-  ``repro-mdm lint`` and as the post-optimizer assertion in
-  ``MDM.execute`` (``validate_plans`` / ``MDM_VALIDATE_PLANS``);
+  ``repro-mdm lint`` and as the post-optimizer assertion on every
+  plan ``MDM.execute`` runs;
 - :mod:`repro.analysis.lint` — the orchestrator producing a
   :class:`~repro.analysis.lint.LintReport` for the CLI (``lint``
   subcommand) and the service (``GET /lint``).

@@ -9,8 +9,9 @@ Two small primitives with a large blast radius:
   carries a ``fire("site")`` call that is two loads and a branch when
   disarmed, and a seeded deterministic trigger — ``error``, ``delay``,
   ``hang``-until-release, ``corrupt``-payload, ``nth(k)``, ``prob(p)``
-  — when armed via ``MDM(failpoints=…)``, ``$MDM_FAILPOINTS``,
-  ``POST /failpoints`` or ``repro-mdm serve --failpoints``.
+  — when armed via ``$MDM_FAILPOINTS``, ``POST /failpoints``,
+  ``repro-mdm serve --failpoints`` or, in code, the process registry
+  (``get_failpoints().arm_spec(…)``).
 - :mod:`repro.chaos.clock` — the virtual clock the retry/backoff
   machinery and ``delay`` triggers consult, so fault tests assert exact
   backoff schedules without real sleeps.

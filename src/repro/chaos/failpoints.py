@@ -27,9 +27,10 @@ on the k-th matching call) and ``prob(p)`` (fire with probability ``p``
 from a per-site RNG seeded by the registry seed — same seed, same firing
 sequence, always).  ``times(k)`` caps total firings.
 
-Arming surfaces: ``MDM(failpoints=…)``, the ``$MDM_FAILPOINTS`` env
-variable, ``POST /failpoints`` on the service, and ``repro-mdm serve
---failpoints``.  The spec grammar is::
+Arming surfaces: the ``$MDM_FAILPOINTS`` env variable, ``POST
+/failpoints`` on the service, ``repro-mdm serve --failpoints`` and, in
+code, :func:`get_failpoints` (``arm_spec``) or :func:`set_failpoints`.
+All of them arm the one process-wide registry.  The spec grammar is::
 
     spec  := entry (";" entry)*
     entry := site ["[" key "]"] "=" mode ["(" arg ")"] (":" cond)*

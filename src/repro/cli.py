@@ -123,7 +123,7 @@ def _apply_execution_flags(mdm, args, **sizes) -> None:
         changes["retry_policy"] = RetryPolicy(
             attempts=args.retry_attempts or 1, timeout_s=args.retry_timeout
         )
-    for flag in ("optimize", "pushdown", "validate_plans"):
+    for flag in ("optimize", "pushdown"):
         if getattr(args, f"no_{flag}"):
             changes[flag] = False
     mdm.configure_execution(**changes, **sizes)
@@ -532,12 +532,6 @@ def _add_execution_flags(parser) -> None:
         action="store_true",
         help="execute the UCQ as rewritten, skipping the logical plan "
         "optimizer (default: optimize, or $MDM_OPTIMIZE)",
-    )
-    parser.add_argument(
-        "--no-validate-plans",
-        action="store_true",
-        help="skip the static plan schema check before execution "
-        "(default: check, or $MDM_VALIDATE_PLANS)",
     )
     parser.add_argument(
         "--no-pushdown",

@@ -1,6 +1,6 @@
 """The execution configuration of an MDM, as one frozen value.
 
-The six knobs that shape how a query executes and how a release is
+The five knobs that shape how a query executes and how a release is
 gated live in :class:`ExecutionConfig`, so a query captures *one*
 configuration with its generation, and a reconfiguration is *one*
 assignment of a value validated as a whole: never half-applied, and a
@@ -61,10 +61,6 @@ class ExecutionConfig:
     #: Fold eligible predicates/projections into the wrapper fetch
     #: (capability-gated; uncapable wrappers keep full fetches).
     pushdown: bool = True
-    #: Statically schema-check every post-optimizer plan before
-    #: execution (reject optimizer bugs with a diagnostic instead of
-    #: executing a corrupt plan).
-    validate_plans: bool = True
     #: Evolution-impact gate posture, one of :data:`IMPACT_GATES`.
     impact_gate: str = "off"
 
@@ -74,7 +70,7 @@ class ExecutionConfig:
             raise ValueError(f"max_fetch_workers must be an integer >= 1, not {workers!r}")
         if not isinstance(self.retry_policy, RetryPolicy):
             raise TypeError(f"retry_policy must be a RetryPolicy, not {self.retry_policy!r}")
-        for name in ("optimize", "pushdown", "validate_plans"):
+        for name in ("optimize", "pushdown"):
             value = getattr(self, name)
             if type(value) is not bool:
                 raise TypeError(f"{name} must be a boolean, not {value!r}")
@@ -89,6 +85,5 @@ class ExecutionConfig:
             max_fetch_workers=int(environ.get("MDM_FETCH_WORKERS", "4")),
             optimize=_env_flag(environ, "MDM_OPTIMIZE"),
             pushdown=_env_flag(environ, "MDM_PUSHDOWN"),
-            validate_plans=_env_flag(environ, "MDM_VALIDATE_PLANS"),
             impact_gate=environ.get("MDM_IMPACT_GATE", "off").strip().lower(),
         )

@@ -57,9 +57,9 @@ class MappingError(MdmError):
 class PlanValidationError(MdmError):
     """A relational plan failed the static schema check before execution.
 
-    Raised by ``MDM.execute`` when ``validate_plans`` is on and the
-    post-optimizer plan has error-severity findings; ``findings`` holds
-    the :class:`repro.analysis.diagnostics.Finding` list.
+    Raised by ``MDM.execute`` when the post-optimizer plan has
+    error-severity findings; ``findings`` holds the
+    :class:`repro.analysis.diagnostics.Finding` list.
     """
 
     def __init__(self, message, findings=()):

@@ -110,10 +110,7 @@ class QueryOutcome:
         naive_plan=None,
         executed_plan=None,
         optimization: Optional[OptimizationStats] = None,
-        subplan_hits: int = 0,
-        subplan_misses: int = 0,
         plan_findings: Tuple = (),
-        plan_validated: bool = False,
         profile: Optional[ResourceProfile] = None,
         generation: int = -1,
         result_cache: str = "off",
@@ -138,14 +135,9 @@ class QueryOutcome:
         self.executed_plan = executed_plan
         #: What the logical optimizer did (None when it was off).
         self.optimization = optimization
-        #: Shared-subplan memo reuse during this query's execution.
-        self.subplan_hits = subplan_hits
-        self.subplan_misses = subplan_misses
-        #: Findings from the static plan schema check (empty when the
-        #: check was off or silent; errors raise before an outcome exists).
+        #: Non-error findings from the static plan schema check (errors
+        #: raise before an outcome exists).
         self.plan_findings = tuple(plan_findings)
-        #: Whether the static plan schema check ran for this query.
-        self.plan_validated = plan_validated
         #: Per-query resource profile (phase wall times, rows, peak
         #: memory, per-operator self time); always present for outcomes
         #: produced by :meth:`MDM.execute`.
@@ -219,11 +211,6 @@ class QueryOutcome:
                 f"{summary.elapsed_s * 1000.0:.3f}ms over {summary.passes} "
                 f"passes" + (f" ({rules})" if rules else "")
             )
-        if self.subplan_hits or self.subplan_misses:
-            lines.append(
-                f"Shared subplans: {self.subplan_hits} memo hits / "
-                f"{self.subplan_misses} misses"
-            )
         if self.pushdown is not None:
             pd = self.pushdown
             lines.append(
@@ -246,15 +233,14 @@ class QueryOutcome:
                     f"Wrapper cache: {wc['hits']} hit(s) / "
                     f"{wc['misses']} miss(es)"
                 )
-        if self.plan_validated:
-            if self.plan_findings:
-                lines.append(
-                    f"Plan check: passed with {len(self.plan_findings)} "
-                    "non-error finding(s): "
-                    + "; ".join(f.render() for f in self.plan_findings)
-                )
-            else:
-                lines.append("Plan check: passed (no findings)")
+        if self.plan_findings:
+            lines.append(
+                f"Plan check: passed with {len(self.plan_findings)} "
+                "non-error finding(s): "
+                + "; ".join(f.render() for f in self.plan_findings)
+            )
+        else:
+            lines.append("Plan check: passed (no findings)")
         if self.profile is not None:
             lines.append(self.profile.render())
         lines.append(self.operator_stats.pretty())
@@ -419,8 +405,6 @@ class _QueryRun:
     fetch_meta: Dict[str, Dict[str, object]] = field(default_factory=dict)
     failed: List[str] = field(default_factory=list)
     rows_returned: int = 0
-    subplan_hits: int = 0
-    subplan_misses: int = 0
 
 
 class MDM:
@@ -431,34 +415,12 @@ class MDM:
         *,
         max_fetch_workers: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        rewrite_cache_size: int = 128,
         result_cache_size: Optional[int] = None,
         optimize: Optional[bool] = None,
-        validate_plans: Optional[bool] = None,
         pushdown: Optional[bool] = None,
         wrapper_cache_size: Optional[int] = None,
         impact_gate: Optional[str] = None,
-        failpoints: Optional[object] = None,
     ):
-        if failpoints is not None:
-            # Arm the process-wide failpoint registry: a spec string
-            # ("site=mode:cond;…"), or a pre-built FailpointRegistry.
-            # $MDM_FAILPOINTS arms the same registry at import time.
-            from ..chaos.failpoints import (
-                FailpointRegistry,
-                get_failpoints,
-                set_failpoints,
-            )
-
-            if isinstance(failpoints, str):
-                get_failpoints().arm_spec(failpoints)
-            elif isinstance(failpoints, FailpointRegistry):
-                set_failpoints(failpoints)
-            else:
-                raise TypeError(
-                    "failpoints must be a spec string or a FailpointRegistry, "
-                    f"not {type(failpoints).__name__}"
-                )
         self.dataset = Dataset(namespaces=mdm_namespace_manager())
         self.global_graph = GlobalGraph(self.dataset.graph(M.globalGraph))
         self.source_graph = SourceGraph(self.dataset.graph(M.sourceGraph))
@@ -478,7 +440,6 @@ class MDM:
                 max_fetch_workers=max_fetch_workers,
                 retry_policy=retry_policy,
                 optimize=optimize,
-                validate_plans=validate_plans,
                 pushdown=pushdown,
                 impact_gate=impact_gate,
             ),
@@ -502,7 +463,7 @@ class MDM:
         #: LRU cache of rewrites keyed by (canonical walk, generation); an
         #: entry also keeps what each query of the walk plans before it
         #: fetches.
-        self.rewrite_cache = RewriteCache(rewrite_cache_size)
+        self.rewrite_cache = RewriteCache()
         from .result_cache import ResultCache
 
         #: LRU cache of full query outcomes keyed by (canonical walk,
@@ -583,7 +544,6 @@ class MDM:
             "max_fetch_workers": config.max_fetch_workers,
             "retry": config.retry_policy.describe(),
             "optimize": config.optimize,
-            "validate_plans": config.validate_plans,
             "pushdown": config.pushdown,
             "impact_gate": config.impact_gate,
             "generation": self._generation,
@@ -1197,16 +1157,6 @@ class MDM:
                     "misses": sum(1 for m in fetch_meta if m["cache"] == "miss"),
                 },
             }
-        if run.subplan_hits or run.subplan_misses:
-            subplan_counter = get_metrics().counter(
-                "mdm_subplan_cache_total",
-                "Shared-subplan memo lookups during UCQ execution.",
-                labelnames=("result",),
-            )
-            if run.subplan_hits:
-                subplan_counter.inc(run.subplan_hits, result="hit")
-            if run.subplan_misses:
-                subplan_counter.inc(run.subplan_misses, result="miss")
         if run.result_cache == "miss":
             # put() refuses partial outcomes; everything else computed at
             # this generation is safe to serve until the next mutation.
@@ -1311,19 +1261,14 @@ class MDM:
             with timer.phase("optimize"):
                 plan, stage_b = self._optimize_plan(plan, executor)
                 optimization = _merge_optimization_stats(pushdown_stats, stage_b)
-        plan_findings: Tuple = ()
-        if ctx.config.validate_plans:
-            with timer.phase("validate"):
-                plan_findings = self._validate_plan(plan, executor)
+        with timer.phase("validate"):
+            plan_findings = self._validate_plan(plan, executor)
         stats: Optional[OperatorStats] = None
         with timer.phase("execute"):
             if ctx.analyze:
                 relation, stats = executor.execute_analyzed(plan)
             else:
                 relation = executor.execute(plan)
-        # A fresh executor: its memo counts are this query's.
-        run.subplan_hits = executor.subplan_hits
-        run.subplan_misses = executor.subplan_misses
         with timer.phase("finalize"):
             if ctx.walk.optional_features:
                 optional_columns = [
@@ -1350,10 +1295,7 @@ class MDM:
             naive_plan=naive_plan,
             executed_plan=plan,
             optimization=optimization,
-            subplan_hits=run.subplan_hits,
-            subplan_misses=run.subplan_misses,
             plan_findings=plan_findings,
-            plan_validated=ctx.config.validate_plans,
             generation=ctx.generation,
             result_cache=run.result_cache,
         )
@@ -1423,8 +1365,6 @@ class MDM:
             rows_fetched=sum(len(rel) for rel in run.relations.values()),
             rows_returned=run.rows_returned,
             rewrite_cache=run.rewrite_cache,
-            subplan_hits=run.subplan_hits,
-            subplan_misses=run.subplan_misses,
             phase_ms=dict(phase_ms),
             fetch_attempts=dict(run.attempts),
             skipped_wrappers=tuple(run.failed),

@@ -7,9 +7,9 @@ users posing the same handful of walks between releases — the expensive
 part is exactly that tail, so this cache stores the finished
 :class:`~repro.core.mdm.QueryOutcome` keyed by::
 
-    (canonical walk, metadata generation, optimize, pushdown, validate_plans)
+    (canonical walk, metadata generation, optimize, pushdown)
 
-where the three flags come from the
+where the two flags come from the
 :class:`~repro.core.config.ExecutionConfig` the query captured.
 
 Generation keying makes invalidation free: any of the nine metadata
@@ -67,20 +67,14 @@ class ResultCache(GenerationLRU):
     @staticmethod
     def key_for(
         walk: Walk, generation: int, config: ExecutionConfig
-    ) -> Tuple[str, int, bool, bool, bool]:
+    ) -> Tuple[str, int, bool, bool]:
         """The canonical cache key for a walk at a generation.
 
         Of the configuration, only the flags that shape the outcome take
         part: the rows are byte-identical either way, but the attached
-        plans, profiles, pushdown summary and plan-check verdict differ.
+        plans, profiles and pushdown summary differ.
         """
-        return (
-            walk_cache_key(walk),
-            generation,
-            config.optimize,
-            config.pushdown,
-            config.validate_plans,
-        )
+        return walk_cache_key(walk), generation, config.optimize, config.pushdown
 
     def get(
         self,

@@ -6,8 +6,8 @@ The query log is that stream for MDM: every :meth:`repro.core.mdm.MDM.execute`
 call — traced or not, successful or not — appends exactly one
 :class:`QueryLogRecord` carrying a correlation id (the trace_id of the
 query's trace, whether or not the trace was sampled), per-phase wall
-times, row counts, cache/memo reuse, partial/failure status and wrapper
-attempt counts.
+times, row counts, rewrite- and result-cache dispositions,
+partial/failure status and wrapper attempt counts.
 
 Records land in a bounded in-memory ring (served by
 ``GET /querylog/recent``) and, when a path is configured
@@ -55,8 +55,6 @@ class QueryLogRecord:
     rows_fetched: int
     rows_returned: int
     rewrite_cache: str  # "hit" | "miss" | "bypass"
-    subplan_hits: int
-    subplan_misses: int
     phase_ms: Mapping[str, float] = field(default_factory=dict)
     fetch_attempts: Mapping[str, int] = field(default_factory=dict)
     skipped_wrappers: Tuple[str, ...] = ()
@@ -77,8 +75,6 @@ class QueryLogRecord:
             rows_fetched=int(data.get("rows_fetched", 0)),
             rows_returned=int(data.get("rows_returned", 0)),
             rewrite_cache=str(data.get("rewrite_cache", "bypass")),
-            subplan_hits=int(data.get("subplan_hits", 0)),
-            subplan_misses=int(data.get("subplan_misses", 0)),
             phase_ms=dict(data.get("phase_ms") or {}),
             fetch_attempts=dict(data.get("fetch_attempts") or {}),
             skipped_wrappers=tuple(data.get("skipped_wrappers") or ()),
@@ -99,8 +95,6 @@ class QueryLogRecord:
             "rows_fetched": self.rows_fetched,
             "rows_returned": self.rows_returned,
             "rewrite_cache": self.rewrite_cache,
-            "subplan_hits": self.subplan_hits,
-            "subplan_misses": self.subplan_misses,
             "phase_ms": {k: round(v, 6) for k, v in self.phase_ms.items()},
             "fetch_attempts": dict(self.fetch_attempts),
             "skipped_wrappers": list(self.skipped_wrappers),

@@ -155,10 +155,13 @@ class Dataset:
         return target is not None and (s, p, o) in target
 
     def copy(self) -> "Dataset":
-        """A deep structural copy."""
+        """A deep structural copy whose graphs share its one namespace
+        manager, as this dataset's do."""
         clone = Dataset(namespaces=self.namespaces.copy())
-        clone._default = self._default.copy()
-        clone._named = {name: g.copy() for name, g in self._named.items()}
+        clone._default = self._default.copy(clone.namespaces)
+        clone._named = {
+            name: g.copy(clone.namespaces) for name, g in self._named.items()
+        }
         return clone
 
     def clear(self) -> None:

@@ -312,15 +312,18 @@ class Graph:
     # set algebra
     # ------------------------------------------------------------------ #
 
-    def copy(self) -> "Graph":
+    def copy(self, namespaces: Optional[NamespaceManager] = None) -> "Graph":
         """A structural copy with this graph's stamp.
 
         The indexes are cloned as they are (the terms, already valid,
-        are shared, not re-added), and the namespace bindings copied.
-        The copy holds the same triples, so it keeps the stamp until
-        either graph changes (see :attr:`stamp`).
+        are shared, not re-added).  The copy uses ``namespaces``, or a
+        copy of this graph's bindings when none is given.  It holds the
+        same triples, so it keeps the stamp until either graph changes
+        (see :attr:`stamp`).
         """
-        clone = Graph(identifier=self.identifier, namespaces=self.namespaces.copy())
+        if namespaces is None:
+            namespaces = self.namespaces.copy()
+        clone = Graph(identifier=self.identifier, namespaces=namespaces)
         clone._spo = _index_copy(self._spo)
         clone._pos = _index_copy(self._pos)
         clone._osp = _index_copy(self._osp)

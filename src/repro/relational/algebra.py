@@ -560,9 +560,10 @@ def plan_key(plan: PlanNode, cache: Optional[Dict[int, str]] = None) -> str:
     of each parameter, so two subtrees get the same key iff their reprs
     are equal.  Parameters are keyed by ``repr`` because ``==`` equates
     ``1`` with ``True``.  For immutable base relations equal keys mean
-    equal results — the property the Executor's shared-subplan memo
-    relies on.  ``cache`` (id → key) makes repeated hashing of a
-    DAG-shaped UCQ linear instead of quadratic.
+    equal results — the property the optimizer's union-branch dedupe
+    under δ and the rewriter's leaf bags rely on.  ``cache`` (id → key)
+    makes repeated hashing of a DAG-shaped UCQ linear instead of
+    quadratic.
     """
     if cache is not None:
         hit = cache.get(id(plan))

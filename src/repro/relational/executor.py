@@ -30,7 +30,6 @@ from .algebra import (
     Select,
     Union,
     flatten_union,
-    plan_key,
 )
 from .expressions import Cmp, Col, Const, Expr, conjoin
 from .relation import Relation
@@ -116,9 +115,6 @@ class OperatorStats:
     rows_out: int
     elapsed_s: float
     children: Tuple["OperatorStats", ...] = ()
-    #: True when this node's result came from the shared-subplan memo
-    #: (the subtree was not re-executed; it has no children stats).
-    memoized: bool = False
 
     @property
     def self_s(self) -> float:
@@ -138,7 +134,6 @@ class OperatorStats:
             "rows_in": list(self.rows_in),
             "rows_out": self.rows_out,
             "elapsed_ms": round(self.elapsed_s * 1000.0, 6),
-            "memoized": self.memoized,
             "children": [child.to_dict() for child in self.children],
         }
 
@@ -148,11 +143,10 @@ class OperatorStats:
 
         def render(node: "OperatorStats", depth: int) -> None:
             rows_in = ",".join(str(r) for r in node.rows_in) or "-"
-            memo = " [memoized]" if node.memoized else ""
             lines.append(
                 f"{'  ' * depth}-> {node.label}  "
                 f"(rows_in={rows_in} rows_out={node.rows_out} "
-                f"time={node.elapsed_s * 1000.0:.3f}ms){memo}"
+                f"time={node.elapsed_s * 1000.0:.3f}ms)"
             )
             for child in node.children:
                 render(child, depth + 1)
@@ -242,22 +236,9 @@ class Executor:
     :meth:`execute_analyzed` to collect an :class:`OperatorStats` tree
     (rows-in / rows-out / elapsed per operator — EXPLAIN ANALYZE), which
     also emits per-operator spans when the process tracer is enabled.
-
-    With ``memoize_shared`` (the default), each top-level ``execute``
-    call keeps a memo keyed by the canonical structural hash of every
-    non-Scan subtree it evaluates: sibling CQ branches of a UCQ that
-    share a join subtree execute it once and reuse the result relation.
-    The memo lives only for the duration of one top-level call, so base
-    relations registered between calls are always observed.  Cumulative
-    reuse counts are exposed as :attr:`subplan_hits` /
-    :attr:`subplan_misses`.
     """
 
-    def __init__(
-        self,
-        relations: Optional[Dict[str, Relation]] = None,
-        memoize_shared: bool = True,
-    ):
+    def __init__(self, relations: Optional[Dict[str, Relation]] = None):
         self._relations: Dict[str, Relation] = {}
         #: Optional hook resolving a base relation that was never
         #: registered (pushdown registers filtered *bindings*; provenance
@@ -269,13 +250,6 @@ class Executor:
         self._analyze_stack: Optional[List[List[OperatorStats]]] = None
         #: Stats tree of the last ``execute_analyzed`` call.
         self.last_stats: Optional[OperatorStats] = None
-        self.memoize_shared = memoize_shared
-        #: Per-top-level-call memo (plan key → result); None when idle.
-        self._memo: Optional[Dict[str, Relation]] = None
-        self._memo_key_cache: Dict[int, str] = {}
-        #: Cumulative shared-subplan reuse counters (across calls).
-        self.subplan_hits = 0
-        self.subplan_misses = 0
         if relations:
             for name, relation in relations.items():
                 self.register(name, relation)
@@ -321,40 +295,9 @@ class Executor:
 
     def execute(self, plan: PlanNode) -> Relation:
         """Evaluate ``plan`` and return the result relation."""
-        fresh_memo = self.memoize_shared and self._memo is None
-        if fresh_memo:
-            self._memo = {}
-            self._memo_key_cache = {}
-        try:
-            if self._analyze_stack is None:
-                return self._dispatch_memo(plan)
-            return self._execute_instrumented(plan)
-        finally:
-            if fresh_memo:
-                self._memo = None
-                self._memo_key_cache = {}
-
-    def _memo_lookup(self, plan: PlanNode) -> Tuple[Optional[str], Optional[Relation]]:
-        """(memo key, cached relation) for ``plan``; (None, None) if unmemoizable."""
-        if self._memo is None or isinstance(plan, Scan):
-            # Scans are dictionary lookups already — not worth a hash.
-            return None, None
-        key = plan_key(plan, self._memo_key_cache)
-        hit = self._memo.get(key)
-        if hit is not None:
-            self.subplan_hits += 1
-        else:
-            self.subplan_misses += 1
-        return key, hit
-
-    def _dispatch_memo(self, plan: PlanNode) -> Relation:
-        key, hit = self._memo_lookup(plan)
-        if hit is not None:
-            return hit
-        relation = self._dispatch(plan)
-        if key is not None:
-            self._memo[key] = relation
-        return relation
+        if self._analyze_stack is None:
+            return self._dispatch(plan)
+        return self._execute_instrumented(plan)
 
     def execute_analyzed(self, plan: PlanNode) -> Tuple[Relation, OperatorStats]:
         """Evaluate ``plan`` collecting per-operator statistics.
@@ -380,18 +323,6 @@ class Executor:
         """One analyzed operator: time it, record stats, emit a span."""
         assert self._analyze_stack is not None
         label = _op_label(plan, self.catalog)
-        memo_key, hit = self._memo_lookup(plan)
-        if hit is not None:
-            stats = OperatorStats(
-                label=label,
-                rows_in=(),
-                rows_out=len(hit),
-                elapsed_s=0.0,
-                children=(),
-                memoized=True,
-            )
-            self._analyze_stack[-1].append(stats)
-            return hit
         children: List[OperatorStats] = []
         self._analyze_stack.append(children)
         span = get_tracer().span(f"op:{label}")
@@ -412,8 +343,6 @@ class Executor:
             span.set_tag("rows_in", list(stats.rows_in))
             span.set_tag("rows_out", stats.rows_out)
         self._analyze_stack[-1].append(stats)
-        if memo_key is not None and self._memo is not None:
-            self._memo[memo_key] = relation
         get_metrics().histogram(
             "mdm_executor_operator_seconds",
             "Inclusive latency of relational operators (analyzed runs).",

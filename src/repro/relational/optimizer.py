@@ -584,7 +584,7 @@ class PlanOptimizer:
                 return rebuilt
             if rebuilt != plan:
                 # Same branches, non-canonical nesting: normalize to the
-                # left-deep shape so structural memo keys line up.
+                # left-deep shape so equal unions get equal plan keys.
                 stats.count("union_flattened")
                 return rebuilt
         return None

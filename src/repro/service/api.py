@@ -560,8 +560,7 @@ class MdmService:
         """Reconfigure execution at runtime, all or nothing.
 
         Body: ``{"max_fetch_workers"?: int, "optimize"?: bool,
-        "pushdown"?: bool, "validate_plans"?: bool,
-        "impact_gate"?: "off"|"advisory"|"blocking",
+        "pushdown"?: bool, "impact_gate"?: "off"|"advisory"|"blocking",
         "result_cache_size"?: int, "wrapper_cache_size"?: int,
         "retry"?: {"attempts"?, "timeout_s"?, "backoff_base_s"?,
         "backoff_multiplier"?, "max_backoff_s"?}}`` — omitted parts keep

@@ -1,9 +1,10 @@
 """Property: whatever the optimizer emits, the plan checker accepts.
 
 The static checker must be *at least as permissive* as the executor: if
-it flagged correct optimizer output as an error, ``validate_plans``
-would reject healthy queries.  Randomized chain ontologies exercise the
-rewriter → optimizer → checker pipeline end to end.
+it flagged correct optimizer output as an error, ``MDM.execute``, which
+checks every plan it runs, would reject healthy queries.  Randomized
+chain ontologies exercise the rewriter → optimizer → checker pipeline
+end to end.
 """
 
 from hypothesis import given, settings

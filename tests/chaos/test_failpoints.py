@@ -412,29 +412,6 @@ class TestDocstoreWriteSite:
 
 
 class TestArmingSurfaces:
-    def test_mdm_failpoints_kwarg_arms_spec_string(self, failpoints):
-        from repro.core.mdm import MDM
-
-        MDM(failpoints="retry.sleep=delay(0)")
-        assert failpoints.state()["armed"][0]["site"] == "retry.sleep"
-
-    def test_mdm_failpoints_kwarg_accepts_registry(self):
-        from repro.chaos import get_failpoints
-        from repro.core.mdm import MDM
-
-        mine = FailpointRegistry(seed=3)
-        try:
-            MDM(failpoints=mine)
-            assert get_failpoints() is mine
-        finally:
-            set_failpoints(None)
-
-    def test_mdm_failpoints_kwarg_rejects_other_types(self):
-        from repro.core.mdm import MDM
-
-        with pytest.raises(TypeError):
-            MDM(failpoints=42)
-
     def test_env_variable_arms_the_process_registry(self):
         code = (
             "from repro.chaos import get_failpoints;"

@@ -21,7 +21,6 @@ class TestFromEnv:
             retry_policy=RetryPolicy(),
             optimize=True,
             pushdown=True,
-            validate_plans=True,
             impact_gate="off",
         )
 
@@ -34,8 +33,6 @@ class TestFromEnv:
             ("MDM_OPTIMIZE", "1", "optimize", True),
             ("MDM_PUSHDOWN", "false", "pushdown", False),
             ("MDM_PUSHDOWN", "yes", "pushdown", True),
-            ("MDM_VALIDATE_PLANS", " No ", "validate_plans", False),
-            ("MDM_VALIDATE_PLANS", "OFF", "validate_plans", False),
             ("MDM_IMPACT_GATE", "advisory", "impact_gate", "advisory"),
             ("MDM_IMPACT_GATE", " Blocking ", "impact_gate", "blocking"),
         ],
@@ -114,7 +111,7 @@ class TestValidation:
             {"retry_policy": {"attempts": 2}},
             {"optimize": "false"},
             {"pushdown": 1},
-            {"validate_plans": None},
+            {"pushdown": None},
             {"impact_gate": "Advisory"},
         ],
     )

@@ -73,7 +73,7 @@ class TestResultCacheUnit:
         assert cache.get(walk, 7, CONFIG) is outcome
         # Any other generation or outcome-shaping flag is a different key.
         assert cache.get(walk, 8, CONFIG) is None
-        for flag in ("optimize", "pushdown", "validate_plans"):
+        for flag in ("optimize", "pushdown"):
             assert cache.get(walk, 7, replace(CONFIG, **{flag: False})) is None
         # The fetch pool and retry policy do not shape the outcome.
         tuned = replace(
@@ -81,7 +81,7 @@ class TestResultCacheUnit:
         )
         assert cache.get(walk, 7, tuned) is outcome
         assert cache.stats()["hits"] == 2
-        assert cache.stats()["misses"] == 4
+        assert cache.stats()["misses"] == 3
 
     def test_partial_outcomes_are_never_cached(self, fresh_metrics):
         cache = ResultCache(4)
@@ -239,14 +239,10 @@ class TestResultCacheInMdm:
 
         class ReconfiguringWrapper(StaticWrapper):
             def fetch(self):
-                mdm.configure_execution(
-                    optimize=False, pushdown=False, validate_plans=False
-                )
+                mdm.configure_execution(optimize=False, pushdown=False)
                 return super().fetch()
 
-        mdm = MDM(
-            result_cache_size=8, optimize=True, pushdown=True, validate_plans=True
-        )
+        mdm = MDM(result_cache_size=8, optimize=True, pushdown=True)
         mdm.add_concept(NS.C)
         mdm.add_identifier(NS.id, NS.C)
         mdm.add_feature(NS.val, NS.C)
@@ -271,33 +267,17 @@ class TestResultCacheInMdm:
         finally:
             PlanOptimizer.optimize = real_optimize
         live = mdm.config
-        assert not (live.optimize or live.pushdown or live.validate_plans)
+        assert not (live.optimize or live.pushdown)
         # Stage B (the typed pass after the fetch) ran exactly once.
         assert len(stage_b_calls) == 1
         assert outcome.optimization is not None
         assert outcome.pushdown is not None
-        assert outcome.plan_validated
         cache = mdm.result_cache
         assert cache.get(walk, outcome.generation, entry) is outcome
         assert cache.get(walk, outcome.generation, live) is None
-        for flag in ("optimize", "pushdown", "validate_plans"):
+        for flag in ("optimize", "pushdown"):
             mixed = replace(entry, **{flag: False})
             assert cache.get(walk, outcome.generation, mixed) is None
-
-    def test_validate_plans_is_part_of_the_key(self, fresh_metrics):
-        """A plan-checked outcome is never served to an unchecked
-        configuration, nor an unchecked one to a checked configuration."""
-        mdm = tiny_mdm(result_cache_size=8)
-        walk = the_walk(mdm)
-        mdm.configure_execution(validate_plans=False)
-        unchecked = mdm.execute(walk)
-        assert not unchecked.plan_validated
-        mdm.configure_execution(validate_plans=True)
-        checked = mdm.execute(walk)
-        assert checked.result_cache == "miss" and checked.plan_validated
-        mdm.configure_execution(validate_plans=False)
-        again = mdm.execute(walk)
-        assert again.result_cache == "hit" and not again.plan_validated
 
     def test_configure_execution_resizes_and_reports(self, fresh_metrics):
         mdm = tiny_mdm()

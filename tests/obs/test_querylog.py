@@ -255,8 +255,6 @@ class TestRingAndJsonl:
                     rows_fetched=0,
                     rows_returned=0,
                     rewrite_cache="miss",
-                    subplan_hits=0,
-                    subplan_misses=0,
                 )
             )
         assert len(log) == 2
@@ -294,8 +292,6 @@ class TestRingAndJsonl:
             rows_fetched=0,
             rows_returned=0,
             rewrite_cache="miss",
-            subplan_hits=0,
-            subplan_misses=0,
             error="RuntimeError: wrapper down",
         )
         line = record.summary_line()

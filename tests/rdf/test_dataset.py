@@ -115,6 +115,24 @@ class TestAggregates:
         assert len(dataset.graph(EX.g1)) == 1
         assert len(clone.graph(EX.g1)) == 2
 
+    def test_copy_graphs_share_the_copys_namespaces(self, dataset):
+        clone = dataset.copy()
+        clone.namespaces.bind("zz", "http://example.org/zz#")
+        fresh = clone.graph(EX.g3)
+        for graph in (clone.default_graph, clone.graph(EX.g1), fresh):
+            assert graph.namespaces is clone.namespaces
+            assert "zz" in graph.namespaces
+        assert "zz" not in dataset.namespaces
+        for graph in (dataset.default_graph, dataset.graph(EX.g1)):
+            assert "zz" not in graph.namespaces
+
+    def test_impact_shadow_graphs_share_its_namespaces(self):
+        from repro.analysis.impact import shadow_mdm
+        from repro.scenarios.football import FootballScenario
+
+        shadow = shadow_mdm(FootballScenario.build(anchors_only=True).mdm)
+        assert shadow.global_graph.graph.namespaces is shadow.dataset.namespaces
+
     def test_clear(self, dataset):
         dataset.clear()
         assert len(dataset) == 0

@@ -1,4 +1,4 @@
-"""Unit tests for the logical plan optimizer and shared-subplan memo."""
+"""Unit tests for the logical plan optimizer."""
 
 import pytest
 
@@ -59,10 +59,7 @@ def optimize(executor, plan):
 
 def assert_equivalent(executor, naive, optimized):
     """Optimized plan returns the same bag of rows and the same schema."""
-    naive_ex = Executor(
-        {n: executor.relation(n) for n in executor.catalog},
-        memoize_shared=False,
-    )
+    naive_ex = Executor({n: executor.relation(n) for n in executor.catalog})
     expected = naive_ex.execute(naive)
     actual = executor.execute(optimized)
     assert expected.schema.names == actual.schema.names
@@ -202,9 +199,7 @@ def test_select_union_pushdown_blocked_by_widening():
     plan = Select(Union(Scan("L"), Scan("R")), Cmp("<", Col("id"), Const("3")))
     optimized, stats = optimize(ex, plan)
     assert stats.rules.get("select_pushdown_union", 0) == 0
-    naive = Executor(
-        {"L": ex.relation("L"), "R": ex.relation("R")}, memoize_shared=False
-    ).execute(plan)
+    naive = Executor({"L": ex.relation("L"), "R": ex.relation("R")}).execute(plan)
     assert sorted(naive.rows) == sorted(ex.execute(optimized).rows)
 
 
@@ -364,57 +359,17 @@ def test_prune_keeps_distinct_width(executor):
 
 
 # --------------------------------------------------------------------- #
-# shared-subplan memoization
+# execution
 # --------------------------------------------------------------------- #
 
 
-def test_memo_reuses_shared_join(executor):
-    shared = NaturalJoin(Scan("B"), Scan("C"))
-    plan = Distinct(
-        Union(
-            Project(NaturalJoin(Scan("A"), shared), ("id", "x")),
-            Project(
-                NaturalJoin(Rename.from_dict(Scan("A"), {}), shared),
-                ("id", "x"),
-            ),
-        )
-    )
-    before = executor.subplan_hits
-    executor.execute(plan)
-    assert executor.subplan_hits - before >= 1
-
-
-def test_memo_is_per_call_and_sees_reregistration(executor):
+def test_execute_sees_reregistration(executor):
     plan = Project(Scan("B"), ("y",))
     first = executor.execute(plan)
     executor.register("B", rel([{"id": 1, "y": "new"}], ["id", "y"]))
     second = executor.execute(plan)
     assert first.rows != second.rows
     assert second.rows == (("new",),)
-
-
-def test_memo_disabled(executor):
-    ex = Executor({"B": executor.relation("B")}, memoize_shared=False)
-    branch = Project(Scan("B"), ("y",))
-    ex.execute(Union(branch, branch))
-    assert ex.subplan_hits == 0
-    assert ex.subplan_misses == 0
-
-
-def test_memoized_nodes_in_explain_analyze(executor):
-    shared = NaturalJoin(Scan("B"), Scan("C"))
-    plan = Union(Project(shared, ("id",)), Project(shared, ("id",)))
-    _, stats = executor.execute_analyzed(plan)
-    memoized = [n for n in stats.iter_nodes() if n.memoized]
-    assert memoized
-    assert "[memoized]" in stats.pretty()
-    assert any(n["memoized"] for d in [stats.to_dict()] for n in _walk(d))
-
-
-def _walk(d):
-    yield d
-    for child in d["children"]:
-        yield from _walk(child)
 
 
 # --------------------------------------------------------------------- #

@@ -134,7 +134,7 @@ def ucq_cases(draw):
 
 
 def run_both(relations, plan):
-    naive = Executor(dict(relations), memoize_shared=False).execute(plan)
+    naive = Executor(dict(relations)).execute(plan)
     optimizer = PlanOptimizer(
         {name: rel.schema for name, rel in relations.items()}
     )

@@ -25,14 +25,13 @@ class TestParser:
                 "--retry-attempts", "3",
                 "--no-optimize",
                 "--no-pushdown",
-                "--no-validate-plans",
             ]
         )
         mdm = MDM()
         _apply_execution_flags(mdm, args, result_cache_size=args.result_cache)
         config = mdm.config
         assert (config.max_fetch_workers, config.retry_policy.attempts) == (2, 3)
-        assert not (config.optimize or config.pushdown or config.validate_plans)
+        assert not (config.optimize or config.pushdown)
         assert mdm.result_cache.capacity == args.result_cache
 
     def test_validation_has_only_an_off_flag(self):
@@ -318,8 +317,6 @@ class TestTraceFollow:
                         rows_fetched=4,
                         rows_returned=4,
                         rewrite_cache="miss",
-                        subplan_hits=0,
-                        subplan_misses=0,
                     )
                 )
             log.close()

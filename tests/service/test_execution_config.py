@@ -56,7 +56,6 @@ def test_every_field_is_honoured(service):
             "max_fetch_workers": 2,
             "optimize": False,
             "pushdown": False,
-            "validate_plans": False,
             "impact_gate": "advisory",
             "result_cache_size": 8,
             "wrapper_cache_size": 0,
@@ -66,9 +65,9 @@ def test_every_field_is_honoured(service):
     assert response.status == 200, response.body
     config = service.mdm.config
     assert (config.max_fetch_workers, config.impact_gate) == (2, "advisory")
-    assert not (config.optimize or config.pushdown or config.validate_plans)
+    assert not (config.optimize or config.pushdown)
     assert (config.retry_policy.attempts, config.retry_policy.timeout_s) == (3, 1.5)
-    assert response.body["validate_plans"] is False
+    assert response.body["pushdown"] is False
     assert response.body["result_cache"]["capacity"] == 8
     assert response.body["wrapper_cache"]["enabled"] is False
 
