@@ -111,8 +111,9 @@ IMPACT_RULES: Mapping[str, RuleInfo] = {
         "MDM207",
         "caches-invalidated",
         Severity.INFO,
-        "Applying the change bumps the metadata generation, making every "
-        "generation-keyed cache entry (rewrite/result/wrapper data) cold.",
+        "Applying the change moves the metadata generation (it changes "
+        "the graphs or namespace bindings), making every generation-keyed "
+        "cache entry (rewrite/result/wrapper data) cold.",
     ),
     "MDM208": register_rule_info(
         "MDM208",

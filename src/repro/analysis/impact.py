@@ -16,13 +16,13 @@ row*:
     plan checker would report new MDM1xx findings, a feature loses all
     providers;
 ``SAFE``
-    nothing above — only the unavoidable cache invalidation (MDM207,
-    info) of the generation bump.
+    nothing above — at most the cache invalidation (MDM207, info) of a
+    change that moves the generation.
 
 The shadow is a deep copy of the RDF dataset only; its runtime wrappers
 are no-fetch proxies, so any code path that tried to touch a source
 during analysis raises instead of fetching.  The real MDM is only ever
-*read* — zero generation bumps, zero mutations — bar the rewrite-cache
+*read* — its graphs and generation stay as they are — bar the rewrite-cache
 entries its replayed saved queries store at the current generation and
 the rewrites both sides store in the rewrite cache's inputs map, which
 the shadow shares.
@@ -99,8 +99,8 @@ __all__ = [
     "MUTATORS",
 ]
 
-#: The nine generation-bumping MDM mutators a :class:`MetadataMutation`
-#: may name (paper §2's interaction kinds a–c).
+#: The nine MDM metadata mutators a :class:`MetadataMutation` may name
+#: (paper §2's interaction kinds a–c).
 MUTATORS = (
     "add_concept",
     "add_feature",
@@ -261,7 +261,6 @@ def _retire_wrapper(mdm: "MDM", wrapper_name: str) -> None:
         if mdm.dataset.has_graph(wrapper):
             mdm.dataset.remove_graph(wrapper)
         mdm.wrappers.pop(wrapper_name, None)
-        mdm.bump_generation()
 
 
 # ---------------------------------------------------------------------- #
@@ -318,7 +317,7 @@ def shadow_mdm(mdm: "MDM") -> "MDM":
     copied graphs keep their stamps, so once the analysed change is
     applied to the live MDM, the live replays find the shadow's
     rewrites there.  Its generation-keyed entries stay its own: its
-    generation starts at the live one and bumps as the live one would,
+    generation starts at the live one and moves as the live one would,
     so shared entries could serve its plans to live queries.  The
     caller is expected to hold the real MDM's read lock so the copy is
     a consistent snapshot.
@@ -352,7 +351,7 @@ def shadow_mdm(mdm: "MDM") -> "MDM":
     shadow.rewrite_cache = RewriteCache(
         mdm.rewrite_cache.capacity, mdm.rewrite_cache.by_inputs
     )
-    shadow._generation = mdm._generation
+    shadow._clock = mdm._clock  # the copy keeps the stamps it counts
     shadow.wrappers = {
         name: _NoFetchWrapper(w) for name, w in mdm.wrappers.items()
     }
@@ -575,6 +574,7 @@ def analyze_impact(mdm: "MDM", change: ProposedChange) -> ImpactReport:
     generation = mdm.generation
     findings: List[Finding] = []
     shadow = shadow_mdm(mdm)
+    shadow_generation = shadow.generation
     applied = True
     try:
         apply_change(shadow, change)
@@ -709,13 +709,14 @@ def analyze_impact(mdm: "MDM", change: ProposedChange) -> ImpactReport:
                     note=note,
                 )
             )
-        findings.append(
-            IMPACT_RULES["MDM207"].finding(
-                f"{description}: all generation-keyed caches (rewrite "
-                "plans, query results, wrapper data) go cold on apply",
-                release_location,
+        if shadow.generation != shadow_generation:
+            findings.append(
+                IMPACT_RULES["MDM207"].finding(
+                    f"{description}: all generation-keyed caches (rewrite "
+                    "plans, query results, wrapper data) go cold on apply",
+                    release_location,
+                )
             )
-        )
     return ImpactReport(
         change=description,
         verdict=verdict_of_findings(findings),

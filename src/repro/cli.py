@@ -465,10 +465,10 @@ def cmd_serve(args) -> int:
     from .service.server import MdmHttpServer
 
     mdm = MDM() if args.empty else _mdm_for(args)
-    # Behind a server the metadata only changes through the write-locked
-    # mutators, so generation-keyed result and wrapper-data caching are
-    # safe — enable them by default (unlike the library, where wrappers
-    # may be live feeds).
+    # Every metadata change moves the generation, so generation-keyed
+    # result and wrapper-data caching stay coherent with the metadata —
+    # enable them by default behind a server (unlike the library, where
+    # wrappers may be live feeds).
     _apply_execution_flags(
         mdm,
         args,

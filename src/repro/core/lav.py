@@ -86,13 +86,11 @@ class LavMappingStore:
     """Defines, validates and serves LAV mappings over the MDM dataset.
 
     The views are compiled together, once per metadata state: they are
-    kept under the stamps of the global graph, the source graph and the
-    dataset's named graphs (:attr:`repro.rdf.graph.Graph.stamp`), and
-    recompiled when any of those differ.  Staleness is read from the
-    graphs themselves, so an edit that bypasses the MDM mutators (and
-    the generation) is never served a stale view.  Each compile also
-    computes the views' hashable value (:meth:`views_value`), which
-    the rewrite cache keys on.
+    kept under :attr:`Dataset.stamp <repro.rdf.dataset.Dataset.stamp>`
+    (taken with the stamps of the global and source graphs, which are
+    graphs of the dataset in MDM but need not be) and recompiled when it
+    moves.  Each compile also computes the views' hashable value
+    (:meth:`views_value`), which the rewrite cache keys on.
     """
 
     def __init__(
@@ -104,9 +102,9 @@ class LavMappingStore:
         self.dataset = dataset
         self.global_graph = global_graph
         self.source_graph = source_graph
-        #: ``(stamps, {wrapper: view}, views value)``, replaced whole so
+        #: ``(stamp, {wrapper: view}, views value)``, replaced whole so
         #: concurrent readers never pair parts of two compiles.
-        self._compiled: Tuple[tuple, Dict[IRI, MappingView], tuple] = ((), {}, ())
+        self._compiled: Tuple[int, Dict[IRI, MappingView], tuple] = (-1, {}, ())
 
     # ------------------------------------------------------------------ #
     # definition
@@ -425,16 +423,13 @@ class LavMappingStore:
         """
         return self._current()[2]
 
-    def _current(self) -> Tuple[tuple, Dict[IRI, MappingView], tuple]:
-        """``(stamps, views, views value)``, recompiled first if the
+    def _current(self) -> Tuple[int, Dict[IRI, MappingView], tuple]:
+        """``(stamp, views, views value)``, recompiled first if the
         metadata changed."""
-        stamps = (
-            self.global_graph.graph.stamp,
-            self.source_graph.graph.stamp,
-            self.dataset.stamps(),
-        )
+        graphs = (self.global_graph.graph, self.source_graph.graph)
+        stamp = max(self.dataset.stamp, *(g.stamp for g in graphs))
         compiled = self._compiled
-        if compiled[0] != stamps:
+        if compiled[0] != stamp:
             views = {w: self._compile(w) for w in self.mapped_wrappers()}
             value = tuple(
                 (
@@ -446,7 +441,7 @@ class LavMappingStore:
                 )
                 for view in views.values()
             )
-            compiled = self._compiled = (stamps, views, value)
+            compiled = self._compiled = (stamp, views, value)
         return compiled
 
     def _compile(self, wrapper: IRI) -> MappingView:

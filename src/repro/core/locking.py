@@ -4,8 +4,8 @@ The paper's backend serves "a set of REST APIs" to interactive analysts
 while stewards evolve the metadata underneath them (§2.5).  Offline that
 means one :class:`~repro.core.mdm.MDM` object shared by many service
 threads: queries must never observe a half-applied release (wrapper
-registered but mapping missing, generation bumped but graph not yet
-written), and releases must never tear a running query's snapshot.
+registered but mapping missing), and releases must never tear a
+running query's snapshot.
 
 :class:`ReadWriteLock` provides the standard shared/exclusive discipline
 with the two properties MDM needs:

@@ -449,14 +449,13 @@ class MDM:
         #: Ring of the most recent :class:`ImpactReport` objects, newest
         #: last (served by ``GET /impact/recent``).
         self.impact_log: "deque" = deque(maxlen=50)
-        #: Metadata generation: bumped on every ontology/source/mapping
-        #: mutation; the rewrite cache keys plans by it so evolution can
-        #: never serve a stale UCQ.
-        self._generation = 0
+        #: ``(dataset stamp, generation)`` as last read, replaced whole.
+        self._clock = (self.dataset.stamp, 0)
+        self._clock_lock = threading.Lock()
         #: Readers–writer lock guarding the metadata snapshot: the nine
-        #: metadata mutators hold it exclusively (and bump the generation
-        #: while holding it), queries and read endpoints hold it shared —
-        #: a query can never observe a half-applied release.
+        #: metadata mutators hold it exclusively, queries and read
+        #: endpoints hold it shared — a query can never observe a
+        #: half-applied release.
         self.metadata_lock = ReadWriteLock()
         from .rewrite_cache import RewriteCache
 
@@ -499,20 +498,17 @@ class MDM:
 
     @property
     def generation(self) -> int:
-        """The current metadata generation (monotonic counter)."""
-        return self._generation
-
-    def bump_generation(self) -> int:
-        """Advance the metadata generation (cached rewrites become cold).
-
-        Called internally by every mutating registration (which already
-        holds the write lock — the acquisition below is reentrant);
-        exposed for embedders that mutate the graphs directly, whose
-        bump is then serialized against in-flight queries too.
+        """The metadata generation, which the caches key on: one more
+        each time this MDM reads a :attr:`dataset` stamp other than the
+        last.  Any change to its graphs or bindings, by a mutator or
+        not, moves it; nothing else does.  Read it under the metadata
+        lock (the stamp reads every named graph).
         """
-        with self.metadata_lock.write_locked():
-            self._generation += 1
-            return self._generation
+        with self._clock_lock:
+            stamp = self.dataset.stamp
+            if stamp != self._clock[0]:
+                self._clock = (stamp, self._clock[1] + 1)
+            return self._clock[1]
 
     def configure_execution(
         self,
@@ -540,13 +536,15 @@ class MDM:
     def execution_config(self) -> Dict[str, object]:
         """The live execution configuration (JSON-shaped)."""
         config = self.config
+        with self.metadata_lock.read_locked():
+            generation = self.generation
         return {
             "max_fetch_workers": config.max_fetch_workers,
             "retry": config.retry_policy.describe(),
             "optimize": config.optimize,
             "pushdown": config.pushdown,
             "impact_gate": config.impact_gate,
-            "generation": self._generation,
+            "generation": generation,
             "rewrite_cache": self.rewrite_cache.stats(),
             "result_cache": self.result_cache.stats(),
             "wrapper_cache": self.wrapper_cache.stats(),
@@ -560,7 +558,6 @@ class MDM:
     def add_concept(self, concept: IRI, label: Optional[str] = None) -> IRI:
         """Declare a concept in the global graph."""
         with self.metadata_lock.write_locked():
-            self.bump_generation()
             return self.global_graph.add_concept(concept, label)
 
     def add_feature(
@@ -568,7 +565,6 @@ class MDM:
     ) -> IRI:
         """Attach a (non-identifier) feature to a concept."""
         with self.metadata_lock.write_locked():
-            self.bump_generation()
             return self.global_graph.add_feature(feature, concept, label)
 
     def add_identifier(
@@ -576,13 +572,11 @@ class MDM:
     ) -> IRI:
         """Attach an identifier feature (``rdfs:subClassOf sc:identifier``)."""
         with self.metadata_lock.write_locked():
-            self.bump_generation()
             return self.global_graph.add_identifier(feature, concept, label)
 
     def relate(self, source: IRI, prop: IRI, target: IRI) -> Triple:
         """Relate two concepts with a user-defined property."""
         with self.metadata_lock.write_locked():
-            self.bump_generation()
             return self.global_graph.relate(source, prop, target)
 
     def load_uml(self, model: UmlModel) -> GlobalGraph:
@@ -590,7 +584,6 @@ class MDM:
         compiled = model.compile()
         with self.metadata_lock.write_locked():
             self.global_graph.graph.add_all(iter(compiled.graph))
-            self.bump_generation()
             return self.global_graph
 
     # ------------------------------------------------------------------ #
@@ -598,9 +591,9 @@ class MDM:
     # ------------------------------------------------------------------ #
 
     def register_source(self, name: str, label: Optional[str] = None) -> IRI:
-        """Declare a data source; returns its IRI (idempotent)."""
+        """Declare a data source; returns its IRI (idempotent: see
+        :meth:`SourceGraph.add_data_source`)."""
         with self.metadata_lock.write_locked():
-            self.bump_generation()
             return self.source_graph.add_data_source(name, label)
 
     def source_iri(self, name: str) -> IRI:
@@ -676,7 +669,7 @@ class MDM:
                         report=impact_report,
                     )
             graph = self.source_graph.graph
-            before = set(graph)
+            before = graph.copy(graph.namespaces)
             registration = self.source_graph.register_wrapper(
                 source, wrapper.name, wrapper.attributes
             )
@@ -690,14 +683,11 @@ class MDM:
                     gate=gate,
                 )
             except BaseException:
-                # An unrecorded release must not stay registered. Only the
-                # triples this call added go: a retired wrapper's attribute
-                # IRI, minted again under its old name, keeps its triples.
-                for triple in set(graph) - before:
-                    graph.remove(triple)
+                # An unrecorded release must not stay registered, nor
+                # move the generation.
+                graph.restore(before)
                 raise
             self.wrappers[wrapper.name] = wrapper
-            self.bump_generation()
             return registration
 
     def wrapper_iri(self, wrapper_name: str) -> IRI:
@@ -859,7 +849,6 @@ class MDM:
             for s, p, o in edges:
                 subgraph.append(Triple(s, p, o))
             self.mappings.define(wrapper, subgraph, same_as)
-            self.bump_generation()
             return self.mappings.view(wrapper)
 
     def suggest_mapping(self, wrapper_name: str) -> MappingSuggestion:
@@ -932,7 +921,6 @@ class MDM:
                 if triple not in subgraph:
                     subgraph.append(triple)
             self.mappings.define(wrapper, subgraph, same_as)
-            self.bump_generation()
             return self.mappings.view(wrapper)
 
     # ------------------------------------------------------------------ #
@@ -964,7 +952,7 @@ class MDM:
         runs never exercised the code path users actually run).
         """
         with self.metadata_lock.read_locked():
-            entry, _ = self._rewrite_with_status(walk, use_cache)
+            entry, _ = self._rewrite_with_status(walk, self.generation, use_cache)
             self._log_posed(entry)
             return entry.result
 
@@ -979,15 +967,16 @@ class MDM:
         """
         results: List[Union[RewriteResult, MdmError]] = []
         with self.metadata_lock.read_locked():
+            generation = self.generation
             for walk in walks:
                 try:
-                    results.append(self._rewrite_with_status(walk)[0].result)
+                    results.append(self._rewrite_with_status(walk, generation)[0].result)
                 except MdmError as exc:
                     results.append(exc)
         return results
 
     def _rewrite_with_status(
-        self, walk: Walk, use_cache: bool = True
+        self, walk: Walk, generation: int, use_cache: bool = True
     ) -> Tuple[RewriteEntry, str]:
         """The rewrite-cache entry and its disposition (hit/miss/bypass).
 
@@ -1003,7 +992,7 @@ class MDM:
                 entry, status = RewriteEntry(self.rewriter.rewrite(walk)), "bypass"
             else:
                 key = walk_cache_key(walk)
-                entry = self.rewrite_cache.get(key, self._generation)
+                entry = self.rewrite_cache.get(key, generation)
                 status = "hit"
                 if entry is None:
                     status = "miss"
@@ -1013,7 +1002,7 @@ class MDM:
                         result = self.rewriter.rewrite(walk)
                         self.rewrite_cache.by_inputs.store(inputs, result)
                     entry = RewriteEntry(result)
-                    self.rewrite_cache.put(key, self._generation, entry)
+                    self.rewrite_cache.put(key, generation, entry)
             cache_span.set_tag("cache", status)
         return entry, status
 
@@ -1091,7 +1080,7 @@ class MDM:
         root = get_tracer().span("execute")
         ctx = QueryContext(
             walk=walk,
-            generation=self._generation,
+            generation=self.generation,
             config=self.config,
             analyze=analyze or root.is_recording,
             use_cache=use_cache,
@@ -1209,7 +1198,7 @@ class MDM:
         """
         with timer.phase("rewrite"):
             entry, run.rewrite_cache = self._rewrite_with_status(
-                ctx.walk, ctx.use_cache
+                ctx.walk, ctx.generation, ctx.use_cache
             )
             self._log_posed(entry)
         result = run.result = entry.result
@@ -1774,7 +1763,7 @@ class MDM:
         :class:`~repro.analysis.impact.WrapperRetirement` or
         :class:`~repro.analysis.impact.MetadataMutation`.  The analysis
         runs under the metadata *read* lock against a shadow copy of the
-        graphs — zero generation bumps, zero wrapper fetches — and
+        graphs — the live generation stays, no wrapper fetches — and
         returns an :class:`~repro.analysis.impact.ImpactReport` whose
         verdict is SAFE, DEGRADED or BROKEN.  Every analysis is traced
         (an ``impact`` span), counted

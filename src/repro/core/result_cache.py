@@ -12,8 +12,8 @@ part is exactly that tail, so this cache stores the finished
 where the two flags come from the
 :class:`~repro.core.config.ExecutionConfig` the query captured.
 
-Generation keying makes invalidation free: any of the nine metadata
-mutators bumps the generation, so every cached outcome becomes
+Generation keying makes invalidation free: any change to the metadata
+graphs moves the generation, so every cached outcome becomes
 unreachable the moment the metadata it was computed under changes —
 the same coherence argument as the rewrite cache, extended to rows.
 

@@ -3,12 +3,12 @@
 Rewriting re-runs the three phases of paper §2.4 from scratch on every
 query, yet the UCQ for a walk only changes when the metadata changes —
 a wrapper release, a new mapping, an ontology edit.  The cache therefore
-keys each entry by the *canonicalized walk* plus a **generation counter**
-that :class:`~repro.core.mdm.MDM` bumps on every mutation of the global
-graph, source graph or mapping store: a cached plan can only be served
-while the metadata that produced it is still current, so evolution can
-never serve a stale UCQ (the governance guarantee this repo exists to
-demonstrate).
+keys each entry by the *canonicalized walk* plus the **metadata
+generation** (:attr:`MDM.generation <repro.core.mdm.MDM.generation>`),
+which moves with every change to the metadata graphs, mutator-made or
+not: a cached plan can only be served while the metadata that produced
+it is still current, so evolution can never serve a stale UCQ (the
+governance guarantee this repo exists to demonstrate).
 
 Within a generation everything MDM plans for a walk before it fetches
 is a function of the rewrite too, so an entry (:class:`RewriteEntry`)
@@ -22,7 +22,7 @@ canonical walk plus :meth:`Rewriter.inputs
 <repro.core.rewriting.Rewriter.inputs>` (the global graph's stamp and
 namespace bindings, the mapped views by value and the rewriter's two
 settings) ``-> RewriteResult``.  A miss at ``(walk, generation)``
-consults it before the rewriter runs, so a generation bump that leaves
+consults it before the rewriter runs, so a new generation that leaves
 the rewriter's inputs alone (a new data source, say) costs no rewrite.
 The map holds no graph and no generation, so it can be shared: an
 impact-analysis shadow's cache shares the live one's map (one object,

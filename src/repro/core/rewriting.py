@@ -168,8 +168,8 @@ class Rewriter:
         """Everything :meth:`rewrite` reads besides the walk, as one
         hashable value.
 
-        That is the global graph's triples (by stamp) and namespace
-        bindings (the SPARQL text compacts IRIs with them), the mapped
+        That is the global graph's triples and namespace bindings (by
+        stamp: the SPARQL text compacts IRIs with them), the mapped
         views by value (:meth:`LavMappingStore.views_value`) and the two
         settings.  Rewriters with equal inputs rewrite a walk to equal
         results, so the rewrite cache keys on it; a change to what
@@ -178,7 +178,7 @@ class Rewriter:
         graph = self.global_graph.graph
         return (
             graph.stamp,
-            graph.namespaces.bindings(),
+            graph.namespaces.stamp,
             self.mappings.views_value(),
             self.max_cover_size,
             self.minimize,

@@ -64,12 +64,18 @@ class SourceGraph:
     # ------------------------------------------------------------------ #
 
     def add_data_source(self, name: str, label: Optional[str] = None) -> IRI:
-        """Declare a data source (idempotent); returns its IRI."""
+        """Declare a data source (idempotent); returns its IRI.  Its one
+        label is ``label``, else its name; no ``label`` keeps the old one."""
         if not name:
             raise SourceGraphError("data source name must be non-empty")
         source = mint_local(M, "dataSource", name)
+        if label is None and (source, RDF.type, S.DataSource) in self.graph:
+            return source
+        label_term = Literal(label or name)
+        for old in set(self.graph.objects(source, RDFS.label)) - {label_term}:
+            self.graph.remove((source, RDFS.label, old))
         self.graph.add((source, RDF.type, S.DataSource))
-        self.graph.add((source, RDFS.label, Literal(label or name)))
+        self.graph.add((source, RDFS.label, label_term))
         return source
 
     def register_wrapper(

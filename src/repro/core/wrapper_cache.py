@@ -8,10 +8,9 @@ otherwise — keyed by::
 
     (wrapper name, Scan.request, metadata generation)
 
-Generation keying reuses the write-lock generation counter: any metadata
-mutation bumps it and every cached payload becomes unreachable, which is
-exactly the invalidation semantics the rewrite and result caches already
-follow.  Between generations the cache assumes *source stability* — the
+Any change to the metadata graphs moves the generation, and every cached
+payload becomes unreachable — the invalidation the rewrite and result
+caches follow.  Between generations the cache assumes *source stability* — the
 same freshness trade the result cache makes, so it is likewise opt-in
 (capacity 0 by default, enabled via ``MDM(wrapper_cache_size=…)``,
 ``$MDM_WRAPPER_CACHE`` or ``POST /config/execution``).

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from .graph import Graph
-from .namespaces import NamespaceManager, default_namespace_manager
+from .namespaces import NamespaceManager, default_namespace_manager, next_stamp
 from .terms import IRI, Quad, Term, TermPattern, Triple
 
 __all__ = ["Dataset"]
@@ -28,6 +28,8 @@ class Dataset:
         self.namespaces = namespaces if namespaces is not None else default_namespace_manager()
         self._default = Graph(namespaces=self.namespaces)
         self._named: Dict[IRI, Graph] = {}
+        #: Drawn when named graphs go, so that :attr:`stamp` moves.
+        self._stamp = 0
 
     # ------------------------------------------------------------------ #
     # graph access
@@ -63,7 +65,10 @@ class Dataset:
 
     def remove_graph(self, identifier: IRI) -> bool:
         """Drop a named graph entirely; True if it existed."""
-        return self._named.pop(identifier, None) is not None
+        if self._named.pop(identifier, None) is None:
+            return False
+        self._stamp = next_stamp()
+        return True
 
     def graph_names(self) -> Iterator[IRI]:
         """Iterate the named-graph IRIs in sorted order."""
@@ -74,13 +79,16 @@ class Dataset:
         for name in self.graph_names():
             yield self._named[name]
 
-    def stamps(self) -> Tuple[Tuple[IRI, int], ...]:
-        """``(name, stamp)`` of every named graph (see :attr:`Graph.stamp`).
-
-        Equal results mean the same named graphs holding the same
-        triples, so state derived from them can be reused.
+    @property
+    def stamp(self) -> int:
+        """A token for all this dataset holds, graphs and bindings alike:
+        the largest stamp of its graphs, its namespace manager and its
+        last graph removal.  Each change draws a larger one from their
+        common counter; a :meth:`copy` keeps it.  It iterates the named
+        graphs, so no other thread may add or remove one meanwhile.
         """
-        return tuple((name, g.stamp) for name, g in self._named.items())
+        named = [g.stamp for g in self._named.values()]
+        return max(self._stamp, self.namespaces.stamp, self._default.stamp, *named)
 
     # ------------------------------------------------------------------ #
     # quad-level API
@@ -156,18 +164,20 @@ class Dataset:
 
     def copy(self) -> "Dataset":
         """A deep structural copy whose graphs share its one namespace
-        manager, as this dataset's do."""
+        manager, as this dataset's do; it keeps every stamp."""
         clone = Dataset(namespaces=self.namespaces.copy())
         clone._default = self._default.copy(clone.namespaces)
         clone._named = {
             name: g.copy(clone.namespaces) for name, g in self._named.items()
         }
+        clone._stamp = self._stamp
         return clone
 
     def clear(self) -> None:
         """Remove every triple and every named graph."""
         self._default.clear()
-        self._named.clear()
+        for name in list(self._named):
+            self.remove_graph(name)
 
     def __repr__(self) -> str:
         return (

@@ -19,20 +19,15 @@ ordinary Python.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterable, Iterator, Optional, Set, Tuple, Union
 
-from .namespaces import NamespaceManager, default_namespace_manager
+from .namespaces import NamespaceManager, default_namespace_manager, next_stamp
 from .terms import IRI, Term, TermPattern, Triple, validate_triple
 
 __all__ = ["Graph"]
 
 _Index = Dict[Term, Dict[Term, Set[Term]]]
 TriplePattern = Tuple[TermPattern, TermPattern, TermPattern]
-
-# One process-wide sequence for every graph's stamp (``next`` on an
-# ``itertools.count`` is atomic under the GIL).
-_stamp_counter = itertools.count()
 
 
 def _index_add(index: _Index, a: Term, b: Term, c: Term) -> bool:
@@ -90,7 +85,7 @@ class Graph:
         self._pos: _Index = {}
         self._osp: _Index = {}
         self._size = 0
-        self._stamp = next(_stamp_counter)
+        self._stamp = next_stamp()
 
     @property
     def stamp(self) -> int:
@@ -101,8 +96,8 @@ class Graph:
         and so does every ``add``, ``remove`` or ``clear`` that changes
         the triples.  :meth:`copy` keeps the stamp, since the copy holds
         the same triples; the first change to either graph draws a fresh
-        stamp, which no other graph holds.  Caches derived from a
-        graph's triples key on it.
+        stamp, which no other graph holds, and :meth:`restore` takes a
+        copy's back with its triples.
         """
         return self._stamp
 
@@ -118,7 +113,7 @@ class Graph:
             _index_add(self._pos, p, o, s)
             _index_add(self._osp, o, s, p)
             self._size += 1
-            self._stamp = next(_stamp_counter)
+            self._stamp = next_stamp()
             return True
         return False
 
@@ -137,7 +132,7 @@ class Graph:
             _index_remove(self._pos, p, o, s)
             _index_remove(self._osp, o, s, p)
             self._size -= 1
-            self._stamp = next(_stamp_counter)
+            self._stamp = next_stamp()
             return True
         return False
 
@@ -156,7 +151,7 @@ class Graph:
         self._pos.clear()
         self._osp.clear()
         self._size = 0
-        self._stamp = next(_stamp_counter)
+        self._stamp = next_stamp()
 
     # ------------------------------------------------------------------ #
     # queries
@@ -330,6 +325,16 @@ class Graph:
         clone._size = self._size
         clone._stamp = self._stamp
         return clone
+
+    def restore(self, saved: "Graph") -> None:
+        """Undo every change since ``saved = self.copy()``, stamp included.
+
+        Inside a dataset, change none of its other graphs in between, or
+        the dataset's stamp (the largest of its parts') would not move.
+        """
+        indexes = (saved._spo, saved._pos, saved._osp)
+        self._spo, self._pos, self._osp = map(_index_copy, indexes)
+        self._size, self._stamp = saved._size, saved._stamp
 
     def __or__(self, other: "Graph") -> "Graph":
         result = self.copy()

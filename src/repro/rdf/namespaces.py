@@ -13,6 +13,7 @@ from the paper's motivational use case.
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -89,7 +90,12 @@ SC = Namespace("http://schema.org/")
 #: The paper's custom example prefix for the football use case.
 EX = Namespace("http://www.essi.upc.edu/example/")
 
-_PREFIX_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
+#: The stamps of every graph, namespace manager and dataset come from one
+#: process-wide sequence (``next`` on an ``itertools.count`` is atomic).
+next_stamp = itertools.count().__next__
+
+# The empty prefix is the default namespace of Turtle's and SPARQL's ``:``.
+_PREFIX_RE = re.compile(r"^(?:[A-Za-z][A-Za-z0-9_-]*)?$")
 # Local parts of QNames: permissive PN_LOCAL subset (no dots at the edges),
 # the same shape the Turtle tokenizer reads back.
 _LOCAL_RE = re.compile(r"^(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?$")
@@ -106,6 +112,7 @@ class NamespaceManager:
 
     def __init__(self, bind_defaults: bool = True):
         self._by_prefix: Dict[str, str] = {}
+        self._stamp = next_stamp()
         if bind_defaults:
             self.bind("rdf", RDF)
             self.bind("rdfs", RDFS)
@@ -129,7 +136,15 @@ class NamespaceManager:
             base = namespace
         else:
             raise TypeError("namespace must be Namespace, IRI or str")
-        self._by_prefix[prefix] = base
+        if self._by_prefix.get(prefix) != base:
+            self._by_prefix[prefix] = base
+            self._stamp = next_stamp()
+
+    @property
+    def stamp(self) -> int:
+        """A token for the bindings (in binding order, by which :meth:`compact`
+        breaks ties), as :attr:`Graph.stamp <repro.rdf.graph.Graph.stamp>` is."""
+        return self._stamp
 
     def namespace(self, prefix: str) -> Optional[Namespace]:
         """The Namespace bound to ``prefix``, or None."""
@@ -139,15 +154,6 @@ class NamespaceManager:
     def prefixes(self) -> Iterator[Tuple[str, str]]:
         """Iterate ``(prefix, base)`` pairs in sorted prefix order."""
         return iter(sorted(self._by_prefix.items()))
-
-    def bindings(self) -> Tuple[Tuple[str, str], ...]:
-        """Every ``(prefix, base)`` pair in binding order.
-
-        Equal results mean every expansion and compaction agrees: the
-        order matters because :meth:`compact` breaks a tie between two
-        prefixes of one base by binding order.
-        """
-        return tuple(self._by_prefix.items())
 
     def expand(self, qname: str) -> IRI:
         """Expand a QName like ``"sc:SportsTeam"`` to an :class:`IRI`.
@@ -182,9 +188,10 @@ class NamespaceManager:
         return f"{prefix}:{local}"
 
     def copy(self) -> "NamespaceManager":
-        """An independent copy of this manager."""
+        """An independent copy of this manager, with its stamp."""
         clone = NamespaceManager(bind_defaults=False)
         clone._by_prefix = dict(self._by_prefix)
+        clone._stamp = self._stamp
         return clone
 
     def __contains__(self, prefix: str) -> bool:

@@ -146,12 +146,7 @@ class TurtleParser:
             qname = self.tokens.expect("QNAME")
             prefix = qname.value.rstrip(":")
             iriref = self.tokens.expect("IRIREF")
-            if prefix:
-                self.namespaces.bind(prefix, iriref.value[1:-1])
-            else:
-                # Empty prefix ":" — stored directly, bypassing prefix
-                # validation which requires a leading letter.
-                self.namespaces._by_prefix[""] = iriref.value[1:-1]  # noqa: SLF001
+            self.namespaces.bind(prefix, iriref.value[1:-1])
             if keyword == "@prefix":
                 self.tokens.expect("PUNCT", ".")
         elif keyword in ("@base", "base"):
@@ -171,11 +166,10 @@ class TurtleParser:
         return IRI(body)
 
     def _expand_qname(self, qname: str, token: Token) -> IRI:
-        prefix, _, local = qname.partition(":")
-        base = self.namespaces._by_prefix.get(prefix)  # noqa: SLF001
-        if base is None:
-            raise TurtleParseError(f"unbound prefix {prefix!r}", token.line, token.column)
-        return IRI(base + local)
+        try:
+            return self.namespaces.expand(qname)
+        except KeyError as exc:
+            raise TurtleParseError(exc.args[0], token.line, token.column) from None
 
     def parse_term(self, as_subject: bool = False) -> Term:
         """Parse one RDF term (possibly an anonymous bnode or collection)."""

@@ -72,6 +72,15 @@ def row_getter(keys: Sequence[Any]) -> Callable[[Any], Tuple[Any, ...]]:
     return lambda row: ()
 
 
+def select_rows(relation: Relation, predicate: Expr) -> Relation:
+    """The rows of ``relation`` on which ``predicate`` holds, each read
+    as a dict of the columns it references (NULL if the schema lacks one)."""
+    schema, evaluate = relation.schema, predicate.evaluate
+    read = [(n, schema.index_of(n)) for n in set(predicate.references()) if n in schema]
+    kept = tuple(row for row in relation.rows if evaluate({n: row[i] for n, i in read}))
+    return Relation.of_checked(schema, kept)
+
+
 def apply_pushdown(relation: Relation, scan: Scan) -> Relation:
     """Apply a Scan's pushed work to its full relation, with executor semantics.
 
@@ -87,12 +96,7 @@ def apply_pushdown(relation: Relation, scan: Scan) -> Relation:
     _failpoint("fetch.apply", key=relation.name)
     result = relation
     if scan.filters:
-        predicate = pushdown_predicate(scan.filters)
-        names = result.schema.names
-        kept = [
-            row for row in result if predicate.evaluate(dict(zip(names, row)))
-        ]
-        result = Relation(result.schema, kept)
+        result = select_rows(result, pushdown_predicate(scan.filters))
     if scan.limit is not None:
         result = Relation(result.schema, result.rows[: scan.limit])
     if scan.columns is not None:
@@ -446,14 +450,7 @@ class Executor:
         return Relation(schema, map(getter, child.rows))
 
     def _select(self, plan: Select) -> Relation:
-        child = self.execute(plan.child)
-        names = child.schema.names
-        kept = [
-            row
-            for row in child
-            if plan.predicate.evaluate(dict(zip(names, row)))
-        ]
-        return Relation(child.schema, kept)
+        return select_rows(self.execute(plan.child), plan.predicate)
 
     def _natural_join(self, plan: NaturalJoin) -> Relation:
         left = self.execute(plan.left)

@@ -156,6 +156,4 @@ def broken_mdm() -> MDM:
     mdm.register_wrapper("people", StaticWrapper("wAdrift", ["x1"], []))
     w_adrift = mdm.wrapper_iri("wAdrift")
     mdm.dataset.graph(w_adrift).add((EX.lostField, RDF.type, G.Feature))
-
-    mdm.bump_generation()
     return mdm

@@ -411,7 +411,7 @@ class MdmService:
         + "changes"?, ...}}`` or ``{"mutation": {"method", "args"?,
         "kwargs"?}}`` (see :func:`repro.analysis.impact.change_from_json`).
         Runs against a shadow copy of the metadata graph: no source rows
-        are fetched and the generation counter does not move.
+        are fetched and the generation does not move.
         """
         from ..analysis.impact import change_from_json
 

@@ -133,10 +133,7 @@ class SparqlParser:
                 qname = self.tokens.expect("QNAME")
                 prefix = qname.value.rstrip(":")
                 iriref = self.tokens.expect("IRIREF")
-                if prefix:
-                    self.namespaces.bind(prefix, iriref.value[1:-1])
-                else:
-                    self.namespaces._by_prefix[""] = iriref.value[1:-1]  # noqa: SLF001
+                self.namespaces.bind(prefix, iriref.value[1:-1])
             else:
                 iriref = self.tokens.expect("IRIREF")
                 self.base = iriref.value[1:-1]
@@ -462,13 +459,10 @@ class SparqlParser:
             return IRI(body)
         if token.kind == "QNAME":
             self.tokens.next()
-            prefix, _, local = token.value.partition(":")
-            base = self.namespaces._by_prefix.get(prefix)  # noqa: SLF001
-            if base is None:
-                raise SparqlSyntaxError(
-                    f"unbound prefix {prefix!r}", token.line, token.column
-                )
-            return IRI(base + local)
+            try:
+                return self.namespaces.expand(token.value)
+            except KeyError as exc:
+                raise SparqlSyntaxError(exc.args[0], token.line, token.column) from None
         if token.kind == "BNODE":
             self.tokens.next()
             return BNode(token.value[2:])

@@ -65,12 +65,12 @@ def test_shadow_is_isolated_from_real_mdm(scenario):
 
 def test_analyze_leaves_generation_and_metadata_alone(scenario):
     mdm = scenario.mdm
-    generation = mdm._generation
+    generation = mdm.generation
     wrappers = set(mdm.wrappers)
     releases = len(mdm.governance.history())
     report = mdm.analyze_impact(WrapperRetirement(wrapper="w1"))
     assert report.verdict is Verdict.BROKEN
-    assert mdm._generation == generation
+    assert mdm.generation == generation
     assert set(mdm.wrappers) == wrappers
     assert len(mdm.governance.history()) == releases
 
@@ -146,6 +146,12 @@ def test_additive_concept_mutation_is_safe(scenario):
     assert "MDM207" in codes(report)
 
 
+def test_a_no_op_mutation_invalidates_no_cache(scenario):
+    report = scenario.mdm.analyze_impact(MetadataMutation("add_concept", (EX.Player,)))
+    assert report.applied and report.verdict is Verdict.SAFE
+    assert codes(report) == set()
+
+
 def test_invalid_release_is_broken_mdm209(scenario):
     report = scenario.mdm.analyze_impact(
         WrapperRelease(source="players", wrapper="wDup", attributes=("a", "a"))
@@ -170,11 +176,11 @@ def test_invalid_mapping_is_broken_mdm203(scenario):
 
 def test_unknown_mutation_method_rejected(scenario):
     report = scenario.mdm.analyze_impact(
-        MetadataMutation(method="bump_generation")
+        MetadataMutation(method="configure_execution")
     )
     assert "MDM209" in codes(report)
     with pytest.raises(ValueError):
-        apply_change(scenario.mdm, MetadataMutation(method="bump_generation"))
+        apply_change(scenario.mdm, MetadataMutation(method="configure_execution"))
 
 
 def test_unknown_base_wrapper_reported(scenario):
@@ -316,21 +322,21 @@ def test_apply_change_release_registers_and_maps(scenario):
         ),
         auto_map=True,
     )
-    generation = mdm._generation
+    generation = mdm.generation
     apply_change(mdm, release)
     assert "w1v2" in mdm.wrappers
-    assert mdm._generation > generation
+    assert mdm.generation > generation
     history = mdm.governance.history("players")
     assert history[-1].wrapper_name == "w1v2"
 
 
 def test_apply_change_retirement_removes_everything(scenario):
     mdm = scenario.mdm
-    generation = mdm._generation
+    generation = mdm.generation
     apply_change(mdm, WrapperRetirement(wrapper="w1"))
     assert "w1" not in mdm.wrappers
     assert mdm.source_graph.wrapper_by_name("w1") is None
-    assert mdm._generation > generation
+    assert mdm.generation > generation
     # The differential criterion for BROKEN: fails or rewrites to nothing.
     try:
         result = mdm.rewriter.rewrite(scenario.walk_player_team_names())
@@ -387,14 +393,14 @@ def test_blocking_gate_raises_before_mutation(scenario, monkeypatch):
     assert not broken_report.ok
     monkeypatch.setattr(mdm, "analyze_impact", lambda change: broken_report)
 
-    generation = mdm._generation
+    generation = mdm.generation
     with pytest.raises(ImpactGateError) as excinfo:
         mdm.register_wrapper(
             "players", StaticWrapper("wBlocked", ["id", "other"], [])
         )
     assert excinfo.value.report is broken_report
-    # Nothing mutated: no registration, no release, no generation bump.
-    assert mdm._generation == generation
+    # Nothing mutated: no registration, no release, no new generation.
+    assert mdm.generation == generation
     assert mdm.source_graph.wrapper_by_name("wBlocked") is None
     assert all(
         r.wrapper_name != "wBlocked" for r in mdm.governance.history()

@@ -4,7 +4,7 @@ Hypothesis generates proposed changes (retirements, releases derived via
 SchemaChange operators, additive mutations); for each one we
 
 1. run the *static* analysis and assert it performed zero wrapper
-   fetches and zero generation bumps, then
+   fetches and left the generation alone, then
 2. apply the very same change for real (``apply_change``) and check the
    verdict against reality: every query classified BROKEN must now fail
    to rewrite (or rewrite to an empty UCQ), and every query classified
@@ -148,12 +148,12 @@ def test_static_verdicts_match_reality(change):
         for name in mdm.saved_queries.names()
     }
 
-    generation = mdm._generation
+    generation = mdm.generation
     with _fetch_counter() as calls:
         report = mdm.analyze_impact(change)
-    # The analysis is static: zero fetches, zero generation bumps.
+    # The analysis is static: zero fetches, the generation unmoved.
     assert calls == [], f"analysis fetched from {sorted(set(calls))}"
-    assert mdm._generation == generation
+    assert mdm.generation == generation
 
     if not report.applied:
         # The analyzer predicted the change is unappliable — reality
@@ -164,7 +164,7 @@ def test_static_verdicts_match_reality(change):
         return
 
     apply_change(mdm, change)
-    assert mdm._generation > generation
+    assert mdm.generation > generation
 
     for query in report.queries:
         walk = mdm.saved_queries.get(query.name).walk

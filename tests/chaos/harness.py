@@ -264,7 +264,7 @@ def run_chaos(seed: int, steps: int = 40) -> Dict[str, object]:
                     (e["seq"], e["site"], e["mode"], e["key"])
                     for e in registry.trigger_log()
                 ),
-                "generation": mdm._generation,
+                "generation": mdm.generation,
                 "virtual_sleep": round(clock.total_slept, 6),
             }
     finally:

@@ -8,7 +8,7 @@ from repro.core.lav import LavMappingStore
 from repro.core.source_graph import SourceGraph
 from repro.core.vocabulary import G
 from repro.rdf.dataset import Dataset
-from repro.rdf.namespaces import EX, SC
+from repro.rdf.namespaces import EX, OWL, SC
 from repro.rdf.terms import Triple
 
 
@@ -177,6 +177,14 @@ class TestViews:
         assert view.provides(EX.playerId)
         assert not view.provides(EX.teamName)
         assert view.covers_edge(Triple(EX.Player, EX.hasTeam, SC.SportsTeam))
+
+    def test_views_follow_graphs_outside_the_dataset(self, stack):
+        # The fixture's global and source graphs are not the dataset's.
+        _, _, sg, store, w1, _ = stack
+        store.define(w1.wrapper, w1_subgraph(), w1_mapping(w1))
+        assert store.view(w1.wrapper).provides(EX.playerName)
+        sg.graph.remove((w1.attribute_iri("pName"), OWL.sameAs, EX.playerName))
+        assert not store.view(w1.wrapper).provides(EX.playerName)
 
     def test_view_unmapped_raises(self, stack):
         _, _, _, store, w1, _ = stack

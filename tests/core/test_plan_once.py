@@ -85,7 +85,7 @@ def test_a_generation_bump_plans_again(scenario):
     mdm = scenario.mdm
     walk = scenario.walk_league_nationality()
     before = mdm.execute(walk)
-    mdm.bump_generation()
+    mdm.register_source("stadiums")  # a new generation, the same UCQ
     with counting(*PLANNING) as calls:
         after = mdm.execute(walk)
     assert calls["extract_pushdown"] == 1
@@ -178,8 +178,8 @@ def test_racing_first_queries_under_a_short_switch_interval(scenario):
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(3):
-            mdm.bump_generation()
+        for i in range(3):
+            mdm.register_source(f"race{i}")  # a fresh entry
             threads = [threading.Thread(target=ask) for _ in range(6)]
             for thread in threads:
                 thread.start()

@@ -3,7 +3,7 @@
 A miss at ``(walk, generation)`` takes the rewriter's result from the
 map when the rewriter's inputs (the global graph's stamp and namespace
 bindings, the mapped views, its settings) equal those it was stored
-under.  A generation bump that leaves them alone costs no rewrite, and
+under.  A new generation that leaves them alone costs no rewrite, and
 the impact shadow shares the map, so applying the change it analysed
 finds the shadow's rewrites there.
 """
@@ -167,7 +167,6 @@ def test_a_namespace_binding_is_part_of_the_key():
     before = mdm.rewrite(walk).sparql
     # Rebind ex: to another base, so ex: IRIs no longer compact.
     mdm.dataset.namespaces.bind("ex", "http://www.essi.upc.edu/other/")
-    mdm.bump_generation()  # a direct edit, as the generation contract asks
     after = mdm.rewrite(walk).sparql
     assert "ex:Player" in before and f"<{EX.Player.value}>" in after
     assert after == mdm.rewrite(walk, use_cache=False).sparql
@@ -180,7 +179,7 @@ def test_the_rewriter_settings_are_part_of_the_key():
     walk = scenario.walk_league_nationality()
     minimized = mdm.rewrite(walk)
     mdm.rewriter.minimize = False
-    mdm.bump_generation()
+    mdm.register_source("stadiums")  # a new generation, the same rewriter inputs
     unminimized = mdm.rewrite(walk)
     assert unminimized.ucq_size > minimized.ucq_size
     assert shape(unminimized) == shape(mdm.rewrite(walk, use_cache=False))
@@ -192,7 +191,7 @@ def test_the_shadow_rewrites_with_the_live_settings():
     mdm = scenario.mdm
     mdm.saved_queries.save("league-nat", scenario.walk_league_nationality())
     mdm.rewriter.minimize = False
-    mdm.bump_generation()
+    mdm.register_source("stadiums")  # a new generation, the same rewriter inputs
     # A concept nothing reads changes no UCQ, minimized or not.
     report = mdm.analyze_impact(MetadataMutation("add_concept", (EX.Referee,)))
     assert report.verdict is Verdict.SAFE
@@ -206,7 +205,7 @@ def test_bypassing_the_cache_neither_reads_nor_fills_the_map():
     mdm.rewrite(walk, use_cache=False)
     assert len(mdm.rewrite_cache.by_inputs) == 0
     cached = mdm.rewrite(walk)
-    mdm.bump_generation()
+    mdm.register_source("stadiums")  # a new generation, the same rewriter inputs
     with counting(Rewriter, "rewrite") as calls:
         assert mdm.rewrite(walk, use_cache=False) is not cached
     assert len(calls) == 1

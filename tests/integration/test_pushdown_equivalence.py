@@ -169,8 +169,8 @@ class TestWrapperCacheCoherence:
         # The source's data changed underneath us...
         for row in mdm.wrappers["wt"]._rows:
             row["val"] = "new"
-        # ...but the cache only notices once a metadata mutation (any
-        # write-locked operation) bumps the generation.
+        # ...but the cache only notices once a metadata change moves the
+        # generation.
         mdm.add_concept(NS.Unrelated)
         outcome = mdm.execute(walk)
         assert set(outcome.relation.column("tval")) == {"new"}

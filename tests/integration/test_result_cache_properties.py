@@ -8,8 +8,8 @@ cached execute (and a forced cache *hit*) must return exactly the rows
 of a from-scratch execution with all caches bypassed.  This mirrors the
 rewrite-cache coherence properties in ``test_rewriting_properties.py``,
 extended from plans to rows: the only invalidation signal the result
-cache has is the generation counter, so every mutator bumping it is
-precisely what keeps these assertions true.
+cache has is the generation, so every mutation moving it is precisely
+what keeps these assertions true.
 """
 
 from hypothesis import given, settings
@@ -51,7 +51,7 @@ class MutatorMachine:
     def apply(self, op_index: int, step: int) -> None:
         getattr(self, f"_op_{op_index}")(step)
 
-    # Each op bumps the generation; only some change the walk's answer.
+    # Each op moves the generation; only some change the walk's answer.
 
     def _op_0(self, step: int) -> None:
         self.mdm.add_concept(NS[f"C{step}"])
@@ -157,9 +157,9 @@ def test_every_mutator_invalidates_the_cached_entry(ops):
     walk = mdm.walk_from_nodes([NS.A, NS.idA, NS.valA])
     mdm.execute(walk)
     for step, op_index in enumerate(ops):
-        generation_before = mdm._generation
+        generation_before = mdm.generation
         machine.apply(op_index, step)
-        assert mdm._generation > generation_before
+        assert mdm.generation > generation_before
         outcome = mdm.execute(walk)
         assert outcome.result_cache == "miss"
-        assert outcome.generation == mdm._generation
+        assert outcome.generation == mdm.generation

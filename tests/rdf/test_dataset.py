@@ -138,19 +138,62 @@ class TestAggregates:
         assert len(dataset) == 0
         assert list(dataset.graph_names()) == []
 
-    def test_stamps_follow_the_named_graphs(self):
+    def test_stamp_moves_with_every_change(self):
         dataset = Dataset()
-        assert dataset.stamps() == ()
+        seen = [dataset.stamp]
+
+        def moved():
+            assert dataset.stamp not in seen
+            seen.append(dataset.stamp)
+
         g1 = dataset.graph(EX.g1)
-        assert dataset.stamps() == ((EX.g1, g1.stamp),)
-        before = dataset.stamps()
-        dataset.default_graph.add((EX.a, EX.p, EX.b))
-        assert dataset.stamps() == before
+        moved()
         g1.add((EX.a, EX.p, EX.b))
-        assert dataset.stamps() != before
+        moved()
+        dataset.default_graph.add((EX.a, EX.p, EX.b))
+        moved()
+        dataset.namespaces.bind("zz", "http://zz.test/")
+        moved()
+        dataset.namespaces.bind("zz", "http://zz.test/other/")
+        moved()
         dataset.remove_graph(EX.g1)
-        assert dataset.stamps() == ()
-        assert dataset.graph(EX.g1).stamp not in {stamp for _, stamp in before}
+        moved()
+        dataset.graph(EX.g1)  # back, and empty again
+        moved()
+        dataset.clear()
+        moved()
+
+    def test_no_op_writes_keep_the_stamp(self, dataset):
+        stamp = dataset.stamp
+        dataset.graph(EX.g1).add((EX.c, EX.p, EX.d))
+        dataset.default_graph.remove((EX.c, EX.p, EX.d))
+        dataset.graph(EX.g2).remove_pattern((EX.missing, None, None))
+        dataset.remove_graph(EX.missing)
+        dataset.namespaces.bind("ex", EX)
+        assert dataset.stamp == stamp
+        empty = Dataset()
+        stamp = empty.stamp
+        empty.clear()
+        assert empty.stamp == stamp
+
+    def test_a_copy_keeps_the_stamp_until_either_side_changes(self, dataset):
+        copy = dataset.copy()
+        assert copy.stamp == dataset.stamp
+        copy.namespaces.bind("zz", "http://zz.test/")
+        assert copy.stamp != dataset.stamp
+        copy = dataset.copy()
+        dataset.remove_graph(EX.g2)
+        assert copy.stamp != dataset.stamp
+
+    def test_a_restored_graph_brings_the_stamp_back(self, dataset):
+        graph = dataset.graph(EX.g1)
+        stamp, saved = dataset.stamp, graph.copy()
+        graph.add((EX.x, EX.p, EX.y))
+        graph.remove((EX.c, EX.p, EX.d))
+        assert dataset.stamp != stamp
+        graph.restore(saved)
+        assert set(graph) == {(EX.c, EX.p, EX.d)}
+        assert graph.stamp == saved.stamp and dataset.stamp == stamp
 
     def test_repr(self, dataset):
         assert "2 named graphs" in repr(dataset)

@@ -162,6 +162,20 @@ class TestNamespaceManager:
         assert "extra" in clone
         assert "extra" not in manager
 
+    def test_a_changed_binding_takes_a_new_stamp(self):
+        manager = NamespaceManager()
+        clone = manager.copy()
+        assert clone.stamp == manager.stamp
+        stamp = manager.stamp
+        manager.bind("sc", SC)  # bound already
+        assert manager.stamp == stamp
+        manager.bind("", "http://default.test/")  # Turtle's and SPARQL's ":"
+        assert manager.expand(":x") == IRI("http://default.test/x")
+        assert manager.stamp != stamp
+        stamp = manager.stamp
+        manager.bind("", "http://other.test/")
+        assert manager.stamp not in (stamp, clone.stamp)
+
     def test_default_manager_has_ex(self):
         manager = default_namespace_manager()
         assert manager.expand("ex:Player") == EX.Player

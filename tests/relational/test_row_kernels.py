@@ -2,8 +2,10 @@
 
 ``Executor._hash_join``, ``Executor._project`` and ``apply_pushdown``
 build output rows with ``operator.itemgetter`` and join single-column
-keys without wrapping them in a tuple, and a pushed REST fetch types
-tuples taken straight from the decoded records.  The references below
+keys without wrapping them in a tuple, ``Executor._select`` and
+``apply_pushdown`` show a predicate only the columns it references, and
+a pushed REST fetch types tuples taken straight from the decoded
+records.  The references below
 are the versions those shortcuts replaced, kept verbatim; the
 properties check that schemas, rows (by ``repr``, in order) and raised
 errors are the same.
@@ -15,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational.algebra import EquiJoin, NaturalJoin, Project, Scan
+from repro.relational.algebra import EquiJoin, NaturalJoin, Project, Scan, Select
 from repro.relational.executor import Executor, apply_pushdown, pushdown_predicate
+from repro.relational.expressions import And, Cmp, Col, Const, IsNull, NotExpr, Or
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 from repro.relational.types import AttrType
@@ -50,7 +53,17 @@ def reference_apply_pushdown(relation: Relation, scan: Scan) -> Relation:
 
 
 class ReferenceExecutor(Executor):
-    """An executor running the reference projection and hash join."""
+    """An executor running the reference selection, projection and hash join."""
+
+    def _select(self, plan: Select) -> Relation:
+        child = self.execute(plan.child)
+        names = child.schema.names
+        kept = [
+            row
+            for row in child
+            if plan.predicate.evaluate(dict(zip(names, row)))
+        ]
+        return Relation(child.schema, kept)
 
     def _project(self, plan: Project) -> Relation:
         child = self.execute(plan.child)
@@ -243,7 +256,8 @@ def test_project_matches_the_reference(relation, names):
 
 filters = st.lists(
     st.tuples(
-        st.sampled_from(base_names),
+        # "zz" is in no schema: it reads as NULL.
+        st.sampled_from(base_names + ("zz",)),
         st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
         key_cells,
     ),
@@ -263,6 +277,52 @@ scans = st.builds(
 def test_apply_pushdown_matches_the_reference(relation, scan):
     assert outcome(apply_pushdown, relation, scan) == outcome(
         reference_apply_pushdown, relation, scan
+    )
+
+
+# --------------------------------------------------------------------- #
+# selection
+# --------------------------------------------------------------------- #
+
+
+def predicates(columns):
+    """Predicates over ``columns``: comparisons and NULL tests, combined."""
+    leaves = st.one_of(
+        st.builds(
+            Cmp,
+            st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+            st.sampled_from(columns).map(Col),
+            st.one_of(key_cells.map(Const), st.sampled_from(columns).map(Col)),
+        ),
+        st.builds(IsNull, st.sampled_from(columns).map(Col), st.booleans()),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(And, inner, inner),
+            st.builds(Or, inner, inner),
+            st.builds(NotExpr, inner),
+        ),
+        max_leaves=4,
+    )
+
+
+@st.composite
+def selections(draw):
+    """1–12 columns with NULL cells, and a predicate that may read a
+    column the schema lacks."""
+    names = [f"c{i}" for i in range(draw(st.integers(1, 12)))]
+    relation = draw(relations(names, payload_cells))
+    return relation, draw(predicates(names + ["missing"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(selections())
+def test_select_matches_the_reference(selection):
+    relation, predicate = selection
+    plan = Select(Scan("w"), predicate)
+    assert executed(Executor, plan, w=relation) == executed(
+        ReferenceExecutor, plan, w=relation
     )
 
 

@@ -2,9 +2,9 @@
 
 The torn-read oracle: the metadata only evolves by *mutation steps*
 (register source -> register wrapper -> define mapping, three write-locked
-mutators, each bumping the generation by one), and every step's effect on
-the answer set of the probe walk is known exactly.  Mutator threads
-record the expected answer set per generation; every concurrent query
+mutators), and every step's effect on the answer set of the probe walk is
+known exactly.  Mutator threads read the generation after each mutator
+and record the expected answer set under it; every concurrent query
 reports the generation it executed under (exact, because ``execute``
 holds the read lock end to end), so each response must equal the
 expected set *at its own generation* — a response mixing pre- and
@@ -34,10 +34,14 @@ MUTATOR_THREADS = 2
 RUN_SECONDS = 2.0
 
 
-def _mutation_step(service: MdmService, idx: int) -> None:
-    """One metadata release: a new source/wrapper/mapping serving row idx."""
+def _mutation_step(service: MdmService, idx: int, then=lambda: None) -> None:
+    """One metadata release: a new source/wrapper/mapping serving row idx.
+
+    ``then`` runs after each of the first two requests.
+    """
     response = service.request("POST", "/sources", {"name": f"s{idx}"})
     assert response.status == 200, response.body
+    then()
     response = service.request(
         "POST",
         f"/sources/s{idx}/wrappers",
@@ -48,6 +52,7 @@ def _mutation_step(service: MdmService, idx: int) -> None:
         },
     )
     assert response.status == 200, response.body
+    then()
     response = service.request(
         "POST",
         f"/wrappers/w{idx}/mapping",
@@ -85,8 +90,13 @@ class TestConcurrentService:
         observations = []
         observations_lock = threading.Lock()
 
-        start_gen = mdm._generation
+        start_gen = mdm.generation
         expected_by_gen[start_gen] = frozenset(mapped_ids)
+
+        def record(answer: frozenset) -> None:
+            """Key ``answer`` by the generation of the metadata as it is
+            now: no other mutator runs, so queries see this state too."""
+            expected_by_gen[mdm.generation] = answer
 
         def mutator(thread_id: int) -> None:
             try:
@@ -96,18 +106,13 @@ class TestConcurrentService:
                     # query threads, which is what this test is about.
                     with mutation_lock:
                         idx = next(step_counter)
-                        base_gen = mdm._generation
                         before = frozenset(mapped_ids)
-                        _mutation_step(service, idx)
+                        # A registered-but-unmapped wrapper contributes no
+                        # CQ, so the answer set is unchanged until the
+                        # mapping lands.
+                        _mutation_step(service, idx, then=lambda: record(before))
                         mapped_ids.add(idx)
-                        after = frozenset(mapped_ids)
-                        assert mdm._generation == base_gen + 3
-                        # +1 source, +2 wrapper: registered-but-unmapped
-                        # contributes no CQ, so the answer set is
-                        # unchanged until the mapping (+3) lands.
-                        expected_by_gen[base_gen + 1] = before
-                        expected_by_gen[base_gen + 2] = before
-                        expected_by_gen[base_gen + 3] = after
+                        record(frozenset(mapped_ids))
                     time.sleep(0.01)
             except Exception as exc:  # noqa: BLE001 — assert at the end
                 failures.append(f"mutator {thread_id}: {type(exc).__name__}: {exc}")
