@@ -11,8 +11,10 @@ and wrapper cache that answer its pushed Scans, the mock REST server,
 payload decoding and typed relations beneath them, the saved-query
 registry and impact analyzer that replay the saved queries, the
 document store that keeps the releases, saved queries and query log,
-and the RDF terms, namespaces, graphs, datasets and compiled LAV views
-every governance step reads through are the pieces whose untested
+the RDF terms, namespaces, graphs, datasets and compiled LAV views
+every governance step reads through, the walks every query starts
+from, and the HTTP server's handler pool in front of the service are
+the pieces whose untested
 branches bite hardest — a silent hole in any shows up as a flaky
 production incident, a wrongly rejected plan or a wrong answer, not a
 failing assertion.  This gate reads a ``coverage.json`` report
@@ -51,6 +53,7 @@ GATED_FILES = (
     "repro/core/registry.py",
     "repro/core/result_cache.py",
     "repro/core/rewrite_cache.py",
+    "repro/core/walks.py",
     "repro/core/wrapper_cache.py",
     "repro/docstore/store.py",
     "repro/obs/querylog.py",
@@ -62,6 +65,7 @@ GATED_FILES = (
     "repro/relational/executor.py",
     "repro/relational/optimizer.py",
     "repro/relational/relation.py",
+    "repro/service/server.py",
     "repro/sources/formats.py",
     "repro/sources/restapi.py",
     "repro/sources/wrappers.py",

@@ -348,6 +348,7 @@ def shadow_mdm(mdm: "MDM") -> "MDM":
         mdm.rewriter.max_cover_size,
         mdm.rewriter.minimize,
     )
+    shadow.rewriter.stamp = mdm.rewriter.stamp
     shadow.rewrite_cache = RewriteCache(
         mdm.rewrite_cache.capacity, mdm.rewrite_cache.by_inputs
     )

@@ -449,8 +449,9 @@ class MDM:
         #: Ring of the most recent :class:`ImpactReport` objects, newest
         #: last (served by ``GET /impact/recent``).
         self.impact_log: "deque" = deque(maxlen=50)
-        #: ``(dataset stamp, generation)`` as last read, replaced whole.
-        self._clock = (self.dataset.stamp, 0)
+        #: ``((dataset stamp, rewriter stamp), generation)`` as last read,
+        #: replaced whole.
+        self._clock = ((self.dataset.stamp, self.rewriter.stamp), 0)
         self._clock_lock = threading.Lock()
         #: Readers–writer lock guarding the metadata snapshot: the nine
         #: metadata mutators hold it exclusively, queries and read
@@ -499,13 +500,14 @@ class MDM:
     @property
     def generation(self) -> int:
         """The metadata generation, which the caches key on: one more
-        each time this MDM reads a :attr:`dataset` stamp other than the
-        last.  Any change to its graphs or bindings, by a mutator or
-        not, moves it; nothing else does.  Read it under the metadata
-        lock (the stamp reads every named graph).
+        each time this MDM reads a :attr:`dataset` stamp or a
+        :attr:`rewriter` stamp other than the last.  Any change to its
+        graphs or bindings, by a mutator or not, moves it, and so does a
+        new rewriter setting or a new rewriter; nothing else does.  Read
+        it under the metadata lock (the stamp reads every named graph).
         """
         with self._clock_lock:
-            stamp = self.dataset.stamp
+            stamp = (self.dataset.stamp, self.rewriter.stamp)
             if stamp != self._clock[0]:
                 self._clock = (stamp, self._clock[1] + 1)
             return self._clock[1]

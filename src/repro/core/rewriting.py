@@ -37,6 +37,7 @@ from typing import (
 )
 
 from ..obs import get_metrics, get_tracer
+from ..rdf.namespaces import next_stamp
 from ..rdf.reasoner import subclass_closure
 from ..rdf.terms import IRI, Triple
 from ..relational.algebra import (
@@ -140,7 +141,16 @@ class RewriteResult:
 
 
 class Rewriter:
-    """Rewrites walks into UCQ plans over the mapped wrappers."""
+    """Rewrites walks into UCQ plans over the mapped wrappers.
+
+    ``stamp`` is drawn from the graphs' clock (:func:`next_stamp`) when
+    the rewriter is built and again whenever ``max_cover_size`` or
+    ``minimize`` takes a new value.  An MDM's generation reads it, so
+    a new setting, like a new rewriter, serves nothing that was cached
+    under the old one.
+    """
+
+    stamp: int
 
     def __init__(
         self,
@@ -159,6 +169,16 @@ class Rewriter:
         #: in DESIGN.md).  Disabling keeps every non-duplicate CQ — sound
         #: but larger unions; the ablation bench quantifies the gap.
         self.minimize = minimize
+
+    def __setattr__(self, name: str, value: object) -> None:
+        """Set an attribute; a new value of either setting draws a new
+        ``stamp``."""
+        moved = name in ("max_cover_size", "minimize") and getattr(
+            self, name, None
+        ) != value
+        object.__setattr__(self, name, value)
+        if moved:
+            object.__setattr__(self, "stamp", next_stamp())
 
     # ------------------------------------------------------------------ #
     # entry point

@@ -246,15 +246,17 @@ class Walk:
                     f"{node} is neither a concept nor a feature of the "
                     "global graph"
                 )
-        edges: Set[Triple] = set()
-        for relation in global_graph.relations():
-            if (
-                relation.subject in concepts
-                and relation.object in concepts
-                # Self-loops are outside the walk fragment (see validate).
-                and relation.subject != relation.object
-            ):
-                edges.add(relation)
+        # Relations run between declared concepts only (a feature's owner
+        # may lack its G:Concept type); self-loops are outside the walk
+        # fragment (see validate).
+        declared = [c for c in concepts if global_graph.is_concept(c)]
+        edges = {
+            Triple(subject, predicate, obj)
+            for subject in declared
+            for obj in declared
+            if subject != obj
+            for predicate in global_graph.relations_between(subject, obj)
+        }
         return cls(
             concepts=frozenset(concepts),
             features=frozenset(features),

@@ -6,19 +6,26 @@ shape in-process for deterministic unit tests; this module puts actual
 sockets in front of the same :class:`~repro.service.api.MdmService` so
 many OS-level clients can hit one MDM concurrently:
 
-- :class:`MdmHttpServer` is a ``ThreadingHTTPServer`` whose handler
-  adapts each socket request (method, path, query string, JSON body)
-  onto ``Router.dispatch`` — one handler thread per connection, JSON in
-  / JSON out, ``str`` bodies passed through as ``text/plain`` so
-  ``GET /metrics`` stays scrapeable by Prometheus.
+- :class:`MdmHttpServer` is an ``HTTPServer`` whose handler adapts each
+  socket request (method, path, query string, JSON body) onto
+  ``Router.dispatch`` — JSON in / JSON out, ``str`` bodies passed
+  through as ``text/plain`` so ``GET /metrics`` stays scrapeable by
+  Prometheus — and sends the whole response in one write.
+- **Handler pool**: the accept loop hands each connection to a reused
+  handler thread.  A worker starts only when none is idle, up to
+  ``max_in_flight + 1``, so a request past the admission bound always
+  finds a worker to answer its 429.  Each connection runs in a fresh
+  :mod:`contextvars` context, so no span leaks into the next request on
+  the same worker, and under :data:`SOCKET_TIMEOUT_S`, so a silent or
+  stalled client frees its worker.
 - **Admission control**: a bounded in-flight-request semaphore.  When
   ``max_in_flight`` requests are already executing, new ones are turned
   away immediately with ``429 Too Many Requests`` + a ``Retry-After``
   header instead of queueing unboundedly; rejections are counted in
   ``mdm_requests_rejected_total``.
 - **Graceful shutdown**: :meth:`MdmHttpServer.stop` stops accepting,
-  joins every handler thread (``block_on_close``), and closes the
-  listening socket — no stray threads survive it.
+  lets the workers answer every connection already accepted, joins
+  them and closes the listening socket — no stray threads survive it.
 
 The in-process router remains the unit-test surface; this wrapper adds
 only transport and back-pressure, never routing logic.
@@ -26,10 +33,15 @@ only transport and back-pressure, never routing logic.
 
 from __future__ import annotations
 
+import contextvars
+import io
 import json
+import queue
+import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Optional, Tuple
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from typing import Any, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlparse
 
 from ..chaos.failpoints import FailpointError
@@ -43,20 +55,39 @@ __all__ = ["MdmHttpServer", "serve"]
 #: Seconds suggested to rejected clients via the ``Retry-After`` header.
 DEFAULT_RETRY_AFTER_S = 1
 
+#: Seconds a connection's socket may wait on its client, for the request
+#: or to take the response, before its worker drops it.
+SOCKET_TIMEOUT_S = 10.0
+
 
 class _MdmRequestHandler(BaseHTTPRequestHandler):
     """Adapts one socket request onto the service's router."""
 
-    # HTTP/1.0: the connection closes after each response, so handler
-    # threads never linger on keep-alive sockets and stop() can join
-    # them all.  Clients pay a reconnect per request, which is the right
-    # trade for a governance service (queries dominate, not chatter).
+    # HTTP/1.0: the connection closes after each response, so a worker
+    # is free for the next connection once it has answered, and stop()
+    # never waits on an idle keep-alive socket.  Clients pay a reconnect
+    # per request, which is the right trade for a governance service
+    # (queries dominate, not chatter).
     protocol_version = "HTTP/1.0"
     server_version = "repro-mdm"
     sys_version = ""
 
     # The driving server (typed for readers; set by socketserver).
     server: "MdmHttpServer"
+
+    def setup(self) -> None:
+        super().setup()
+        # Collect the response, head and body alike, for finish() to
+        # send in one write: a second write costs the client another
+        # segment and wake-up.
+        self.wfile = self._response = io.BytesIO()
+
+    def finish(self) -> None:
+        try:
+            self.connection.sendall(self._response.getvalue())
+        except (BrokenPipeError, ConnectionResetError, TimeoutError):
+            pass  # client gave up or stalled mid-response; nothing left to salvage
+        super().finish()
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         """Silence the default per-request stderr line.
@@ -144,31 +175,24 @@ class _MdmRequestHandler(BaseHTTPRequestHandler):
         else:
             data = json.dumps(body, sort_keys=True).encode("utf-8")
             content_type = "application/json"
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            for name, value in (extra_headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(data)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client gave up mid-response; nothing left to salvage
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(data)))
+        for name, value in (extra_headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(data)
 
 
-class MdmHttpServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`MdmService`.
+class MdmHttpServer(HTTPServer):
+    """An HTTP server bound to one :class:`MdmService`, answering on a
+    pool of reused handler threads.
 
     ``port=0`` binds an ephemeral port (tests); :attr:`url` reports the
     resolved address.  Use :meth:`start`/:meth:`stop` for a background
     server or :meth:`serve_forever` to block the calling thread (the
     CLI path).
     """
-
-    daemon_threads = True
-    # block_on_close stays at the ThreadingMixIn default (True):
-    # server_close() joins every handler thread, which is exactly the
-    # "graceful shutdown leaves no stray threads" guarantee.
 
     def __init__(
         self,
@@ -189,6 +213,67 @@ class MdmHttpServer(ThreadingHTTPServer):
         self.retry_after_s = retry_after_s
         self.admission = threading.BoundedSemaphore(max_in_flight)
         self._serve_thread: Optional[threading.Thread] = None
+        #: Accepted connections on their way to a worker; None stops one.
+        self._handoffs: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._workers: List[threading.Thread] = []
+        #: Workers done with their last connection and not yet handed one.
+        self._idle = 0
+        self._pool_lock = threading.Lock()
+
+    # ------------------------------------------------------------------ #
+    # the handler pool
+    # ------------------------------------------------------------------ #
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        """Hand the connection to an idle worker, or start one while
+        fewer than ``max_in_flight + 1`` run; past that it waits for the
+        first worker to free up."""
+        with self._pool_lock:
+            if self._idle:
+                self._idle -= 1
+            elif len(self._workers) <= self.max_in_flight:
+                worker = threading.Thread(
+                    target=self._work,
+                    name=f"mdm-http-worker_{len(self._workers)}",
+                    daemon=True,
+                )
+                worker.start()
+                self._workers.append(worker)
+        self._handoffs.put((request, client_address, time.perf_counter()))
+
+    def _work(self) -> None:
+        workers = get_metrics().gauge(
+            "mdm_http_workers", "Live HTTP handler threads."
+        )
+        workers.inc()
+        try:
+            while (handoff := self._handoffs.get()) is not None:
+                # A fresh context per connection: no span (or other
+                # context variable) of one request reaches the next.
+                contextvars.Context().run(self._serve, *handoff)
+        finally:
+            workers.dec()
+
+    def _serve(
+        self, request: socket.socket, client_address: Any, handed_off: float
+    ) -> None:
+        request.settimeout(SOCKET_TIMEOUT_S)
+        try:
+            self.finish_request(request, client_address)
+        except Exception:  # noqa: BLE001 — the worker must outlive any request
+            self.handle_error(request, client_address)
+        finally:
+            # Idle before the socket closes: a client that reads to the
+            # end of the stream and reconnects finds this worker idle and
+            # starts no other.
+            with self._pool_lock:
+                self._idle += 1
+            self.shutdown_request(request)
+        get_metrics().histogram(
+            "mdm_http_handler_seconds",
+            "Time from a connection's handoff to a worker until its "
+            "response is written and its socket shut down.",
+        ).observe(time.perf_counter() - handed_off)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -211,12 +296,25 @@ class MdmHttpServer(ThreadingHTTPServer):
         return self
 
     def stop(self) -> None:
-        """Stop accepting, join all handler threads, close the socket."""
+        """Stop accepting, answer what was accepted, join the workers and
+        close the socket."""
         self.shutdown()
         if self._serve_thread is not None:
             self._serve_thread.join()
             self._serve_thread = None
         self.server_close()
+
+    def server_close(self) -> None:
+        """Close the listening socket; each worker stops once the
+        connections handed to the pool before it are answered, and is
+        joined."""
+        super().server_close()
+        with self._pool_lock:
+            workers, self._workers = self._workers, []
+        for _ in workers:
+            self._handoffs.put(None)
+        for worker in workers:
+            worker.join()
 
     def __enter__(self) -> "MdmHttpServer":
         return self.start()

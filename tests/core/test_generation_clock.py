@@ -1,9 +1,11 @@
 """One clock: the metadata generation is read from the dataset's stamp.
 
-``MDM.generation`` counts the states of ``mdm.dataset`` the MDM has
-read (:attr:`repro.rdf.dataset.Dataset.stamp`).  Any change to a graph
-or a namespace binding moves it, whether a mutator made it or not; a
-write that changes nothing and every read path leave it where it is.
+``MDM.generation`` counts the states of ``mdm.dataset`` and of
+``mdm.rewriter`` the MDM has read (:attr:`repro.rdf.dataset.Dataset.stamp`
+and ``Rewriter.stamp``).  Any change to a graph or a namespace binding
+moves it, whether a mutator made it or not, and so does a new rewriter
+setting; a write that changes nothing and every read path leave it
+where it is.
 """
 
 import threading
@@ -19,6 +21,7 @@ from repro.analysis.impact import (
 from repro.analysis.lint import lint_mdm
 from repro.chaos import FailpointRegistry, set_failpoints
 from repro.core.mdm import MDM
+from repro.core.rewriting import Rewriter
 from repro.core.vocabulary import G, M
 from repro.rdf.dataset import Dataset
 from repro.rdf.namespaces import EX, RDF, RDFS
@@ -231,3 +234,52 @@ def test_a_config_flip_mid_query_never_caches_under_the_other_key(scenario):
     again = service.request("POST", "/query", body).body
     assert again["result_cache"] == "hit"
     assert again["rows"] == first.body["rows"] == unoptimized["rows"]
+
+
+# --- the rewriter's settings ----------------------------------------------- #
+
+
+@pytest.fixture
+def released():
+    """Football after ``release_players_v2``: league × nationality
+    rewrites to 2 CQs minimized and to 144 without minimization."""
+    built = FootballScenario.build(anchors_only=True)
+    built.release_players_v2()
+    built.mdm.configure_execution(result_cache_size=16)
+    return built
+
+
+def test_a_rewriter_setting_moves_the_clock(released):
+    mdm = released.mdm
+    walk = released.walk_league_nationality()
+    assert mdm.rewrite(walk).ucq_size == 2
+    generation = mdm.generation
+    mdm.rewriter.minimize = False
+    assert mdm.generation == generation + 1
+    assert mdm.rewrite(walk).ucq_size == 144
+    assert mdm.rewrite(walk, use_cache=False).ucq_size == 144
+    mdm.rewriter.minimize = False  # the value it has: nothing moves
+    assert mdm.generation == generation + 1
+    mdm.rewriter.max_cover_size = 2
+    assert mdm.generation == generation + 2
+
+
+def test_a_rewriter_setting_misses_the_result_cache(released):
+    mdm = released.mdm
+    walk = released.walk_league_nationality()
+    minimized = mdm.execute(walk)
+    assert mdm.execute(walk).result_cache == "hit"
+    mdm.rewriter.minimize = False
+    outcome = mdm.execute(walk)
+    assert outcome.result_cache == "miss"
+    assert outcome.rewrite.ucq_size == 144
+    assert sorted(outcome.relation.rows) == sorted(minimized.relation.rows)
+
+
+def test_a_new_rewriter_moves_the_clock(released):
+    mdm = released.mdm
+    walk = released.walk_league_nationality()
+    mdm.execute(walk)
+    mdm.rewriter = Rewriter(mdm.global_graph, mdm.mappings, minimize=False)
+    assert mdm.rewrite(walk).ucq_size == 144
+    assert mdm.execute(walk).result_cache == "miss"

@@ -1,10 +1,14 @@
 """Unit tests for walks and their SPARQL translation (paper §2.4)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import DisconnectedWalkError, WalkError
+from repro.core.global_graph import GlobalGraph
+from repro.core.vocabulary import G
 from repro.core.walks import Walk, concept_variable_names, feature_column_names
-from repro.rdf.namespaces import EX
+from repro.rdf.namespaces import EX, RDF, RDFS
 from repro.scenarios.football import PLAYER, TEAM, football_uml
 from repro.sparql.parser import parse_query
 
@@ -58,6 +62,94 @@ class TestFromNodes:
     def test_unknown_node_rejected(self, gg):
         with pytest.raises(WalkError):
             Walk.from_nodes(gg, [EX.notInGraph])
+
+
+def _from_nodes_by_scan(global_graph, nodes):
+    """``Walk.from_nodes`` as it was before it read the index: the
+    reference for :func:`test_from_nodes_equals_the_scan_of_all_relations`."""
+    node_set = set(nodes)
+    concepts = set()
+    features = set()
+    for node in node_set:
+        if global_graph.is_concept(node):
+            concepts.add(node)
+        elif global_graph.is_feature(node):
+            features.add(node)
+            owner = global_graph.concept_of(node)
+            if owner is None:
+                raise WalkError(f"feature {node} belongs to no concept")
+            concepts.add(owner)
+        else:
+            raise WalkError(
+                f"{node} is neither a concept nor a feature of the "
+                "global graph"
+            )
+    edges = set()
+    for relation in global_graph.relations():
+        if (
+            relation.subject in concepts
+            and relation.object in concepts
+            # Self-loops are outside the walk fragment (see validate).
+            and relation.subject != relation.object
+        ):
+            edges.add(relation)
+    return Walk(
+        concepts=frozenset(concepts),
+        features=frozenset(features),
+        edges=frozenset(edges),
+    )
+
+
+_CONCEPTS = [EX[f"prop/C{i}"] for i in range(5)]
+_FEATURES = [EX[f"prop/f{i}"] for i in range(4)]
+#: Two user predicates (so one pair can have both) and the three the
+#: scan leaves out.
+_PREDICATES = [EX["prop/p"], EX["prop/q"], RDF.type, G.hasFeature, RDFS.subClassOf]
+
+
+@st.composite
+def _graphs_and_selections(draw):
+    declared = draw(
+        st.lists(st.sampled_from(_CONCEPTS), min_size=1, unique=True)
+    )
+    # Any concept IRI may own a feature, declared or not.
+    owners = draw(
+        st.lists(
+            st.sampled_from(_CONCEPTS),
+            min_size=len(_FEATURES),
+            max_size=len(_FEATURES),
+        )
+    )
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_CONCEPTS),
+                st.sampled_from(_PREDICATES),
+                st.sampled_from(_CONCEPTS),
+            ),
+            max_size=12,
+        )
+    )
+    gg = GlobalGraph()
+    for concept in declared:
+        gg.graph.add((concept, RDF.type, G.Concept))
+    for feature, owner in zip(_FEATURES, owners):
+        gg.graph.add((feature, RDF.type, G.Feature))
+        gg.graph.add((owner, G.hasFeature, feature))
+    for edge in edges:
+        gg.graph.add(edge)
+    nodes = draw(st.sets(st.sampled_from(declared + _FEATURES)))
+    return gg, nodes
+
+
+@given(_graphs_and_selections())
+@settings(max_examples=200, deadline=None)
+def test_from_nodes_equals_the_scan_of_all_relations(case):
+    """Self-loops, two predicates between one pair, the taxonomy and
+    hasFeature edges between concepts, and features owned by a concept
+    not typed G:Concept: the index lookup keeps the scan's edges."""
+    gg, nodes = case
+    assert Walk.from_nodes(gg, nodes) == _from_nodes_by_scan(gg, nodes)
 
 
 class TestValidation:
