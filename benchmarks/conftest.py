@@ -50,7 +50,7 @@ def emit(title: str, body: str) -> None:
     print(f"\n{bar}\n{title}\n{bar}\n{body}\n")
 
 
-@timed("mdm_bench_obs_run_seconds", "One traced reference-OMQ execution.",
+@timed("bench_obs_run_seconds", "One traced reference-OMQ execution.",
        query="league_nationality")
 def _traced_reference_query(scenario):
     walk = scenario.walk_league_nationality()

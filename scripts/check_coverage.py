@@ -11,6 +11,7 @@ and wrapper cache that answer its pushed Scans, the mock REST server,
 payload decoding and typed relations beneath them, the saved-query
 registry and impact analyzer that replay the saved queries, the
 document store that keeps the releases, saved queries and query log,
+the metrics registry and the catalog every metric is declared in,
 the RDF terms, namespaces, graphs, datasets and compiled LAV views
 every governance step reads through, the walks every query starts
 from, and the HTTP server's handler pool in front of the service are
@@ -56,6 +57,7 @@ GATED_FILES = (
     "repro/core/walks.py",
     "repro/core/wrapper_cache.py",
     "repro/docstore/store.py",
+    "repro/obs/metrics.py",
     "repro/obs/querylog.py",
     "repro/rdf/dataset.py",
     "repro/rdf/graph.py",

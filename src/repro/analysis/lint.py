@@ -150,11 +150,7 @@ def lint_mdm(mdm: "MDM", replay_saved: bool = True, check_plans: bool = True
             plan_findings, checked = _check_saved_plans(mdm)
             findings.extend(plan_findings)
     counts = severity_counts(findings)
-    counter = get_metrics().counter(
-        "mdm_lint_findings_total",
-        "Static-analysis findings reported by mdm lint.",
-        labelnames=("severity",),
-    )
+    counter = get_metrics().counter("mdm_lint_findings_total")
     for severity in Severity:
         if counts[str(severity)]:
             counter.inc(counts[str(severity)], severity=str(severity))

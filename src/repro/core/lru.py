@@ -22,8 +22,9 @@ __all__ = ["GenerationLRU"]
 class GenerationLRU:
     """Thread-safe bounded LRU of ``key -> value``; capacity 0 disables it.
 
-    ``metric_prefix`` names the metric series (``mdm_<prefix>_…``) and,
-    with underscores as spaces, the cache in messages and help texts.
+    ``metric_prefix`` names the metric series (``mdm_<prefix>_…``, each
+    declared in :data:`~repro.obs.metrics.METRICS`) and, with
+    underscores as spaces, the cache in messages.
     """
 
     #: Smallest capacity :meth:`__init__` and :meth:`resize` accept.
@@ -54,10 +55,7 @@ class GenerationLRU:
             )
 
     def _count(self, event: str, n: int = 1) -> None:
-        get_metrics().counter(
-            f"mdm_{self.metric_prefix}_{event}_total",
-            f"{self._label.capitalize()} {event}.",
-        ).inc(n)
+        get_metrics().counter(f"mdm_{self.metric_prefix}_{event}_total").inc(n)
 
     def probe(
         self,
@@ -109,10 +107,7 @@ class GenerationLRU:
         if evicted:
             self.evictions += evicted
             self._count("evictions", evicted)
-        get_metrics().gauge(
-            f"mdm_{self.metric_prefix}_size",
-            f"Entries currently held by the {self._label}.",
-        ).set(len(self._entries))
+        get_metrics().gauge(f"mdm_{self.metric_prefix}_size").set(len(self._entries))
 
     def resize(self, capacity: int) -> None:
         """Change the capacity in place (trimming LRU-first; 0 clears)."""

@@ -346,10 +346,7 @@ def _merge_optimization_stats(
 
 def _count_optimizer_failure() -> None:
     """Count a best-effort optimizer pass that fell back to its input."""
-    get_metrics().counter(
-        "mdm_optimizer_failures_total",
-        "Logical optimizations that failed and fell back to the naive plan.",
-    ).inc()
+    get_metrics().counter("mdm_optimizer_failures_total").inc()
 
 
 @dataclass(frozen=True)
@@ -936,6 +933,14 @@ class MDM:
             walk.validate(self.global_graph)
             return walk
 
+    def walk_from_sparql(self, text: str) -> Walk:
+        """Interpret SPARQL text as a validated walk (see
+        :mod:`repro.core.sparql_frontend`), reading one metadata state."""
+        from .sparql_frontend import walk_from_sparql
+
+        with self.metadata_lock.read_locked():
+            return walk_from_sparql(self.global_graph, text)
+
     def rewrite(self, walk: Walk, use_cache: bool = True) -> RewriteResult:
         """Run the three-phase LAV rewriting for a walk.
 
@@ -1105,12 +1110,8 @@ class MDM:
             self._log_query(root, ctx, run, phase_ms, timer.total_s, error)
             if error is None:  # failed queries are logged, not counted
                 metrics = get_metrics()
-                metrics.counter(
-                    "mdm_queries_total", "OMQs executed end-to-end."
-                ).inc()
-                metrics.histogram(
-                    "mdm_execute_seconds", "End-to-end OMQ execution latency."
-                ).observe(timer.total_s)
+                metrics.counter("mdm_queries_total").inc()
+                metrics.histogram("mdm_execute_seconds").observe(timer.total_s)
         if outcome.result_cache == "hit":
             return outcome
         fetch_meta = run.fetch_meta.values()
@@ -1236,10 +1237,7 @@ class MDM:
             executor.base_resolver = self._base_resolver(ctx)
         naive_plan, plan = result.plan, pushed_plan
         if run.failed:
-            get_metrics().counter(
-                "mdm_query_partial_total",
-                "OMQs answered partially after wrapper failures.",
-            ).inc()
+            get_metrics().counter("mdm_query_partial_total").inc()
             failed = set(run.failed)
             naive_plan = self._drop_failed_branches(result.plan, failed)
             plan = (
@@ -1379,11 +1377,9 @@ class MDM:
 
         findings, _ = check_plan(plan, executor.catalog)
         errors = [f for f in findings if f.severity.rank >= 2]
-        get_metrics().counter(
-            "mdm_plan_validation_total",
-            "Static plan schema checks run before execution.",
-            labelnames=("result",),
-        ).inc(1, result="rejected" if errors else "ok")
+        get_metrics().counter("mdm_plan_validation_total").inc(
+            1, result="rejected" if errors else "ok"
+        )
         if errors:
             raise PlanValidationError(
                 "plan rejected by the static schema checker: "
@@ -1569,28 +1565,22 @@ class MDM:
             meta[name]["rows_source"] = fetched.rows_source
             cache.put(requests[name], generation, fetched.relation)
         metrics = get_metrics()
-        request_counter = metrics.counter(
-            "mdm_pushdown_requests_total",
-            "Wrapper fetch requests by shape (pushed vs full).",
-            labelnames=("kind",),
-        )
+        request_counter = metrics.counter("mdm_pushdown_requests_total")
         for name, entry in meta.items():
             if name in errors:
                 continue
             request_counter.inc(1, kind=str(entry["kind"]))
-            metrics.counter(
-                "mdm_pushdown_rows_transferred_total",
-                "Rows that crossed the wrapper boundary.",
-            ).inc(int(entry["rows_transferred"]))
+            metrics.counter("mdm_pushdown_rows_transferred_total").inc(
+                int(entry["rows_transferred"])
+            )
             source_rows = entry["rows_source"]
             if (
                 source_rows is not None
                 and int(source_rows) > int(entry["rows_transferred"])
             ):
-                metrics.counter(
-                    "mdm_pushdown_rows_saved_total",
-                    "Rows filtered out source-side before transfer.",
-                ).inc(int(source_rows) - int(entry["rows_transferred"]))
+                metrics.counter("mdm_pushdown_rows_saved_total").inc(
+                    int(source_rows) - int(entry["rows_transferred"])
+                )
         return relations, attempts, errors, meta, helped
 
     def _query_plan(self, entry: RewriteEntry, pushdown: bool) -> _QueryPlan:
@@ -1616,10 +1606,10 @@ class MDM:
         """Stage-A optimization: fold pushable work into the Scans.
 
         Built on the wrappers' declared signatures with every attribute
-        typed ANY (``type_aware=False`` keeps the one type-sensitive
-        rule out) and their declared capabilities.  Best-effort exactly
-        like :meth:`_optimize_plan`: a bug here degrades to the naive
-        full-fetch plan, never fails the query.
+        typed ANY (no optimizer rule reads a type) and their declared
+        capabilities.  Best-effort exactly like :meth:`_optimize_plan`:
+        a bug here degrades to the naive full-fetch plan, never fails
+        the query.
         """
         try:
             from ..relational.schema import Attribute, RelationSchema
@@ -1635,11 +1625,7 @@ class MDM:
                     Attribute(a, AttrType.ANY) for a in wrapper.attributes
                 )
                 capabilities[name] = wrapper.capabilities()
-            optimizer = PlanOptimizer(
-                catalog,
-                pushdown_capabilities=capabilities,
-                type_aware=False,
-            )
+            optimizer = PlanOptimizer(catalog, pushdown_capabilities=capabilities)
             return optimizer.extract_pushdown(plan)
         except Exception:  # noqa: BLE001 — pushdown is best-effort
             _count_optimizer_failure()
@@ -1743,10 +1729,8 @@ class MDM:
         algorithm and executed — identical semantics to the graphical
         interface.
         """
-        from .sparql_frontend import walk_from_sparql
-
         with self.metadata_lock.read_locked():
-            walk = walk_from_sparql(self.global_graph, text)
+            walk = self.walk_from_sparql(text)
             return self.execute(walk, on_wrapper_error=on_wrapper_error)
 
     def sparql(self, text: str):
@@ -1779,11 +1763,9 @@ class MDM:
                 report = _analyze_impact(self, change)
                 span.set_tag("verdict", str(report.verdict))
                 span.set_tag("queries", report.checked_queries)
-        get_metrics().counter(
-            "mdm_impact_checks_total",
-            "Evolution-impact analyses by verdict.",
-            labelnames=("verdict",),
-        ).inc(1, verdict=str(report.verdict))
+        get_metrics().counter("mdm_impact_checks_total").inc(
+            1, verdict=str(report.verdict)
+        )
         self.impact_log.append(report)
         return report
 

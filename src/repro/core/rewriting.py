@@ -215,11 +215,7 @@ class Rewriter:
         """
         tracer = get_tracer()
         metrics = get_metrics()
-        phase_seconds = metrics.histogram(
-            "mdm_rewrite_phase_seconds",
-            "Latency of each LAV rewriting phase.",
-            labelnames=("phase",),
-        )
+        phase_seconds = metrics.histogram("mdm_rewrite_phase_seconds")
         total_started = time.perf_counter()
         with tracer.span("rewrite") as root:
             # Phase (a): expansion.
@@ -315,12 +311,10 @@ class Rewriter:
                 time.perf_counter() - started, phase="inter-concept"
             )
             root.set_tag("ucq_size", len(queries))
-        metrics.counter(
-            "mdm_rewrite_total", "Walks rewritten into UCQ plans."
-        ).inc()
-        metrics.histogram(
-            "mdm_rewrite_seconds", "End-to-end LAV rewriting latency."
-        ).observe(time.perf_counter() - total_started)
+        metrics.counter("mdm_rewrite_total").inc()
+        metrics.histogram("mdm_rewrite_seconds").observe(
+            time.perf_counter() - total_started
+        )
         return RewriteResult(
             walk=walk,
             expanded_walk=expanded,

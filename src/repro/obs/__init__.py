@@ -46,6 +46,8 @@ from .metrics import (
     DEFAULT_BUCKETS,
     Gauge,
     Histogram,
+    METRICS,
+    MetricSpec,
     MetricsRegistry,
     get_metrics,
     reset_metrics,
@@ -60,7 +62,7 @@ from .querylog import (
     reset_query_log,
     set_query_log,
 )
-from .timing import time_block, timed
+from .timing import timed
 from .trace import (
     JsonlSink,
     NOOP_SPAN,
@@ -96,12 +98,13 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "MetricSpec",
+    "METRICS",
     "DEFAULT_BUCKETS",
     "get_metrics",
     "set_metrics",
     "reset_metrics",
     "timed",
-    "time_block",
     "capture",
 ]
 

@@ -2,10 +2,12 @@
 
 The profiling-style metadata the governance literature asks for (per-source
 fetch latency, per-phase rewrite cost, request rates) is aggregated here in
-a :class:`MetricsRegistry`.  Metric objects are get-or-create by name so
-instrumented call sites stay one-liners::
+a :class:`MetricsRegistry`.  Every ``mdm_`` metric is declared once, in
+:data:`METRICS` (kind, label names and help text; DESIGN §7 says where
+each is emitted), and created on first use, so an instrumented call
+site names the metric only::
 
-    get_metrics().counter("mdm_queries_total", "OMQ executions.").inc()
+    get_metrics().counter("mdm_queries_total").inc()
 
 :meth:`MetricsRegistry.render_prometheus` emits the text exposition format
 (``# HELP`` / ``# TYPE`` / sample lines, cumulative ``_bucket`` series with
@@ -19,13 +21,16 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "MetricSpec",
+    "METRICS",
     "DEFAULT_BUCKETS",
     "get_metrics",
     "set_metrics",
@@ -334,13 +339,118 @@ class Histogram(Metric):
         }
 
 
+class MetricSpec(NamedTuple):
+    """One catalogued metric: what every use of its name agrees on."""
+
+    name: str
+    kind: str
+    labelnames: Tuple[str, ...]
+    help_text: str
+
+
+def _cache_family(prefix: str) -> List[MetricSpec]:
+    """The hit, miss, eviction and size series of one ``GenerationLRU``."""
+    label = prefix.replace("_", " ")
+    counters = [
+        MetricSpec(f"mdm_{prefix}_{event}_total", "counter", (), f"{label.capitalize()} {event}.")
+        for event in ("hits", "misses", "evictions")
+    ]
+    return counters + [
+        MetricSpec(f"mdm_{prefix}_size", "gauge", (), f"Entries currently held by the {label}.")
+    ]
+
+
+_ROWS = [
+    MetricSpec(*row)
+    for row in (
+        ("mdm_queries_total", "counter", (), "OMQs executed end-to-end."),
+        ("mdm_execute_seconds", "histogram", (), "End-to-end OMQ execution latency."),
+        ("mdm_query_partial_total", "counter", (), "OMQs answered partially after wrapper failures."),
+        ("mdm_rewrite_total", "counter", (), "Walks rewritten into UCQ plans."),
+        ("mdm_rewrite_seconds", "histogram", (), "End-to-end LAV rewriting latency."),
+        ("mdm_rewrite_phase_seconds", "histogram", ("phase",), "Latency of each LAV rewriting phase."),
+        ("mdm_optimizer_rules_applied_total", "counter", ("rule",),
+         "Logical-optimizer rule applications, by rule name."),
+        ("mdm_optimizer_failures_total", "counter", (),
+         "Logical optimizations that failed and fell back to the naive plan."),
+        ("mdm_plan_validation_total", "counter", ("result",),
+         "Static plan schema checks run before execution."),
+        ("mdm_executor_operator_seconds", "histogram", ("op",),
+         "Inclusive latency of relational operators (analyzed runs)."),
+        ("mdm_pushdown_requests_total", "counter", ("kind",),
+         "Wrapper fetch requests by shape (pushed vs full)."),
+        ("mdm_pushdown_rows_transferred_total", "counter", (),
+         "Rows that crossed the wrapper boundary."),
+        ("mdm_pushdown_rows_saved_total", "counter", (),
+         "Rows filtered out source-side before transfer."),
+        ("mdm_wrapper_fetch_seconds", "histogram", ("wrapper",), "Latency of wrapper fetches."),
+        ("mdm_wrapper_rows_total", "counter", ("wrapper",), "Rows delivered by wrapper fetches."),
+        ("mdm_wrapper_errors_total", "counter", ("wrapper",), "Wrapper fetches that raised."),
+        ("mdm_wrapper_retry_total", "counter", ("wrapper",),
+         "Wrapper fetch attempts that failed and were retried."),
+        ("mdm_wrapper_failure_total", "counter", ("wrapper",),
+         "Wrapper fetches that failed terminally after retries."),
+        ("mdm_impact_checks_total", "counter", ("verdict",), "Evolution-impact analyses by verdict."),
+        ("mdm_lint_findings_total", "counter", ("severity",),
+         "Static-analysis findings reported by mdm lint."),
+        ("mdm_http_requests_total", "counter", ("method", "route", "status"),
+         "HTTP-style requests dispatched, by route and status."),
+        ("mdm_http_request_seconds", "histogram", ("route",),
+         "Latency of HTTP-style request handling."),
+        ("mdm_requests_rejected_total", "counter", (),
+         "Requests refused by admission control (HTTP 429)."),
+        ("mdm_http_handler_seconds", "histogram", (),
+         "Time from a connection's handoff to a worker until its "
+         "response is written and its socket shut down."),
+        ("mdm_http_workers", "gauge", (), "Live HTTP handler threads."),
+        ("mdm_traces_sampled_total", "counter", ("decision",),
+         "Trace sampling decisions at root completion."),
+        ("mdm_failpoint_triggers_total", "counter", ("site", "mode"),
+         "Failpoint triggers by site and mode."),
+        ("mdm_scenario_step_seconds", "histogram", ("step",),
+         "Latency of scenario build/release steps."),
+    )
+] + [
+    spec
+    for prefix in ("rewrite_cache", "rewrite_inputs", "result_cache", "wrapper_cache")
+    for spec in _cache_family(prefix)
+]
+
+#: The one declaration of every ``mdm_`` metric, by name.  The registry
+#: takes kind, label names and help text from here; a use of a name
+#: outside the catalog, or one that disagrees with its row, raises.
+METRICS: Mapping[str, MetricSpec] = MappingProxyType({row.name: row for row in _ROWS})
+
+
 class MetricsRegistry:
-    """Named metrics with idempotent get-or-create registration."""
+    """Named metrics with idempotent get-or-create registration.
+
+    A name in :data:`METRICS` gets its catalogued kind, labels and help;
+    an empty help and omitted labels take the catalog's.  Any other
+    ``mdm_`` name raises, and other names (tests, benchmarks) are
+    declared by their first use.
+    """
 
     def __init__(self):
         self._metrics: Dict[str, Metric] = {}
 
     def _get_or_create(self, cls, name: str, help_text: str, labelnames, **kwargs):
+        spec = METRICS.get(name)
+        if spec is not None:
+            if cls.type_name != spec.kind:
+                raise ValueError(f"metric {name!r} is a {spec.kind}, not a {cls.type_name}")
+            if help_text not in ("", spec.help_text):
+                raise ValueError(
+                    f"metric {name!r} has the help {spec.help_text!r}, not {help_text!r}"
+                )
+            if labelnames is not None and tuple(labelnames) != spec.labelnames:
+                raise ValueError(
+                    f"metric {name!r} takes labels {spec.labelnames}, not {tuple(labelnames)}"
+                )
+            help_text, labelnames = spec.help_text, spec.labelnames
+        elif name.startswith("mdm_"):
+            raise ValueError(f"metric {name!r} is not declared in METRICS")
+        labelnames = tuple(labelnames or ())
         existing = self._metrics.get(name)
         if existing is not None:
             if type(existing) is not cls:
@@ -348,10 +458,10 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as "
                     f"{existing.type_name}, not {cls.type_name}"
                 )
-            if tuple(labelnames) != existing.labelnames:
+            if labelnames != existing.labelnames:
                 raise ValueError(
                     f"metric {name!r} registered with labels "
-                    f"{existing.labelnames}, not {tuple(labelnames)}"
+                    f"{existing.labelnames}, not {labelnames}"
                 )
             return existing
         metric = cls(name, help_text, labelnames, **kwargs)
@@ -359,13 +469,13 @@ class MetricsRegistry:
         return metric
 
     def counter(
-        self, name: str, help_text: str = "", labelnames: Sequence[str] = ()
+        self, name: str, help_text: str = "", labelnames: Optional[Sequence[str]] = None
     ) -> Counter:
         """Get or create a counter."""
         return self._get_or_create(Counter, name, help_text, labelnames)
 
     def gauge(
-        self, name: str, help_text: str = "", labelnames: Sequence[str] = ()
+        self, name: str, help_text: str = "", labelnames: Optional[Sequence[str]] = None
     ) -> Gauge:
         """Get or create a gauge."""
         return self._get_or_create(Gauge, name, help_text, labelnames)
@@ -374,7 +484,7 @@ class MetricsRegistry:
         self,
         name: str,
         help_text: str = "",
-        labelnames: Sequence[str] = (),
+        labelnames: Optional[Sequence[str]] = None,
         buckets: Optional[Sequence[float]] = None,
     ) -> Histogram:
         """Get or create a histogram (buckets fixed at first creation)."""

@@ -4,7 +4,8 @@
 executes the Figure 8 OMQ under a captured tracer/registry, and asserts
 that every instrumentation point fired: the three rewriting-phase spans,
 wrapper fetch spans, per-operator executor stats, the Prometheus
-exposition series (including the trace-sampling counter), the query-log
+exposition series (including the trace-sampling counter) with the
+``# HELP`` and ``# TYPE`` lines of their :data:`METRICS` rows, the query-log
 record, and the tracer's thread-safety invariants (a multi-threaded span
 storm must yield unique span ids all parented to their thread's root).
 Exit code 0 on success — wired into the tier-1 test run so a PR cannot
@@ -17,7 +18,7 @@ import sys
 import threading
 from typing import List
 
-from . import capture
+from . import METRICS, capture
 from .querylog import get_query_log, reset_query_log, set_query_log
 from .trace import Tracer
 
@@ -131,6 +132,13 @@ def main(argv=None) -> int:
     for series in REQUIRED_SERIES:
         if series not in exposition:
             failures.append(f"missing metric series {series!r} in /metrics")
+    lines = set(exposition.splitlines())
+    for name in registry.names():
+        spec = METRICS.get(name)
+        if spec is None:
+            failures.append(f"metric {name!r} is not declared in METRICS")
+        elif not {f"# HELP {name} {spec.help_text}", f"# TYPE {name} {spec.kind}"} <= lines:
+            failures.append(f"metric {name!r} is not exposed as its METRICS row says")
 
     records = query_log.recent()
     if len(records) != 1:

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import functools
 import time
-from contextlib import contextmanager
 from typing import Any, Callable, Optional
 
-from .metrics import MetricsRegistry, get_metrics
+from .metrics import METRICS, MetricsRegistry, get_metrics
 from .trace import Tracer, get_tracer
 
-__all__ = ["timed", "time_block"]
+__all__ = ["timed"]
 
 
 def timed(
@@ -33,7 +32,9 @@ def timed(
 ):
     """Decorator timing each call into histogram ``metric`` (+ a span).
 
-    ``labels`` are static label values attached to every observation;
+    ``labels`` are static label values attached to every observation.
+    ``help_text`` defaults to the catalogued one for a name in
+    :data:`~repro.obs.metrics.METRICS`, else to "Latency of <fn> calls.";
     pass ``registry``/``tracer`` to pin the destinations, otherwise the
     process-local ones are resolved at call time (so tests that swap the
     globals see the observations).
@@ -42,7 +43,9 @@ def timed(
 
     def decorate(fn: Callable) -> Callable:
         span_name = f"timed:{fn.__qualname__}"
-        doc = help_text or f"Latency of {fn.__qualname__} calls."
+        doc = help_text
+        if not doc and metric not in METRICS:
+            doc = f"Latency of {fn.__qualname__} calls."
 
         @functools.wraps(fn)
         def wrapper(*args: Any, **kwargs: Any):
@@ -59,20 +62,3 @@ def timed(
         return wrapper
 
     return decorate
-
-
-@contextmanager
-def time_block(
-    metric: str,
-    help_text: str = "",
-    registry: Optional[MetricsRegistry] = None,
-    **labels: Any,
-):
-    """Context-manager form of :func:`timed` for inline blocks."""
-    reg = registry if registry is not None else get_metrics()
-    histogram = reg.histogram(metric, help_text, labelnames=tuple(sorted(labels)))
-    started = time.perf_counter()
-    try:
-        yield histogram
-    finally:
-        histogram.observe(time.perf_counter() - started, **labels)

@@ -513,11 +513,7 @@ class Tracer:
 
     @staticmethod
     def _count_decision(decision: str) -> None:
-        get_metrics().counter(
-            "mdm_traces_sampled_total",
-            "Trace sampling decisions at root completion.",
-            labelnames=("decision",),
-        ).inc(decision=decision)
+        get_metrics().counter("mdm_traces_sampled_total").inc(decision=decision)
 
     # -- inspection ----------------------------------------------------- #
 

@@ -24,7 +24,17 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .graph import Graph
 from .namespaces import RDF, NamespaceManager
-from .terms import BNode, IRI, Literal, Term, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
+from .terms import (
+    BNode,
+    IRI,
+    Literal,
+    Term,
+    XSD_BOOLEAN,
+    XSD_DECIMAL,
+    XSD_DOUBLE,
+    XSD_INTEGER,
+    XSD_STRING,
+)
 from .ntriples import unescape_string
 
 __all__ = ["parse_turtle", "serialize_turtle", "TurtleParseError", "Tokenizer", "Token"]
@@ -323,10 +333,12 @@ def _render_term(term: Term, namespaces: NamespaceManager) -> str:
         if term.datatype in (XSD_INTEGER, XSD_DECIMAL, XSD_BOOLEAN) and _is_plain(term):
             return term.lexical
         n3 = term.n3()
-        if "^^<" in n3:
-            lexical, _, dt = n3.partition("^^")
-            compact = namespaces.compact(IRI(dt[1:-1]))
+        if term.language is None and term.datatype != XSD_STRING:
+            # Take the datatype from the term, not from the text: the
+            # lexical form may itself contain "^^<".
+            compact = namespaces.compact(IRI(term.datatype))
             if compact is not None:
+                lexical = n3.removesuffix(f"^^<{term.datatype}>")
                 return f"{lexical}^^{compact}"
         return n3
     return term.n3()

@@ -347,11 +347,9 @@ class Executor:
             span.set_tag("rows_in", list(stats.rows_in))
             span.set_tag("rows_out", stats.rows_out)
         self._analyze_stack[-1].append(stats)
-        get_metrics().histogram(
-            "mdm_executor_operator_seconds",
-            "Inclusive latency of relational operators (analyzed runs).",
-            labelnames=("op",),
-        ).observe(elapsed, op=type(plan).__name__)
+        get_metrics().histogram("mdm_executor_operator_seconds").observe(
+            elapsed, op=type(plan).__name__
+        )
         return relation
 
     def _dispatch(self, plan: PlanNode) -> Relation:

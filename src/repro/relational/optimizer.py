@@ -9,7 +9,7 @@ optimizer:
 
 1. **Fixpoint rewriting** — local algebraic rules applied bottom-up until
    none fires: selection-conjunction splitting, selection pushdown
-   through π/ρ/∪/δ/ε/γ and into the matching join side, rename fusion,
+   through π/ρ/δ/ε/γ and into the matching join side, rename fusion,
    project fusion, noop elimination, and Distinct/Union flattening with
    duplicate-branch elimination at the UCQ root.
 2. **Projection pruning** — a top-down pass that narrows every subtree
@@ -127,7 +127,6 @@ class PlanOptimizer:
         catalog: Optional[Catalog] = None,
         *,
         pushdown_capabilities: Optional[Mapping[str, frozenset]] = None,
-        type_aware: bool = True,
     ):
         self.catalog: Catalog = dict(catalog or {})
         #: scan name → wrapper capability set ("filters"/"projection"/
@@ -138,11 +137,6 @@ class PlanOptimizer:
             if pushdown_capabilities is None
             else {k: frozenset(v) for k, v in pushdown_capabilities.items()}
         )
-        #: False when the catalog carries placeholder (ANY) types — e.g.
-        #: the pre-fetch pushdown pass built from wrapper signatures.
-        #: Disables the one rewrite whose safety test inspects attribute
-        #: types (σ-through-∪), which would vacuously pass on ANY.
-        self.type_aware = type_aware
         #: ``id(node) -> (node, schema)`` for the run in progress; holding
         #: the node keeps its id from being reused while the entry lives.
         self._schemas: Dict[int, Tuple[PlanNode, RelationSchema]] = {}
@@ -161,8 +155,8 @@ class PlanOptimizer:
         The same passes as :meth:`optimize`, with the fold rules armed
         via ``pushdown_capabilities``; a method of its own so traces tell
         the pre-fetch pass from the typed one.  Meant to be called with a
-        signature-derived (ANY-typed) catalog and ``type_aware=False``;
-        every rule that fires under those settings is name-based and
+        signature-derived (ANY-typed) catalog: no rule reads a column's
+        type, so every rule that fires on it is name-based and
         result-preserving.
         """
         return self._run(plan)
@@ -203,11 +197,7 @@ class PlanOptimizer:
 
     @staticmethod
     def _emit_metrics(stats: OptimizationStats) -> None:
-        counter = get_metrics().counter(
-            "mdm_optimizer_rules_applied_total",
-            "Logical-optimizer rule applications, by rule name.",
-            labelnames=("rule",),
-        )
+        counter = get_metrics().counter("mdm_optimizer_rules_applied_total")
         for rule, count in stats.rules.items():
             counter.inc(count, rule=rule)
 
@@ -303,8 +293,6 @@ class PlanOptimizer:
             return Extend(
                 Select(child.child, plan.predicate), child.column, child.value
             )
-        if isinstance(child, Union):
-            return self._push_select_union(plan, child, stats)
         if isinstance(child, (NaturalJoin, EquiJoin)):
             return self._push_select_join(plan, child, refs, stats)
         if isinstance(child, Aggregate):
@@ -398,41 +386,6 @@ class PlanOptimizer:
         stats.count("project_pushed_into_scan")
         return Scan(
             child.relation_name, child.filters, tuple(plan.names), child.limit
-        )
-
-    def _push_select_union(
-        self, plan: Select, child: Union, stats: OptimizationStats
-    ) -> Optional[PlanNode]:
-        """σ(l ∪ r) → σ(l) ∪ σ(r), but only when safe under widening.
-
-        The union coerces both branches to a widened common type before
-        the predicate would see the rows; below the union the predicate
-        sees each branch's raw values.  Only push when every referenced
-        column already has the widened type on both sides, so the values
-        the predicate evaluates are unchanged.  Requires a type-aware
-        catalog: on placeholder (ANY) schemas the test would vacuously
-        pass, so a type-blind optimizer never fires this rule.
-        """
-        if not self.type_aware:
-            return None
-        refs = plan.predicate.references()
-        try:
-            left_schema = self._schema(child.left)
-            right_schema = self._schema(child.right)
-            widened = child.derive(left_schema, right_schema)
-            for name in refs:
-                attr = widened.attribute(name)
-                if (
-                    left_schema.attribute(name).type != attr.type
-                    or right_schema.attribute(name).type != attr.type
-                ):
-                    return None
-        except SchemaError:
-            return None
-        stats.count("select_pushdown_union")
-        return Union(
-            Select(child.left, plan.predicate),
-            Select(child.right, plan.predicate),
         )
 
     def _push_select_join(

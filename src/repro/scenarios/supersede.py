@@ -105,8 +105,7 @@ class SupersedeScenario:
     records: Dict[str, list] = field(default_factory=dict)
 
     @classmethod
-    @timed("mdm_scenario_step_seconds", "Latency of scenario build/release steps.",
-           step="supersede_build")
+    @timed("mdm_scenario_step_seconds", step="supersede_build")
     def build(
         cls,
         seed: int = 7,
@@ -280,8 +279,7 @@ class SupersedeScenario:
         NestFields(("sentiment",), "analysis"),
     )
 
-    @timed("mdm_scenario_step_seconds", "Latency of scenario build/release steps.",
-           step="release_twitter_v2")
+    @timed("mdm_scenario_step_seconds", step="release_twitter_v2")
     def release_twitter_v2(self, retire_v1: bool = False) -> RestWrapper:
         """Twitter API v2: renames ``text`` and nests the sentiment."""
         v2 = self.feedback_v1.successor(list(self.TWITTER_V2_CHANGES))
@@ -314,8 +312,7 @@ class SupersedeScenario:
         RenameField("value", "reading"),
     )
 
-    @timed("mdm_scenario_step_seconds", "Latency of scenario build/release steps.",
-           step="release_monitoring_v2")
+    @timed("mdm_scenario_step_seconds", step="release_monitoring_v2")
     def release_monitoring_v2(self, retire_v1: bool = False) -> RestWrapper:
         """Monitoring v2: renames the metric fields."""
         v2 = self.metrics_v1.successor(list(self.MONITORING_V2_CHANGES))

@@ -19,7 +19,9 @@ LAV mappings (steward):
     ``GET  /wrappers/:name/suggestion``  semi-automatic accommodation
 
 Querying (analyst):
-    ``POST /query``                      {"nodes": [iri, ...], "execute"?: bool, "on_wrapper_error"?: "raise"|"skip"|"partial"}
+    ``POST /query``                      {"nodes": [iri, ...], "execute"?: bool, "use_cache"?: bool,
+                                          "on_wrapper_error"?: "raise"|"skip"|"partial"}
+    ``POST /query/sparql``               {"sparql": text, ...}; the other keys and the answer as above
     ``GET  /metadata/trig``              the TriG snapshot
     ``GET  /lint``                       static diagnostics (?saved=false, ?plans=false)
 
@@ -52,6 +54,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from ..core.mdm import MDM
 from ..core.errors import MdmError
+from ..core.walks import Walk
 from ..rdf.terms import IRI
 from ..sources.wrappers import StaticWrapper
 from .http import JsonRequest, JsonResponse, Router, ServiceError
@@ -274,6 +277,21 @@ class MdmService:
         if not isinstance(nodes, list) or not nodes:
             raise ServiceError(400, "nodes must be a non-empty list of IRIs")
         walk = self.mdm.walk_from_nodes([_iri(n, "walk node") for n in nodes])
+        return self._query_response(walk, request)
+
+    def _post_sparql_query(self, request: JsonRequest) -> Dict[str, Any]:
+        """Pose an OMQ as SPARQL text: ``{"sparql": "...", ...}``, the
+        other keys as for ``POST /query``."""
+        (text,) = request.require("sparql")
+        try:
+            walk = self.mdm.walk_from_sparql(text)
+        except MdmError as exc:
+            raise ServiceError(422, str(exc)) from exc
+        return self._query_response(walk, request)
+
+    def _query_response(self, walk: Walk, request: JsonRequest) -> Dict[str, Any]:
+        """Rewrite the walk, and run it unless ``execute`` is false,
+        honouring ``on_wrapper_error`` and ``use_cache``."""
         execute = request.typed("execute", "boolean", True)
         on_error = request.body.get("on_wrapper_error", "raise")
         use_cache = request.typed("use_cache", "boolean", True)
@@ -310,33 +328,6 @@ class MdmService:
             if outcome.partial:
                 payload["skipped_wrappers"] = list(outcome.skipped_wrappers)
         return payload
-
-    def _post_sparql_query(self, request: JsonRequest) -> Dict[str, Any]:
-        """Pose an OMQ as SPARQL text: ``{"sparql": "...", "execute"?: bool}``."""
-        (text,) = request.require("sparql")
-        execute = request.typed("execute", "boolean", True)
-        from ..core.sparql_frontend import walk_from_sparql
-
-        try:
-            walk = walk_from_sparql(self.mdm.global_graph, text)
-            if execute:
-                outcome = self.mdm.execute(walk)
-                return {
-                    "sparql": outcome.rewrite.sparql,
-                    "algebra": outcome.rewrite.pretty(),
-                    "ucq_size": outcome.rewrite.ucq_size,
-                    "columns": list(outcome.relation.schema.names),
-                    "rows": [list(r) for r in outcome.relation.rows],
-                }
-            rewrite = self.mdm.rewrite(walk)
-            return {
-                "sparql": rewrite.sparql,
-                "algebra": rewrite.pretty(),
-                "ucq_size": rewrite.ucq_size,
-                "columns": list(rewrite.projection),
-            }
-        except MdmError as exc:
-            raise ServiceError(422, str(exc)) from exc
 
     def _post_saved_query(self, request: JsonRequest) -> Dict[str, Any]:
         """Save a named query: ``{"name", "nodes": [...], "description"?}``."""

@@ -149,11 +149,7 @@ class Router:
         ``http:<METHOD> <pattern>`` span when tracing is enabled.
         """
         metrics = get_metrics()
-        requests_total = metrics.counter(
-            "mdm_http_requests_total",
-            "HTTP-style requests dispatched, by route and status.",
-            labelnames=("method", "route", "status"),
-        )
+        requests_total = metrics.counter("mdm_http_requests_total")
         for route in self._routes:
             params = route.match(method, path)
             if params is None:
@@ -184,11 +180,9 @@ class Router:
                 route=route.pattern,
                 status=str(response.status),
             )
-            metrics.histogram(
-                "mdm_http_request_seconds",
-                "Latency of HTTP-style request handling.",
-                labelnames=("route",),
-            ).observe(time.perf_counter() - started, route=route.pattern)
+            metrics.histogram("mdm_http_request_seconds").observe(
+                time.perf_counter() - started, route=route.pattern
+            )
             return response
         requests_total.inc(
             method=method.upper(), route="<unmatched>", status="404"

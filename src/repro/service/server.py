@@ -82,7 +82,19 @@ class _MdmRequestHandler(BaseHTTPRequestHandler):
         # segment and wake-up.
         self.wfile = self._response = io.BytesIO()
 
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionResetError:
+            # The client reset while its request was read: drop it
+            # unanswered.  A stall there raises TimeoutError, which
+            # handle_one_request already drops.
+            self.close_connection = True
+
     def finish(self) -> None:
+        # Idle before the response leaves: a client that reconnects as
+        # soon as it has read it finds this worker idle and starts no other.
+        self.server.count_idle()
         try:
             self.connection.sendall(self._response.getvalue())
         except (BrokenPipeError, ConnectionResetError, TimeoutError):
@@ -139,10 +151,7 @@ class _MdmRequestHandler(BaseHTTPRequestHandler):
             # Saturated: drain the request so the client can read the
             # response, then bounce with back-pressure advice.
             self._read_body()
-            get_metrics().counter(
-                "mdm_requests_rejected_total",
-                "Requests refused by admission control (HTTP 429).",
-            ).inc()
+            get_metrics().counter("mdm_requests_rejected_total").inc()
             self._send(
                 429,
                 {"error": "server saturated; retry later"},
@@ -219,6 +228,8 @@ class MdmHttpServer(HTTPServer):
         #: Workers done with their last connection and not yet handed one.
         self._idle = 0
         self._pool_lock = threading.Lock()
+        #: ``busy``: the worker's connection is not yet counted idle.
+        self._worker_state = threading.local()
 
     # ------------------------------------------------------------------ #
     # the handler pool
@@ -242,9 +253,7 @@ class MdmHttpServer(HTTPServer):
         self._handoffs.put((request, client_address, time.perf_counter()))
 
     def _work(self) -> None:
-        workers = get_metrics().gauge(
-            "mdm_http_workers", "Live HTTP handler threads."
-        )
+        workers = get_metrics().gauge("mdm_http_workers")
         workers.inc()
         try:
             while (handoff := self._handoffs.get()) is not None:
@@ -254,26 +263,28 @@ class MdmHttpServer(HTTPServer):
         finally:
             workers.dec()
 
+    def count_idle(self) -> None:
+        """Count the calling worker idle, once per connection."""
+        if self._worker_state.busy:
+            self._worker_state.busy = False
+            with self._pool_lock:
+                self._idle += 1
+
     def _serve(
         self, request: socket.socket, client_address: Any, handed_off: float
     ) -> None:
         request.settimeout(SOCKET_TIMEOUT_S)
+        self._worker_state.busy = True
         try:
             self.finish_request(request, client_address)
         except Exception:  # noqa: BLE001 — the worker must outlive any request
             self.handle_error(request, client_address)
         finally:
-            # Idle before the socket closes: a client that reads to the
-            # end of the stream and reconnects finds this worker idle and
-            # starts no other.
-            with self._pool_lock:
-                self._idle += 1
+            self.count_idle()  # if setup() raised, finish() did not run
             self.shutdown_request(request)
-        get_metrics().histogram(
-            "mdm_http_handler_seconds",
-            "Time from a connection's handoff to a worker until its "
-            "response is written and its socket shut down.",
-        ).observe(time.perf_counter() - handed_off)
+        get_metrics().histogram("mdm_http_handler_seconds").observe(
+            time.perf_counter() - handed_off
+        )
 
     # ------------------------------------------------------------------ #
     # lifecycle

@@ -327,18 +327,10 @@ class Wrapper:
             except Exception as exc:  # noqa: BLE001 — policy decides
                 last_error = exc
                 if attempt < policy.attempts:
-                    metrics.counter(
-                        "mdm_wrapper_retry_total",
-                        "Wrapper fetch attempts that failed and were retried.",
-                        labelnames=("wrapper",),
-                    ).inc(wrapper=self.name)
+                    metrics.counter("mdm_wrapper_retry_total").inc(wrapper=self.name)
                     _failpoint("retry.sleep", key=self.name)
                     policy.sleep(policy.backoff_s(attempt))
-        metrics.counter(
-            "mdm_wrapper_failure_total",
-            "Wrapper fetches that failed terminally after retries.",
-            labelnames=("wrapper",),
-        ).inc(wrapper=self.name)
+        metrics.counter("mdm_wrapper_failure_total").inc(wrapper=self.name)
         assert last_error is not None
         strict = policy.attempts == 1 and policy.timeout_s is None
         if strict or isinstance(last_error, WrapperTimeoutError):
@@ -401,23 +393,15 @@ class Wrapper:
                         rows_source=len(rows),
                     )
             except Exception as exc:
-                metrics.counter(
-                    "mdm_wrapper_errors_total",
-                    "Wrapper fetches that raised.",
-                    labelnames=("wrapper",),
-                ).inc(wrapper=self.name)
+                metrics.counter("mdm_wrapper_errors_total").inc(wrapper=self.name)
                 span.set_tag("attempts", getattr(exc, "attempts", 1))
                 raise
-            metrics.histogram(
-                "mdm_wrapper_fetch_seconds",
-                "Latency of wrapper fetches.",
-                labelnames=("wrapper",),
-            ).observe(time.perf_counter() - started, wrapper=self.name)
-            metrics.counter(
-                "mdm_wrapper_rows_total",
-                "Rows delivered by wrapper fetches.",
-                labelnames=("wrapper",),
-            ).inc(result.rows_transferred, wrapper=self.name)
+            metrics.histogram("mdm_wrapper_fetch_seconds").observe(
+                time.perf_counter() - started, wrapper=self.name
+            )
+            metrics.counter("mdm_wrapper_rows_total").inc(
+                result.rows_transferred, wrapper=self.name
+            )
             span.set_tag("rows", result.rows_transferred)
             span.set_tag("attempts", attempts)
             return result, attempts

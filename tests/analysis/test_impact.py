@@ -433,9 +433,7 @@ def test_record_gate_is_defense_in_depth(scenario):
 
 def test_impact_metrics_and_log(scenario):
     mdm = scenario.mdm
-    counter = get_metrics().counter(
-        "mdm_impact_checks_total", "", labelnames=("verdict",)
-    )
+    counter = get_metrics().counter("mdm_impact_checks_total")
     before = counter.value(verdict="broken")
     mdm.analyze_impact(WrapperRetirement(wrapper="w1"))
     assert counter.value(verdict="broken") == before + 1

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import lint_mdm
 from repro.cli import main as cli_main
 from repro.core.errors import PlanValidationError
-from repro.obs import get_metrics
+from repro.obs import capture, get_metrics
 from repro.relational.algebra import Project
 from repro.relational.optimizer import PlanOptimizer
 from repro.scenarios.broken import EXPECTED_CODES, broken_mdm
@@ -60,18 +60,22 @@ def test_strict_mode_fails_on_warnings_only():
 
 
 def test_lint_emits_metrics():
-    before = (
-        get_metrics()
-        .counter("mdm_lint_findings_total", "", labelnames=("severity",))
-        .value(severity="error")
-    )
+    counter = get_metrics().counter("mdm_lint_findings_total")
+    before = counter.value(severity="error")
     lint_mdm(broken_mdm())
-    after = (
-        get_metrics()
-        .counter("mdm_lint_findings_total", "", labelnames=("severity",))
-        .value(severity="error")
-    )
+    after = counter.value(severity="error")
     assert after > before
+
+
+def test_a_read_with_empty_help_before_lint_keeps_the_help_line():
+    with capture() as (_, registry):
+        assert registry.counter("mdm_lint_findings_total", "").value(severity="error") == 0
+        lint_mdm(broken_mdm())
+        text = registry.render_prometheus()
+    assert (
+        "# HELP mdm_lint_findings_total Static-analysis findings reported by mdm lint.\n"
+        in text
+    )
 
 
 # --- saved-query plan checking inside lint ----------------------------- #
@@ -148,11 +152,7 @@ def test_validation_metrics_and_explain_analyze():
     outcome = mdm.execute(scenario.walk_player_team_names(), analyze=True)
     assert outcome.plan_findings == ()
     assert "Plan check: passed (no findings)" in outcome.explain_analyze()
-    ok_count = (
-        get_metrics()
-        .counter("mdm_plan_validation_total", "", labelnames=("result",))
-        .value(result="ok")
-    )
+    ok_count = get_metrics().counter("mdm_plan_validation_total").value(result="ok")
     assert ok_count >= 1
 
 

@@ -320,8 +320,8 @@ class TestHistogramPercentiles:
 class TestRegistrySummary:
     def test_summary_covers_histograms_only(self):
         registry = MetricsRegistry()
-        registry.counter("mdm_queries_total", "q").inc()
-        hist = registry.histogram("mdm_execute_seconds", "lat")
+        registry.counter("mdm_queries_total").inc()
+        hist = registry.histogram("mdm_execute_seconds")
         for v in (0.001, 0.002, 0.004):
             hist.observe(v)
         summary = registry.summary()

@@ -211,6 +211,15 @@ class TestTurtle:
         g.add((EX.a, EX.note, Literal("café", lang="fr")))
         assert parse_turtle(serialize_turtle(g)) == g
 
+    def test_serialize_lexical_containing_datatype_marker(self):
+        g = Graph()
+        g.add((EX.a, EX.p, Literal("^^<")))
+        g.add((EX.a, EX.p, Literal("^^<", lang="en")))
+        g.add((EX.a, EX.p, Literal("x^^<y", datatype=XSD.date)))
+        text = serialize_turtle(g)
+        assert '"x^^<y"^^xsd:date' in text
+        assert parse_turtle(text) == g
+
     def test_serialize_groups_subjects(self):
         g = Graph()
         g.namespaces.bind("ex", EX)

@@ -498,9 +498,7 @@ class TestRetryPolicy:
         assert attempts == 3
         assert len(rows) == 2
         assert virtual_clock.sleeps == [0.01, 0.02]
-        retry_counter = isolated_metrics.counter(
-            "mdm_wrapper_retry_total", "", labelnames=("wrapper",)
-        )
+        retry_counter = isolated_metrics.counter("mdm_wrapper_retry_total")
         assert retry_counter.value(wrapper="wf") == 2
 
     def test_jitter_hook_shapes_backoff_deterministically(self):
@@ -533,9 +531,7 @@ class TestRetryPolicy:
         assert exc.value.attempts == 3
         assert dead.calls == 3
         assert virtual_clock.sleeps == [0.05, 0.1]  # default base × 2
-        failure_counter = isolated_metrics.counter(
-            "mdm_wrapper_failure_total", "", labelnames=("wrapper",)
-        )
+        failure_counter = isolated_metrics.counter("mdm_wrapper_failure_total")
         assert failure_counter.value(wrapper="wd") == 1
 
     def test_per_attempt_timeout_is_enforced(self, virtual_clock):
@@ -604,9 +600,7 @@ class TestPartialResults:
         assert names == {f"wa thing {i}" for i in range(2)} | {
             f"wb thing {i}" for i in range(2)
         }
-        partial_counter = isolated_metrics.counter(
-            "mdm_query_partial_total", ""
-        )
+        partial_counter = isolated_metrics.counter("mdm_query_partial_total")
         assert partial_counter.value() == 1
 
     def test_skip_is_an_alias_for_partial(self):

@@ -117,9 +117,7 @@ def extract(plan, caps=frozenset({"filters", "projection"})):
     catalog = {
         "w": RelationSchema([Attribute("x", AttrType.ANY), Attribute("y", AttrType.ANY)])
     }
-    optimizer = PlanOptimizer(
-        catalog, pushdown_capabilities={"w": caps}, type_aware=False
-    )
+    optimizer = PlanOptimizer(catalog, pushdown_capabilities={"w": caps})
     return optimizer.extract_pushdown(plan)[0]
 
 

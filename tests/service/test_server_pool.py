@@ -5,9 +5,10 @@ worker starts only when none is idle, up to ``max_in_flight + 1``, and
 ``stop()`` joins them all once the accepted connections are answered.
 These tests pin what reuse must not change: admission still answers
 429 while every slot is held, a silent client neither blocks others
-nor keeps its worker, a reset client leaves no traceback, and no
-request inherits a read-lock depth or a span from the request before
-it on the same worker.
+nor keeps its worker, a client that resets or stalls mid-request or
+resets mid-response leaves no traceback, clients that reconnect at once
+find the worker idle, and no request inherits a read-lock depth or a
+span from the request before it on the same worker.
 
 The clients speak raw HTTP/1.0 and read to the end of the stream, which
 arrives only after the worker is done with the connection, so a
@@ -15,6 +16,7 @@ sequential client always finds the previous request's worker idle.
 Every thread is joined under a timeout.
 """
 
+import http.client
 import json
 import socket
 import struct
@@ -223,6 +225,69 @@ def test_a_reset_client_prints_no_traceback(service, capsys):
         held.release()
         server.stop()
     assert "Traceback" not in capsys.readouterr().err
+
+
+def partial_body_request():
+    """A ``POST /query`` that announces 100 body bytes and sends 8."""
+    head = b"POST /query HTTP/1.0\r\nContent-Length: 100\r\n\r\n"
+    return head + b'{"nodes"'
+
+
+@pytest.mark.parametrize("drop", ["reset", "stall"])
+def test_a_client_dropped_mid_body_prints_no_traceback(service, capsys, monkeypatch, drop):
+    """A client that resets, or stalls past the socket timeout, while its
+    body is read is dropped unanswered: nothing on stderr, its admission
+    slot released and its worker answering the next request."""
+    monkeypatch.setattr(server_module, "SOCKET_TIMEOUT_S", 0.5)
+    handled = get_metrics().histogram("mdm_http_handler_seconds")
+    server = MdmHttpServer(service, port=0, max_in_flight=1).start()
+    try:
+        before = handled.count()
+        client = socket.create_connection(server.server_address[:2], timeout=JOIN_S)
+        client.sendall(partial_body_request())
+        time.sleep(0.2)  # the worker is now waiting for the other 92 bytes
+        if drop == "reset":
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            client.close()
+        else:
+            assert client.recv(1) == b""  # dropped after the timeout, unanswered
+            client.close()
+        wait_for(lambda: handled.count() == before + 1)  # done with the dropped one
+        response = exchange(server, request_bytes("POST", "/query", QUERY))
+        assert status_of(response) == 200  # the only admission slot is free
+        assert len(live_workers()) == 1
+    finally:
+        server.stop()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_two_reconnecting_clients_need_at_most_three_workers(service):
+    """Two ``http.client`` clients, each posting queries back to back:
+    ``http.client`` stops reading at ``Content-Length`` and reconnects at
+    once, so a worker counted idle only after its response left would
+    often be passed over and another started."""
+    workers = get_metrics().gauge("mdm_http_workers")
+    before = workers.value()
+    with MdmHttpServer(service, port=0) as server:
+        host, port = server.server_address[:2]
+        body = json.dumps(QUERY)
+
+        def client():
+            statuses = []
+            for _ in range(150):
+                connection = http.client.HTTPConnection(host, port, timeout=JOIN_S)
+                connection.request("POST", "/query", body)
+                response = connection.getresponse()
+                response.read()
+                connection.close()
+                statuses.append(response.status)
+            return statuses
+
+        threads, results = in_threads(client, 2)
+        join_all(threads)
+        assert workers.value() - before <= 3
+    assert [set(result) for result in results] == [{200}, {200}]
+    assert live_workers() == []
 
 
 # --- nothing carries over between requests on one worker ------------------- #
