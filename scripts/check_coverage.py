@@ -2,21 +2,21 @@
 """Coverage gate for the most failure-prone modules (CI ``coverage`` job).
 
 The failpoint registry, the readers-writer lock, the LRU behind every
-generation-keyed cache, the rewrite cache and its rewriter-inputs map,
-the result cache, the MDM facade that runs every query and mutation,
-the query log it writes, the execution configuration, the operators'
-schema rules and structure, the plan checker that applies them, the
-optimizer and executor that rewrite and run every plan, the wrappers
-and wrapper cache that answer its pushed Scans, the mock REST server,
-payload decoding and typed relations beneath them, the saved-query
-registry and impact analyzer that replay the saved queries, the
-document store that keeps the releases, saved queries and query log,
-the metrics registry and the catalog every metric is declared in,
-the RDF terms, namespaces, graphs, datasets and compiled LAV views
-every governance step reads through, the walks every query starts
-from, and the HTTP server's handler pool in front of the service are
-the pieces whose untested
-branches bite hardest — a silent hole in any shows up as a flaky
+generation-keyed cache, the LAV rewriter, the rewrite cache and its
+rewriter-inputs and expansions maps, the result cache, the MDM facade
+that runs every query and mutation, the query log it writes, the
+execution configuration, the operators' schema rules and structure,
+the plan checker that applies them, the optimizer and executor that
+rewrite and run every plan, the wrappers and wrapper cache that answer
+its pushed Scans, the mock REST server, payload decoding and typed
+relations beneath them, the saved-query registry and impact analyzer
+that replay the saved queries, the document store that keeps the
+releases, saved queries and query log, the metrics registry and the
+catalog every metric is declared in, the RDF terms, namespaces,
+graphs, datasets and compiled LAV views every governance step reads
+through, the walks every query starts from, and the service API and
+the HTTP server's handler pool in front of it are the pieces whose
+untested branches bite hardest — a silent hole in any shows up as a flaky
 production incident, a wrongly rejected plan or a wrong answer, not a
 failing assertion.  This gate reads a ``coverage.json`` report
 (``pytest --cov=repro --cov-report=json:coverage.json``) and fails
@@ -54,6 +54,7 @@ GATED_FILES = (
     "repro/core/registry.py",
     "repro/core/result_cache.py",
     "repro/core/rewrite_cache.py",
+    "repro/core/rewriting.py",
     "repro/core/walks.py",
     "repro/core/wrapper_cache.py",
     "repro/docstore/store.py",
@@ -67,6 +68,7 @@ GATED_FILES = (
     "repro/relational/executor.py",
     "repro/relational/optimizer.py",
     "repro/relational/relation.py",
+    "repro/service/api.py",
     "repro/service/server.py",
     "repro/sources/formats.py",
     "repro/sources/restapi.py",

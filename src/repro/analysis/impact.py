@@ -312,15 +312,18 @@ def shadow_mdm(mdm: "MDM") -> "MDM":
     an analysis rewrite alike; runtime wrappers become no-fetch proxies;
     the impact gate is off (the shadow must accept the proposal so its
     consequences can be measured).  The shadow keeps its own empty
-    document store.  Its rewrite cache shares the live one's inputs map
-    (:attr:`~repro.core.rewrite_cache.RewriteCache.by_inputs`): the
-    copied graphs keep their stamps, so once the analysed change is
-    applied to the live MDM, the live replays find the shadow's
-    rewrites there.  Its generation-keyed entries stay its own: its
-    generation starts at the live one and moves as the live one would,
-    so shared entries could serve its plans to live queries.  The
-    caller is expected to hold the real MDM's read lock so the copy is
-    a consistent snapshot.
+    document store.  The copied graphs keep their stamps, so the
+    shadow's LAV store starts from the live store's views and compiles
+    only those the proposal touches.  Its rewrite cache shares the live
+    one's inputs and expansions maps
+    (:attr:`~repro.core.rewrite_cache.RewriteCache.by_inputs`,
+    :attr:`~repro.core.rewrite_cache.RewriteCache.expansions`), so once
+    the analysed change is applied to the live MDM, the live replays
+    find the shadow's rewrites there.  Its generation-keyed entries
+    stay its own: its generation starts at the live one and moves as
+    the live one would, so shared entries could serve its plans to live
+    queries.  The caller is expected to hold the real MDM's read lock
+    so the copy is a consistent snapshot.
     """
     from ..core.global_graph import GlobalGraph
     from ..core.lav import LavMappingStore
@@ -340,18 +343,20 @@ def shadow_mdm(mdm: "MDM") -> "MDM":
     shadow.global_graph = GlobalGraph(shadow.dataset.graph(M.globalGraph))
     shadow.source_graph = SourceGraph(shadow.dataset.graph(M.sourceGraph))
     shadow.mappings = LavMappingStore(
-        shadow.dataset, shadow.global_graph, shadow.source_graph
+        shadow.dataset, shadow.global_graph, shadow.source_graph, seed=mdm.mappings
+    )
+    live_cache = mdm.rewrite_cache
+    shadow.rewrite_cache = RewriteCache(
+        live_cache.capacity, live_cache.by_inputs, live_cache.expansions
     )
     shadow.rewriter = Rewriter(
         shadow.global_graph,
         shadow.mappings,
         mdm.rewriter.max_cover_size,
         mdm.rewriter.minimize,
+        live_cache.expansions,
     )
     shadow.rewriter.stamp = mdm.rewriter.stamp
-    shadow.rewrite_cache = RewriteCache(
-        mdm.rewrite_cache.capacity, mdm.rewrite_cache.by_inputs
-    )
     shadow._clock = mdm._clock  # the copy keeps the stamps it counts
     shadow.wrappers = {
         name: _NoFetchWrapper(w) for name, w in mdm.wrappers.items()

@@ -27,27 +27,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
+from ..obs import get_metrics
 from ..rdf.dataset import Dataset
 from ..rdf.graph import Graph
-from ..rdf.namespaces import OWL, RDF
+from ..rdf.namespaces import OWL, RDF, RDFS
 from ..rdf.paths import connected_components
 from ..rdf.terms import IRI, Triple
 from .errors import MappingError
 from .global_graph import GlobalGraph
 from .source_graph import SourceGraph
-from .vocabulary import G
+from .vocabulary import G, S
 
 __all__ = ["LavMapping", "MappingView", "LavMappingStore"]
+
+#: The source-graph predicates a view reads, of its wrapper and of the
+#: wrapper's attributes: the signature, the links and the names.
+_VIEW_FACTS = (S.hasAttribute, OWL.sameAs, RDFS.label)
 
 
 @dataclass(frozen=True)
 class MappingView:
     """A resolved, query-ready view of one wrapper's LAV mapping.
 
-    Views are compiled once per metadata state and shared by every
-    reader, so they are read-only throughout.
+    A view is compiled once per state of what it reads and shared by
+    every reader, so it is read-only throughout.
     """
 
     wrapper: IRI
@@ -85,12 +90,21 @@ class LavMapping:
 class LavMappingStore:
     """Defines, validates and serves LAV mappings over the MDM dataset.
 
-    The views are compiled together, once per metadata state: they are
-    kept under :attr:`Dataset.stamp <repro.rdf.dataset.Dataset.stamp>`
-    (taken with the stamps of the global and source graphs, which are
-    graphs of the dataset in MDM but need not be) and recompiled when it
-    moves.  Each compile also computes the views' hashable value
-    (:meth:`views_value`), which the rewrite cache keys on.
+    The views are served under :attr:`Dataset.stamp
+    <repro.rdf.dataset.Dataset.stamp>` (taken with the stamps of the
+    global and source graphs, which are graphs of the dataset in MDM but
+    need not be).  When it moves, each mapped wrapper's view is
+    recompiled only if its key changed: the stamps of the wrapper's
+    named graph and of the global graph, and the source-graph facts
+    (:data:`_VIEW_FACTS`) about the wrapper and its attributes, which is
+    all a compile reads.  A release or a retirement thus compiles at
+    most the views of the wrappers it maps.  Each pass also computes the
+    views' hashable value (:meth:`views_value`), which the rewrite
+    cache keys on.
+
+    ``seed`` starts the store from another store's views: the impact
+    shadow's copied graphs keep the live stamps, so its keys match and
+    it compiles only what its change touches.
     """
 
     def __init__(
@@ -98,13 +112,18 @@ class LavMappingStore:
         dataset: Dataset,
         global_graph: GlobalGraph,
         source_graph: SourceGraph,
+        seed: Optional["LavMappingStore"] = None,
     ):
         self.dataset = dataset
         self.global_graph = global_graph
         self.source_graph = source_graph
-        #: ``(stamp, {wrapper: view}, views value)``, replaced whole so
-        #: concurrent readers never pair parts of two compiles.
-        self._compiled: Tuple[int, Dict[IRI, MappingView], tuple] = (-1, {}, ())
+        #: ``(stamp, {wrapper: (key, view)}, views value)``, replaced
+        #: whole so concurrent readers never pair parts of two passes.
+        self._compiled: Tuple[int, Dict[IRI, Tuple[tuple, MappingView]], tuple] = (
+            -1,
+            {} if seed is None else seed._compiled[1],
+            (),
+        )
 
     # ------------------------------------------------------------------ #
     # definition
@@ -405,14 +424,14 @@ class LavMappingStore:
 
     def view(self, wrapper: IRI) -> MappingView:
         """The query-ready :class:`MappingView` for ``wrapper``."""
-        view = self._current()[1].get(wrapper)
-        if view is None:
+        entry = self._current()[1].get(wrapper)
+        if entry is None:
             raise MappingError(f"no LAV mapping defined for {wrapper}")
-        return view
+        return entry[1]
 
     def views(self) -> List[MappingView]:
         """Views for every mapped wrapper, sorted by wrapper IRI."""
-        return list(self._current()[1].values())
+        return [view for _, view in self._current()[1].values()]
 
     def views_value(self) -> tuple:
         """The views of :meth:`views`, in order, as one hashable value.
@@ -423,14 +442,22 @@ class LavMappingStore:
         """
         return self._current()[2]
 
-    def _current(self) -> Tuple[int, Dict[IRI, MappingView], tuple]:
-        """``(stamp, views, views value)``, recompiled first if the
-        metadata changed."""
+    def _current(self) -> Tuple[int, Dict[IRI, Tuple[tuple, MappingView]], tuple]:
+        """``(stamp, {wrapper: (key, view)}, views value)``, brought up
+        to date first if the metadata changed."""
         graphs = (self.global_graph.graph, self.source_graph.graph)
         stamp = max(self.dataset.stamp, *(g.stamp for g in graphs))
         compiled = self._compiled
         if compiled[0] != stamp:
-            views = {w: self._compile(w) for w in self.mapped_wrappers()}
+            known = compiled[1]
+            keyed = {}
+            for wrapper in self.mapped_wrappers():
+                key = self._key(wrapper)
+                entry = known.get(wrapper)
+                keyed[wrapper] = (
+                    entry if entry is not None and entry[0] == key
+                    else (key, self._compile(wrapper))
+                )
             value = tuple(
                 (
                     view.wrapper,
@@ -439,12 +466,29 @@ class LavMappingStore:
                     frozenset(view.feature_attributes.items()),
                     view.edges,
                 )
-                for view in views.values()
+                for _, view in keyed.values()
             )
-            compiled = self._compiled = (stamp, views, value)
+            compiled = self._compiled = (stamp, keyed, value)
         return compiled
 
+    def _key(self, wrapper: IRI) -> tuple:
+        """Everything :meth:`_compile` reads for ``wrapper``: equal keys
+        compile equal views."""
+        graph = self.source_graph.graph
+        facts = frozenset(
+            (subject, predicate, obj)
+            for subject in (wrapper, *graph.objects(wrapper, S.hasAttribute))
+            for predicate in _VIEW_FACTS
+            for obj in graph.objects(subject, predicate)
+        )
+        return (
+            self.dataset.graph(wrapper).stamp,
+            self.global_graph.graph.stamp,
+            facts,
+        )
+
     def _compile(self, wrapper: IRI) -> MappingView:
+        get_metrics().counter("mdm_lav_view_compiles_total").inc()
         named = self.dataset.graph(wrapper)
         concepts = frozenset(self._concepts_in(named))
         included_features = {

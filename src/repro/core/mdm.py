@@ -71,7 +71,7 @@ from .releases import (
     MappingSuggestion,
     suggest_mapping,
 )
-from .rewrite_cache import RewriteEntry, walk_cache_key
+from .rewrite_cache import RewriteCache, RewriteEntry, walk_cache_key
 from .rewriting import Rewriter, RewriteResult
 from .source_graph import SourceGraph, WrapperRegistration
 from .vocabulary import G, M, S, mdm_namespace_manager, mint_local
@@ -88,11 +88,34 @@ FetchOutcome = Union[Tuple[FetchResult, int], Exception]
 #: helpers).  Past that, a query gets the helpers that are free and
 #: fetches the other groups itself.
 _FETCH_HELPERS = DEFAULT_MAX_IN_FLIGHT * (ExecutionConfig.max_fetch_workers - 1)
+#: Fetch-pool threads started in this process (they never exit before
+#: the interpreter does), guarded by ``_helpers_lock``.
+_helpers_started = 0
+_helpers_lock = threading.Lock()
+
+
+def _count_helpers(started: int) -> None:
+    """Add ``started`` to the fetch-pool threads and set the
+    ``mdm_fetch_helpers`` gauge to their number.
+
+    The pool's initializer adds 1 as each thread starts; a query that
+    submits a helper adds 0, which sets the gauge again in whatever
+    metrics registry is current.
+    """
+    global _helpers_started
+    with _helpers_lock:
+        _helpers_started += started
+        get_metrics().gauge("mdm_fetch_helpers").set(_helpers_started)
+
+
 #: The fetch helpers every MDM and query shares.  Its threads start on
 #: demand and stay alive; the idle ones are joined at interpreter exit
 #: by :mod:`concurrent.futures`.
 _FETCH_POOL = ThreadPoolExecutor(
-    max_workers=_FETCH_HELPERS, thread_name_prefix="mdm-fetch"
+    max_workers=_FETCH_HELPERS,
+    thread_name_prefix="mdm-fetch",
+    initializer=_count_helpers,
+    initargs=(1,),
 )
 
 
@@ -424,7 +447,15 @@ class MDM:
         self.mappings = LavMappingStore(
             self.dataset, self.global_graph, self.source_graph
         )
-        self.rewriter = Rewriter(self.global_graph, self.mappings)
+        #: LRU cache of rewrites keyed by (canonical walk, generation); an
+        #: entry also keeps what each query of the walk plans before it
+        #: fetches.
+        self.rewrite_cache = RewriteCache()
+        self.rewriter = Rewriter(
+            self.global_graph,
+            self.mappings,
+            expansions=self.rewrite_cache.expansions,
+        )
         self.metadata = DocumentStore()
         self.governance = GovernanceLog(self.metadata)
         #: Runtime wrapper objects by name (the executable side of S:Wrapper).
@@ -455,12 +486,6 @@ class MDM:
         #: endpoints hold it shared — a query can never observe a
         #: half-applied release.
         self.metadata_lock = ReadWriteLock()
-        from .rewrite_cache import RewriteCache
-
-        #: LRU cache of rewrites keyed by (canonical walk, generation); an
-        #: entry also keeps what each query of the walk plans before it
-        #: fetches.
-        self.rewrite_cache = RewriteCache()
         from .result_cache import ResultCache
 
         #: LRU cache of full query outcomes keyed by (canonical walk,
@@ -992,7 +1017,9 @@ class MDM:
         and rewrites otherwise; either way the new entry's plan slots
         start empty.  With ``use_cache=False`` neither map is read or
         filled: the entry is a fresh one that no other query sees, so
-        whatever is planned on it is planned again next time.
+        whatever is planned on it is planned again next time.  (The
+        rewriter still reads each walk's phase (a) from the cache's
+        expansions map, which is keyed by all that phase reads.)
         """
         with get_tracer().span("rewrite-cache") as cache_span:
             if not use_cache:
@@ -1510,6 +1537,7 @@ class MDM:
                 helpers.append(
                     _FETCH_POOL.submit(contextvars.copy_context().run, drain)
                 )
+                _count_helpers(0)
             taken = 0
             fetched: Dict[str, FetchOutcome] = {}
             while True:

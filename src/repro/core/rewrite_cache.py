@@ -31,9 +31,18 @@ shadow's rewrites there.  The entries stay per MDM and per generation,
 because plans read the runtime wrappers, which are not rewriter inputs,
 and a shadow's generations collide with the live ones.
 
-Both LRUs are the shared :class:`~repro.core.lru.GenerationLRU`:
+A third map, :attr:`RewriteCache.expansions`, keeps phase (a) of the
+rewriting (:class:`~repro.core.rewriting.WalkExpansion`: validation,
+expansion, column names, projection, the per-concept global-graph facts
+and the SPARQL text) per canonical walk, global graph stamp and
+namespace-bindings stamp.  A release or a retirement changes the views
+but not the global graph, so the rewrite that follows runs only phases
+(b) and (c).  It is shared with the shadow in the same way.
+
+All three LRUs are the shared :class:`~repro.core.lru.GenerationLRU`:
 hit/miss/eviction counts flow into the process metrics registry
-(``mdm_rewrite_cache_*`` and ``mdm_rewrite_inputs_*``) so
+(``mdm_rewrite_cache_*``, ``mdm_rewrite_inputs_*`` and
+``mdm_rewrite_expansions_*``) so
 ``report --metrics`` and the ``GET /metrics`` endpoint expose the hit
 ratios.
 """
@@ -99,18 +108,22 @@ class RewriteEntry:
 
 class RewriteCache(GenerationLRU):
     """Bounded LRU of ``(walk key, generation) -> RewriteEntry``, over
-    the rewriter-inputs map :attr:`by_inputs`.
+    the rewriter-inputs map :attr:`by_inputs` and the phase-(a) map
+    :attr:`expansions`.
 
     Thread-safe: concurrent queries through the service layer may probe
     and fill the cache from multiple threads.  Always enabled.
-    :meth:`resize` and :meth:`clear` apply to both maps, so the inputs
-    map never holds more results than the capacity.
+    :meth:`resize` and :meth:`clear` apply to all three maps, so neither
+    of the others ever holds more than the capacity.
     """
 
     min_capacity = 1
 
     def __init__(
-        self, capacity: int = 128, by_inputs: Optional[GenerationLRU] = None
+        self,
+        capacity: int = 128,
+        by_inputs: Optional[GenerationLRU] = None,
+        expansions: Optional[GenerationLRU] = None,
     ):
         super().__init__(capacity, "rewrite_cache")
         #: ``(walk key, Rewriter.inputs()) -> RewriteResult``; passed in
@@ -119,6 +132,13 @@ class RewriteCache(GenerationLRU):
             by_inputs
             if by_inputs is not None
             else GenerationLRU(capacity, "rewrite_inputs")
+        )
+        #: ``(walk key, global graph stamp, bindings stamp) ->
+        #: WalkExpansion``; shared like :attr:`by_inputs`.
+        self.expansions = (
+            expansions
+            if expansions is not None
+            else GenerationLRU(capacity, "rewrite_expansions")
         )
 
     def get(self, key: str, generation: int) -> Optional[RewriteEntry]:
@@ -134,11 +154,13 @@ class RewriteCache(GenerationLRU):
         self.store((key, generation), entry)
 
     def resize(self, capacity: int) -> None:
-        """Change both maps' capacity in place (trimming LRU-first)."""
+        """Change every map's capacity in place (trimming LRU-first)."""
         super().resize(capacity)
         self.by_inputs.resize(capacity)
+        self.expansions.resize(capacity)
 
     def clear(self) -> None:
-        """Drop every entry and every result (stats are kept)."""
+        """Drop every entry, result and expansion (stats are kept)."""
         super().clear()
         self.by_inputs.clear()
+        self.expansions.clear()

@@ -30,6 +30,7 @@ from typing import (
     FrozenSet,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -61,9 +62,11 @@ from .errors import (
 )
 from .global_graph import GlobalGraph
 from .lav import LavMappingStore, MappingView
+from .lru import GenerationLRU
+from .rewrite_cache import walk_cache_key
 from .walks import Walk, feature_column_names
 
-__all__ = ["Rewriter", "RewriteResult", "ConjunctiveQuery"]
+__all__ = ["Rewriter", "RewriteResult", "ConjunctiveQuery", "WalkExpansion"]
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,50 @@ class ConjunctiveQuery:
             for concept, names in self.covers
         ]
         return " ⋈ ".join(parts)
+
+
+class ConceptFacts(NamedTuple):
+    """What phase (b) reads of the global graph for one walk concept."""
+
+    #: The expanded walk's features of the concept.
+    required: FrozenSet[IRI]
+    #: The walk's optional features of the concept.
+    optional: FrozenSet[IRI]
+    #: The concept's identifier features.
+    identifiers: FrozenSet[IRI]
+    #: The walk edges that touch the concept, sorted.
+    incident: Tuple[Triple, ...]
+    #: The concept and its declared subclasses.
+    specializations: FrozenSet[IRI]
+
+
+@dataclass(frozen=True)
+class WalkExpansion:
+    """Phase (a) of one walk: all the rewriting derives from the walk,
+    the global graph and its namespace bindings, and nothing from the
+    views.
+
+    A metadata change that leaves the global graph alone (a release, a
+    retirement, a new source) leaves it valid, so the rewriter keeps it
+    per ``(walk key, global graph stamp, bindings stamp)`` in the
+    rewrite cache's :attr:`~repro.core.rewrite_cache.RewriteCache.expansions`
+    and a rewrite after such a change runs only phases (b) and (c).
+    """
+
+    expanded: Walk
+    #: Per walk concept, in IRI order.
+    concepts: Mapping[IRI, ConceptFacts]
+    #: The walk's edges, sorted.
+    edges: Tuple[Triple, ...]
+    #: Walk features, optional features and every concept identifier.
+    relevant: FrozenSet[IRI]
+    columns: Mapping[IRI, str]
+    projection: Tuple[str, ...]
+    #: The columns the answer reads: projected or filtered.
+    read: FrozenSet[str]
+    #: The walk's filters as one row predicate, or None.
+    predicate: Optional[Expr]
+    sparql: str
 
 
 @dataclass(frozen=True)
@@ -148,6 +195,9 @@ class Rewriter:
     ``minimize`` takes a new value.  An MDM's generation reads it, so
     a new setting, like a new rewriter, serves nothing that was cached
     under the old one.
+
+    ``expansions``, when given, keeps phase (a) of each walk (see
+    :meth:`expand`); an MDM passes its rewrite cache's map.
     """
 
     stamp: int
@@ -158,9 +208,11 @@ class Rewriter:
         mappings: LavMappingStore,
         max_cover_size: int = 3,
         minimize: bool = True,
+        expansions: Optional[GenerationLRU] = None,
     ):
         self.global_graph = global_graph
         self.mappings = mappings
+        self.expansions = expansions
         #: Upper bound on wrappers combined per concept; the search space
         #: is exponential beyond it and real sources rarely shard one
         #: concept's features over more wrappers.
@@ -207,11 +259,12 @@ class Rewriter:
     def rewrite(self, walk: Walk) -> RewriteResult:
         """Run the three phases and return the UCQ plan.
 
-        Each phase runs under a span (``phase:expansion`` /
-        ``phase:intra-concept`` / ``phase:inter-concept``) tagged with
-        candidate/pruned/emitted CQ counts, and its latency is observed
-        into the ``mdm_rewrite_phase_seconds`` histogram regardless of
-        whether tracing is enabled.
+        Phase (a) is :meth:`expand`.  Each phase runs under a span
+        (``phase:expansion`` / ``phase:intra-concept`` /
+        ``phase:inter-concept``) tagged with candidate/pruned/emitted CQ
+        counts, and its latency is observed into the
+        ``mdm_rewrite_phase_seconds`` histogram regardless of whether
+        tracing is enabled.
         """
         tracer = get_tracer()
         metrics = get_metrics()
@@ -221,16 +274,12 @@ class Rewriter:
             # Phase (a): expansion.
             started = time.perf_counter()
             with tracer.span("phase:expansion") as span:
-                walk.validate(self.global_graph)
-                expanded = walk.expand(self.global_graph)
-                identifiers = self._identifiers(expanded)
-                relevant = self._relevant_features(expanded, identifiers)
-                columns = feature_column_names(self.global_graph, relevant)
+                expansion = self.expand(walk)
                 views = self.mappings.views()
-                span.set_tag("concepts", len(expanded.sorted_concepts()))
+                span.set_tag("concepts", len(expansion.concepts))
                 span.set_tag(
                     "added_identifiers",
-                    len(set(expanded.features) - set(walk.features)),
+                    len(expansion.expanded.features - walk.features),
                 )
             phase_seconds.observe(
                 time.perf_counter() - started, phase="expansion"
@@ -238,11 +287,10 @@ class Rewriter:
             # Phase (b): intra-concept generation.
             started = time.perf_counter()
             with tracer.span("phase:intra-concept") as span:
-                concept_covers: Dict[IRI, List[Tuple[MappingView, ...]]] = {}
-                for concept in expanded.sorted_concepts():
-                    concept_covers[concept] = self._covers_for_concept(
-                        concept, expanded, identifiers, views
-                    )
+                concept_covers: Dict[IRI, List[Tuple[MappingView, ...]]] = {
+                    concept: self._covers_for_concept(concept, expansion, views)
+                    for concept in expansion.concepts
+                }
                 span.set_tag(
                     "covers", sum(len(c) for c in concept_covers.values())
                 )
@@ -253,30 +301,19 @@ class Rewriter:
             # Phase (c): inter-concept generation.
             started = time.perf_counter()
             with tracer.span("phase:inter-concept") as span:
-                queries = self._combine(
-                    expanded, identifiers, concept_covers, columns, relevant
-                )
+                queries = self._combine(expansion, concept_covers)
                 if not queries:
                     raise RewritingError(
                         "no conjunctive query survives the inter-concept phase: the "
                         "walk's relations are not covered by any wrapper combination"
                     )
                 candidate_cqs = len(queries)
-                projected_features = sorted(
-                    set(walk.features) | set(expanded.optional_features),
-                    key=lambda i: i.value,
-                )
-                projection = tuple(
-                    columns[f] for f in projected_features
-                ) or tuple(columns[f] for f in expanded.sorted_features())
+                projection = expansion.projection
                 if self.minimize:
-                    read = frozenset(projection).union(
-                        columns[c.feature] for c in walk.filters
-                    )
-                    queries = _drop_redundant(queries, read)
+                    queries = _drop_redundant(queries, expansion.read)
                 else:
                     queries = _dedupe(queries)
-                predicate = _filter_predicate(walk, columns)
+                predicate = expansion.predicate
                 if predicate is not None:
                     queries = [
                         ConjunctiveQuery(
@@ -317,12 +354,80 @@ class Rewriter:
         )
         return RewriteResult(
             walk=walk,
-            expanded_walk=expanded,
-            column_names=columns,
+            expanded_walk=expansion.expanded,
+            column_names=expansion.columns,
             projection=projection,
             queries=tuple(queries),
             plan=plan,
-            sparql=walk.to_sparql(self.global_graph),
+            sparql=expansion.sparql,
+        )
+
+    # ------------------------------------------------------------------ #
+    # phase (a): expansion
+    # ------------------------------------------------------------------ #
+
+    def expand(self, walk: Walk) -> WalkExpansion:
+        """Phase (a) for ``walk``: validated, expanded and translated.
+
+        With :attr:`expansions` set, the result is kept there under the
+        walk's :func:`~repro.core.rewrite_cache.walk_cache_key` and the
+        stamps of the global graph and its namespace bindings, which is
+        all it reads besides the walk, and served from there while both
+        stamps hold.  A walk that fails validation raises every time;
+        nothing is kept.
+        """
+        expansions = self.expansions
+        if expansions is None:
+            return self._expand(walk)
+        graph = self.global_graph.graph
+        memo_key = (walk_cache_key(walk), graph.stamp, graph.namespaces.stamp)
+        expansion = expansions.probe(memo_key)
+        if expansion is None:
+            expansion = self._expand(walk)
+            expansions.store(memo_key, expansion)
+        return expansion
+
+    def _expand(self, walk: Walk) -> WalkExpansion:
+        global_graph = self.global_graph
+        walk.validate(global_graph)
+        expanded = walk.expand(global_graph)
+        identifiers = self._identifiers(expanded)
+        relevant = self._relevant_features(expanded, identifiers)
+        columns = feature_column_names(global_graph, relevant)
+        edges = tuple(expanded.sorted_edges())
+        concepts = {
+            concept: ConceptFacts(
+                required=frozenset(expanded.features_of(global_graph, concept)),
+                optional=frozenset(
+                    f
+                    for f in expanded.optional_features
+                    if global_graph.concept_of(f) == concept
+                ),
+                identifiers=frozenset(ids),
+                incident=tuple(e for e in edges if concept in (e.subject, e.object)),
+                specializations=self._specializations(concept),
+            )
+            for concept, ids in identifiers.items()
+        }
+        projected_features = sorted(
+            set(walk.features) | set(expanded.optional_features),
+            key=lambda i: i.value,
+        )
+        projection = tuple(columns[f] for f in projected_features) or tuple(
+            columns[f] for f in expanded.sorted_features()
+        )
+        return WalkExpansion(
+            expanded=expanded,
+            concepts=concepts,
+            edges=edges,
+            relevant=frozenset(relevant),
+            columns=columns,
+            projection=projection,
+            read=frozenset(projection).union(
+                columns[c.feature] for c in walk.filters
+            ),
+            predicate=_filter_predicate(walk, columns),
+            sparql=walk.to_sparql(global_graph),
         )
 
     # ------------------------------------------------------------------ #
@@ -342,11 +447,12 @@ class Rewriter:
             if isinstance(c, IRI) and self.global_graph.is_concept(c)
         )
 
+    @staticmethod
     def _edge_witnessed_by(
-        self,
         view: MappingView,
         edge: Triple,
-        other_ids: Set[IRI],
+        other_ids: FrozenSet[IRI],
+        expansion: WalkExpansion,
     ) -> bool:
         """Whether ``view`` carries ``edge`` (up to concept taxonomy) and
         populates an identifier of the edge's other endpoint."""
@@ -354,8 +460,8 @@ class Rewriter:
             return False
         if view.covers_edge(edge):
             return True
-        subject_specs = self._specializations(edge.subject)  # type: ignore[arg-type]
-        object_specs = self._specializations(edge.object)  # type: ignore[arg-type]
+        subject_specs = expansion.concepts[edge.subject].specializations  # type: ignore[index]
+        object_specs = expansion.concepts[edge.object].specializations  # type: ignore[index]
         for candidate in view.edges:
             if (
                 candidate.predicate == edge.predicate
@@ -366,7 +472,8 @@ class Rewriter:
         return False
 
     def _identifiers(self, walk: Walk) -> Dict[IRI, List[IRI]]:
-        """Identifier features per walk concept (raises if a concept has none)."""
+        """Identifier features per walk concept, in concept order
+        (raises if a concept has none)."""
         out: Dict[IRI, List[IRI]] = {}
         for concept in walk.sorted_concepts():
             identifiers = self.global_graph.identifiers_of(concept)
@@ -397,8 +504,7 @@ class Rewriter:
     def _covers_for_concept(
         self,
         concept: IRI,
-        walk: Walk,
-        identifiers: Dict[IRI, List[IRI]],
+        expansion: WalkExpansion,
         views: Sequence[MappingView],
     ) -> List[Tuple[MappingView, ...]]:
         """Minimal wrapper combinations providing the concept's features.
@@ -416,21 +522,13 @@ class Rewriter:
         relation to a neighbouring concept — e.g. a memberships endpoint —
         must survive pruning).
         """
-        required = set(walk.features_of(self.global_graph, concept))
-        optional_here = {
-            f
-            for f in walk.optional_features
-            if self.global_graph.concept_of(f) == concept
-        }
-        id_set = set(identifiers[concept])
-        incident = [
-            e for e in walk.sorted_edges() if concept in (e.subject, e.object)
-        ]
-        specializations = self._specializations(concept)
+        facts = expansion.concepts[concept]
+        required = facts.required
+        id_set = facts.identifiers
         applicable = [
             v
             for v in views
-            if (v.concepts & specializations)
+            if (v.concepts & facts.specializations)
             and (set(v.feature_attributes) & id_set)
         ]
         applicable.sort(key=lambda v: v.wrapper_name)
@@ -439,11 +537,11 @@ class Rewriter:
 
         def witnessed_edges(combo: Tuple[MappingView, ...]) -> FrozenSet[Triple]:
             out: Set[Triple] = set()
-            for edge in incident:
+            for edge in facts.incident:
                 other = edge.object if edge.subject == concept else edge.subject
-                other_ids = set(identifiers[other])  # type: ignore[index]
+                other_ids = expansion.concepts[other].identifiers  # type: ignore[index]
                 for view in combo:
-                    if self._edge_witnessed_by(view, edge, other_ids):
+                    if self._edge_witnessed_by(view, edge, other_ids, expansion):
                         out.add(edge)
                         break
             return frozenset(out)
@@ -466,7 +564,7 @@ class Rewriter:
                     continue
                 # Joinability within the cover: all views must share an
                 # identifier of this concept.
-                shared_ids = id_set.copy()
+                shared_ids = set(id_set)
                 for view in combo:
                     shared_ids &= set(view.feature_attributes)
                 if not shared_ids:
@@ -477,7 +575,7 @@ class Rewriter:
                         combo,
                         names,
                         witnessed_edges(combo),
-                        frozenset(provided & optional_here),
+                        frozenset(provided & facts.optional),
                     )
                 )
         # Dominance over three dimensions: a strict wrapper-subset must
@@ -550,18 +648,15 @@ class Rewriter:
 
     def _combine(
         self,
-        walk: Walk,
-        identifiers: Dict[IRI, List[IRI]],
+        expansion: WalkExpansion,
         concept_covers: Dict[IRI, List[Tuple[MappingView, ...]]],
-        columns: Mapping[IRI, str],
-        relevant: Set[IRI],
     ) -> List[ConjunctiveQuery]:
         """Enumerate concept-cover combinations and join them over edges.
 
         Each wrapper's view plan is built once, so every CQ that uses the
         wrapper shares one leaf node.
         """
-        concepts = walk.sorted_concepts()
+        concepts = list(expansion.concepts)
         views = {
             view.wrapper_name: view
             for covers in concept_covers.values()
@@ -569,15 +664,15 @@ class Rewriter:
             for view in cover
         }
         leaves = {
-            name: self._view_plan(view, relevant, columns)
+            name: self._view_plan(view, expansion.relevant, expansion.columns)
             for name, view in views.items()
         }
         queries: List[ConjunctiveQuery] = []
         for combo in itertools.product(*(concept_covers[c] for c in concepts)):
             assignment = dict(zip(concepts, combo))
-            if not self._edges_supported(walk, identifiers, assignment):
+            if not self._edges_supported(expansion, assignment):
                 continue
-            assembled = self._assemble(walk, concepts, assignment, leaves)
+            assembled = self._assemble(expansion, concepts, assignment, leaves)
             if assembled is None:
                 continue
             plan, produced = assembled
@@ -592,24 +687,23 @@ class Rewriter:
 
     def _edges_supported(
         self,
-        walk: Walk,
-        identifiers: Dict[IRI, List[IRI]],
+        expansion: WalkExpansion,
         assignment: Mapping[IRI, Tuple[MappingView, ...]],
     ) -> bool:
         """Every walk edge must be witnessed by a wrapper of one endpoint
         that includes the edge in its named graph and populates an
         identifier of the *other* endpoint — that identifier column is the
         join key (the Figure 7 intersection at sc:SportsTeam's id)."""
-        for edge in walk.sorted_edges():
+        for edge in expansion.edges:
             source = edge.subject
             target = edge.object
-            source_ids = set(identifiers[source])  # type: ignore[index]
-            target_ids = set(identifiers[target])  # type: ignore[index]
+            source_ids = expansion.concepts[source].identifiers  # type: ignore[index]
+            target_ids = expansion.concepts[target].identifiers  # type: ignore[index]
             witnessed = any(
-                self._edge_witnessed_by(view, edge, target_ids)
+                self._edge_witnessed_by(view, edge, target_ids, expansion)
                 for view in assignment[source]  # type: ignore[index]
             ) or any(
-                self._edge_witnessed_by(view, edge, source_ids)
+                self._edge_witnessed_by(view, edge, source_ids, expansion)
                 for view in assignment[target]  # type: ignore[index]
             )
             if not witnessed:
@@ -618,7 +712,7 @@ class Rewriter:
 
     def _assemble(
         self,
-        walk: Walk,
+        expansion: WalkExpansion,
         concepts: Sequence[IRI],
         assignment: Mapping[IRI, Tuple[MappingView, ...]],
         leaves: Mapping[str, Tuple[PlanNode, FrozenSet[str]]],
@@ -633,7 +727,7 @@ class Rewriter:
             c: self._cover_plan(assignment[c], leaves) for c in concepts
         }
         adjacency: Dict[IRI, Set[IRI]] = {c: set() for c in concepts}
-        for edge in walk.sorted_edges():
+        for edge in expansion.edges:
             adjacency[edge.subject].add(edge.object)  # type: ignore[index]
             adjacency[edge.object].add(edge.subject)  # type: ignore[index]
         start = concepts[0]

@@ -369,6 +369,7 @@ _ROWS = [
         ("mdm_rewrite_total", "counter", (), "Walks rewritten into UCQ plans."),
         ("mdm_rewrite_seconds", "histogram", (), "End-to-end LAV rewriting latency."),
         ("mdm_rewrite_phase_seconds", "histogram", ("phase",), "Latency of each LAV rewriting phase."),
+        ("mdm_lav_view_compiles_total", "counter", (), "LAV mapping views compiled."),
         ("mdm_optimizer_rules_applied_total", "counter", ("rule",),
          "Logical-optimizer rule applications, by rule name."),
         ("mdm_optimizer_failures_total", "counter", (),
@@ -390,6 +391,7 @@ _ROWS = [
          "Wrapper fetch attempts that failed and were retried."),
         ("mdm_wrapper_failure_total", "counter", ("wrapper",),
          "Wrapper fetches that failed terminally after retries."),
+        ("mdm_fetch_helpers", "gauge", (), "Fetch-pool helper threads started in this process."),
         ("mdm_impact_checks_total", "counter", ("verdict",), "Evolution-impact analyses by verdict."),
         ("mdm_lint_findings_total", "counter", ("severity",),
          "Static-analysis findings reported by mdm lint."),
@@ -412,7 +414,9 @@ _ROWS = [
     )
 ] + [
     spec
-    for prefix in ("rewrite_cache", "rewrite_inputs", "result_cache", "wrapper_cache")
+    for prefix in (
+        "rewrite_cache", "rewrite_inputs", "rewrite_expansions", "result_cache", "wrapper_cache"
+    )
     for spec in _cache_family(prefix)
 ]
 

@@ -235,32 +235,48 @@ class Graph:
     def subjects(
         self, predicate: TermPattern = None, obj: TermPattern = None
     ) -> Iterator[Term]:
-        """Distinct subjects of triples matching ``(?, predicate, obj)``."""
-        seen: Set[Term] = set()
-        for s, _, _ in self.triples((None, predicate, obj)):
-            if s not in seen:
-                seen.add(s)
-                yield s
+        """Distinct subjects of triples matching ``(?, predicate, obj)``.
+
+        With both bound this is a snapshot of one index set, so the
+        graph may change while the result is iterated.
+        """
+        if predicate is not None and obj is not None:
+            return iter(tuple(self._pos.get(predicate, {}).get(obj, ())))
+        return self._distinct(0, (None, predicate, obj))
 
     def predicates(
         self, subject: TermPattern = None, obj: TermPattern = None
     ) -> Iterator[Term]:
-        """Distinct predicates of triples matching ``(subject, ?, obj)``."""
-        seen: Set[Term] = set()
-        for _, p, _ in self.triples((subject, None, obj)):
-            if p not in seen:
-                seen.add(p)
-                yield p
+        """Distinct predicates of triples matching ``(subject, ?, obj)``.
+
+        With both bound this is a snapshot of one index set (in that
+        set's order, not the generic path's).
+        """
+        if subject is not None and obj is not None:
+            return iter(tuple(self._osp.get(obj, {}).get(subject, ())))
+        return self._distinct(1, (subject, None, obj))
 
     def objects(
         self, subject: TermPattern = None, predicate: TermPattern = None
     ) -> Iterator[Term]:
-        """Distinct objects of triples matching ``(subject, predicate, ?)``."""
+        """Distinct objects of triples matching ``(subject, predicate, ?)``.
+
+        With both bound this is a snapshot of one index set, so the
+        graph may change while the result is iterated.
+        """
+        if subject is not None and predicate is not None:
+            return iter(tuple(self._spo.get(subject, {}).get(predicate, ())))
+        return self._distinct(2, (subject, predicate, None))
+
+    def _distinct(self, position: int, pattern: TriplePattern) -> Iterator[Term]:
+        """The distinct terms at ``position`` of the triples matching
+        ``pattern``, in match order."""
         seen: Set[Term] = set()
-        for _, _, o in self.triples((subject, predicate, None)):
-            if o not in seen:
-                seen.add(o)
-                yield o
+        for triple in self.triples(pattern):
+            term = triple[position]
+            if term not in seen:
+                seen.add(term)
+                yield term
 
     def value(
         self, subject: TermPattern = None, predicate: TermPattern = None
@@ -270,7 +286,10 @@ class Graph:
         Raises :class:`ValueError` when the pattern matches more than one
         distinct object — use :meth:`objects` for multi-valued properties.
         """
-        values = list(self.objects(subject, predicate))
+        if subject is not None and predicate is not None:
+            values = self._spo.get(subject, {}).get(predicate, ())
+        else:
+            values = tuple(self.objects(subject, predicate))
         if not values:
             return None
         if len(values) > 1:
@@ -278,7 +297,7 @@ class Graph:
                 f"value() is ambiguous: {len(values)} objects for "
                 f"({subject}, {predicate})"
             )
-        return values[0]
+        return next(iter(values))
 
     def estimate(self, pattern: TriplePattern) -> int:
         """Cheap upper-bound cardinality estimate for join ordering.

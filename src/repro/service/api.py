@@ -56,7 +56,7 @@ from ..core.mdm import MDM
 from ..core.errors import MdmError
 from ..core.walks import Walk
 from ..rdf.terms import IRI
-from ..sources.wrappers import StaticWrapper
+from ..sources.wrappers import StaticWrapper, WrapperFetchError, WrapperSchemaError
 from .http import JsonRequest, JsonResponse, Router, ServiceError
 
 __all__ = ["MdmService"]
@@ -291,7 +291,11 @@ class MdmService:
 
     def _query_response(self, walk: Walk, request: JsonRequest) -> Dict[str, Any]:
         """Rewrite the walk, and run it unless ``execute`` is false,
-        honouring ``on_wrapper_error`` and ``use_cache``."""
+        honouring ``on_wrapper_error`` and ``use_cache``.
+
+        A wrapper that fails the query (its source errs, times out or
+        sends what it cannot decode) answers 502: the upstream is at
+        fault, not the request."""
         execute = request.typed("execute", "boolean", True)
         on_error = request.body.get("on_wrapper_error", "raise")
         use_cache = request.typed("use_cache", "boolean", True)
@@ -307,6 +311,8 @@ class MdmService:
             else:
                 rewrite = self.mdm.rewrite(walk)
                 rows, columns = None, list(rewrite.projection)
+        except (WrapperSchemaError, WrapperFetchError) as exc:
+            raise ServiceError(502, str(exc)) from exc
         except ValueError as exc:
             raise ServiceError(400, str(exc)) from exc
         except MdmError as exc:

@@ -21,6 +21,7 @@ from collections import abc
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 __all__ = [
+    "DECODE_ERRORS",
     "encode_json",
     "decode_json",
     "encode_xml",
@@ -36,6 +37,12 @@ Record = Dict[str, Any]
 
 #: The formats the mock REST layer can serve.
 PayloadFormat = str  # "json" | "xml" | "csv"
+
+
+#: What the decoders below raise for a payload they cannot read:
+#: malformed JSON (a ``ValueError``, as is JSON that is neither an array
+#: nor an object), malformed XML or malformed CSV.
+DECODE_ERRORS = (ValueError, ET.ParseError, csv.Error)
 
 
 # --------------------------------------------------------------------- #

@@ -44,7 +44,7 @@ from ..relational.algebra import CAP_FILTERS, CAP_LIMIT, CAP_PROJECTION, Scan
 from ..relational.executor import apply_pushdown, row_getter
 from ..relational.relation import Relation
 from ..relational.types import AttrType
-from .formats import decode_csv, decode_json, decode_xml, flatten_record
+from .formats import DECODE_ERRORS, decode_csv, decode_json, decode_xml, flatten_record
 from .restapi import HttpError, MockRestServer, Response
 
 __all__ = [
@@ -534,9 +534,10 @@ class RestWrapper(Wrapper):
     def _decoded(self, params: Optional[Mapping[str, str]]) -> List[Record]:
         """The decoded, flattened records one request returns.
 
-        Inside :func:`sharing_requests` a request another wrapper already
-        sent is answered from its records; they may be shared, so callers
-        never modify them.
+        A failed request, or a payload its decoder rejects, raises
+        :class:`WrapperSchemaError`.  Inside :func:`sharing_requests` a
+        request another wrapper already sent is answered from its
+        records; they may be shared, so callers never modify them.
         """
         send = dict(self.params if params is None else params)
         shared = _SHARED_REQUESTS.get()
@@ -551,7 +552,13 @@ class RestWrapper(Wrapper):
                 ) from exc
             decoded = []
             for response in responses:
-                decoded.extend(self._decode(response))
+                try:
+                    decoded.extend(self._decode(response))
+                except DECODE_ERRORS as exc:
+                    raise WrapperSchemaError(
+                        self.name, "*", f"endpoint {self.path} sent a payload "
+                        f"that does not decode: {exc}"
+                    ) from exc
             if shared is not None:
                 shared[key] = decoded
         return decoded

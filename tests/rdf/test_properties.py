@@ -2,6 +2,7 @@
 
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -185,3 +186,47 @@ def test_copy_equal_but_independent(triple_set):
     )
     clone.add(marker)
     assert marker not in g or marker in clone
+
+
+# ---------------------------------------------------------------------- #
+# bound lookups read the index, and equal the generic path
+# ---------------------------------------------------------------------- #
+
+# Few terms, so that one subject-predicate pair often has several objects.
+_node_iris = st.sampled_from([IRI(f"http://t.example/n{i}") for i in range(4)])
+dense_sets = st.lists(
+    st.builds(
+        Triple,
+        _node_iris,
+        _node_iris,
+        st.one_of(_node_iris, st.sampled_from([Literal("a"), Literal(1)])),
+    ),
+    max_size=25,
+).map(frozenset)
+
+ABSENT = IRI("http://t.example/absent")
+
+
+@given(dense_sets, st.data())
+@settings(max_examples=80)
+def test_bound_lookups_equal_the_generic_path(triple_set, data):
+    g = graph_of(triple_set)
+    terms = sorted(g.terms(), key=lambda t: t.n3()) + [ABSENT]
+    s, p, o = (data.draw(st.sampled_from(terms)) for _ in range(3))
+    objects = [t.object for t in g.triples((s, p, None))]
+    assert list(g.objects(s, p)) == objects
+    assert list(g.subjects(p, o)) == [t.subject for t in g.triples((None, p, o))]
+    assert set(g.predicates(s, o)) == {t.predicate for t in g.triples((s, None, o))}
+    if len(objects) > 1:
+        with pytest.raises(ValueError, match="ambiguous"):
+            g.value(s, p)
+    else:
+        assert g.value(s, p) == (objects[0] if objects else None)
+    # A bound result is a snapshot: the graph may change under it.
+    for obj in g.objects(s, p):
+        g.remove((s, p, obj))
+    for subj in g.subjects(p, o):
+        g.remove((subj, p, o))
+    for pred in g.predicates(s, o):
+        g.remove((s, pred, o))
+    assert g.count((s, p, None)) == g.count((None, p, o)) == g.count((s, None, o)) == 0

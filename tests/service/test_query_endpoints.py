@@ -5,11 +5,14 @@ The SPARQL endpoint parses under the metadata read lock, through
 and both endpoints build their answer with one helper, so the SPARQL
 path honours ``use_cache`` and ``on_wrapper_error`` and reports
 ``partial``, ``generation``, ``result_cache`` and ``pushdown`` too.
+A wrapper that fails the query answers 502 on both: the upstream is at
+fault, not the request.
 """
 
 import pytest
 
 import repro.core.sparql_frontend as frontend
+from repro.chaos import FailpointRegistry, set_failpoints
 from repro.scenarios.football import EX, PLAYER, TEAM, FootballScenario
 from repro.service.api import MdmService
 
@@ -77,3 +80,40 @@ def test_the_sparql_endpoint_honours_on_wrapper_error(scenario):
     bogus = service.request("POST", "/query/sparql", {"sparql": text, "on_wrapper_error": "x"})
     assert bogus.status == 400
 
+
+
+@pytest.fixture
+def failpoints():
+    registry = FailpointRegistry(seed=0)
+    set_failpoints(registry)
+    try:
+        yield registry
+    finally:
+        registry.release()
+        set_failpoints(None)
+
+
+def both_endpoints(service, text, **extra):
+    return [
+        service.request("POST", "/query", {"nodes": NODES, **extra}),
+        service.request("POST", "/query/sparql", {"sparql": text, **extra}),
+    ]
+
+
+def test_a_retired_wrapper_answers_502_on_both_endpoints(scenario):
+    service = MdmService(scenario.mdm)
+    text = sparql_of(service)
+    scenario.release_players_v2(retire_v1=True)
+    for answer in both_endpoints(service, text):
+        assert answer.status == 502, answer.body
+        assert "WrapperSchemaError" not in answer.body["error"]
+        assert "version v1 of players is retired" in answer.body["error"]
+
+
+def test_an_undecodable_payload_answers_502_on_both_endpoints(scenario, failpoints):
+    service = MdmService(scenario.mdm)
+    text = sparql_of(service)
+    failpoints.arm_spec("restapi.get=corrupt")
+    for answer in both_endpoints(service, text, use_cache=False):
+        assert answer.status == 502, answer.body
+        assert "does not decode" in answer.body["error"]
